@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: ``master`` (deterministic integration), ``jump`` and ``diffusive``
+Subcommands: ``master`` (exact unconditioned solution), ``jump`` and ``diffusive``
 (trajectory ensembles), ``figure3`` (the five concurrence-vs-time CSV series)
 and ``params`` (engineered-reservoir rate helper). Options can come from an
 INI config file ([model] and [run] sections, see the README schema); explicit
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_master = subs.add_parser("master", help="integrate the unconditioned master equation")
+    p_master = subs.add_parser("master", help="solve the unconditioned master equation")
     _add_common(p_master)
 
     p_jump = subs.add_parser("jump", help="quantum-jump trajectory ensemble")

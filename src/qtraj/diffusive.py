@@ -48,7 +48,7 @@ from .qcore import (
     embed,
     validate_density_matrix,
 )
-from .recovery import LocalUnitaryFrame
+from .recovery import LocalUnitaryFrame, frame_state, unitary_part
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -434,34 +434,26 @@ def run_protecting_unitary_trajectory(
     locals_u[..., 1, 1] = cos_t
     locals_u[..., 0, 1] = -1j * sin_t * (nx - 1j * ny)
     locals_u[..., 1, 0] = -1j * sin_t * (nx + 1j * ny)
-    full_u = locals_u[:, 0]
-    for a in range(1, n):
-        d = full_u.shape[1]
-        full_u = (
-            full_u[:, :, None, :, None] * locals_u[:, a][:, None, :, None, :]
-        ).reshape(n_steps, 2 * d, 2 * d)
 
-    state = rho0.astype(complex).copy()
-    frame = LocalUnitaryFrame.identity(n)
-    samples: list[np.ndarray] = []
-    frames: list[LocalUnitaryFrame] = []
+    # every step is local, so rho(t) = F(t) rho0 F(t)^dagger with F the tensor
+    # product of the per-qubit frames: only the (n, 2, 2) frames are stepped,
+    # and states are formed at the sample steps alone
+    frames = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    sample_frames: list[LocalUnitaryFrame] = []
     si = 0
     if sample_steps and sample_steps[0] == 0:
-        samples.append(state.copy())
-        frames.append(frame.copy())
+        sample_frames.append(LocalUnitaryFrame(frames))
         si += 1
     for step in range(n_steps):
-        u = full_u[step]
-        state = u @ state @ u.conj().T
-        for a in range(n):
-            frame.left_multiply(a, locals_u[step, a])
+        frames = locals_u[step] @ frames
         if (step + 1) % _REUNITARIZE_EVERY == 0:
-            frame.reunitarize()
+            frames = unitary_part(frames)
         if si < len(sample_steps) and sample_steps[si] == step + 1:
-            samples.append(state.copy())
-            frames.append(frame.copy())
+            sample_frames.append(LocalUnitaryFrame(frames))
             si += 1
-    frame.reunitarize()
+    frame = LocalUnitaryFrame(unitary_part(frames))
+    samples = [frame_state(fr, rho0) for fr in sample_frames]
+    state = frame_state(frame, rho0)
     validate_density_matrix(state, context="protecting-unitary final state")
     return DiffusiveRecord(
         final_state=state,
@@ -469,5 +461,5 @@ def run_protecting_unitary_trajectory(
         frame=frame,
         samples=samples if sample_times is not None else None,
         sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-        sample_frames=frames if sample_times is not None else None,
+        sample_frames=sample_frames if sample_times is not None else None,
     )

@@ -21,25 +21,39 @@ _EIG_CLAMP = 1e-13
 
 
 def _spin_flip_roots(rho: np.ndarray) -> np.ndarray:
-    if rho.shape != (4, 4):
+    """Descending square roots of the spin-flipped spectrum, per 4x4 in the stack."""
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence is defined for 2 qubits (4x4), got {rho.shape}")
     r = rho @ _YY @ rho.conj() @ _YY
     lam = np.real(np.linalg.eigvals(r))
     lam[np.abs(lam) < _EIG_CLAMP] = 0.0
-    lam = np.sort(lam)[::-1]
+    lam = np.sort(lam, axis=-1)[..., ::-1]
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))."""
+def _difference(rho: np.ndarray) -> np.ndarray:
     s = _spin_flip_roots(rho)
-    return max(0.0, s[0] - s[1] - s[2] - s[3])
+    return s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
 
 
-def concurrence_signed(rho: np.ndarray) -> float:
+def _per_state(c: np.ndarray):
+    return float(c) if np.ndim(c) == 0 else c
+
+
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).
+
+    ``rho`` is one 4x4 state, giving a float, or a ``(..., 4, 4)`` stack,
+    giving an array of the leading shape equal elementwise to the one-state
+    calls.
+    """
+    c = _difference(rho)
+    return _per_state(np.where(c > 0.0, c, 0.0))
+
+
+def concurrence_signed(rho: np.ndarray):
     """Concurrence without the clamp at 0; useful to locate zero crossings."""
-    s = _spin_flip_roots(rho)
-    return float(s[0] - s[1] - s[2] - s[3])
+    return _per_state(_difference(rho))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -43,6 +43,19 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return out
 
 
+def tensor_product(factors) -> np.ndarray:
+    """Kronecker product of square factors (slot 0 leftmost).
+
+    The same elementwise products as a chain of ``np.kron`` calls from a 1x1
+    identity, without its per-call overhead.
+    """
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        d, k = out.shape[0], f.shape[0]
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d * k, d * k)
+    return out
+
+
 def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Lindblad dissipator c rho c† - (1/2){c†c, rho}. Hermitian and traceless."""
     if c.shape != rho.shape:

@@ -11,11 +11,12 @@ it is conjugation by the inverse.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .jumps import JumpEvent
-from .qcore import pauli_matrix, pauli_multiply
+from .qcore import pauli_matrix, pauli_multiply, tensor_product
 
 _FRAME_LABELS = {"x": "X", "y": "Y"}
 
@@ -35,10 +36,17 @@ class PauliFrame:
         return len(self.labels)
 
     def as_matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0.0j]])
-        for label in self.labels:
-            out = np.kron(out, pauli_matrix(label))
-        return out
+        """The frame's tensor product; read-only and shared between calls."""
+        return _pauli_tensor(self.labels)
+
+
+# keyed on the label tuple, so an n-qubit run fills at most 4**n entries; the
+# bound covers every frame of up to four qubits
+@lru_cache(maxsize=4**4)
+def _pauli_tensor(labels: tuple[str, ...]) -> np.ndarray:
+    out = tensor_product([pauli_matrix(label) for label in labels])
+    out.flags.writeable = False
+    return out
 
 
 def update_frame(frame: PauliFrame, event: JumpEvent) -> PauliFrame:
@@ -120,9 +128,7 @@ class LocalUnitaryFrame:
 
     def reunitarize(self) -> None:
         """Polar projection onto the unitary group; bounds drift of long products."""
-        for q, m in enumerate(self.matrices):
-            w, _, vh = np.linalg.svd(m)
-            self.matrices[q] = w @ vh
+        self.matrices = list(unitary_part(np.stack(self.matrices)))
 
     def unitarity_defect(self) -> float:
         return max(
@@ -130,10 +136,20 @@ class LocalUnitaryFrame:
         )
 
     def as_matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0.0j]])
-        for m in self.matrices:
-            out = np.kron(out, m)
-        return out
+        return tensor_product(self.matrices)
+
+
+def unitary_part(matrices: np.ndarray) -> np.ndarray:
+    """Polar projection of each matrix in a ``(..., k, k)`` stack onto U(k)."""
+    w, _, vh = np.linalg.svd(matrices)
+    return w @ vh
+
+
+def frame_state(frame: LocalUnitaryFrame, rho0: np.ndarray) -> np.ndarray:
+    """F rho0 F† with F the frame's tensor product (what the record did)."""
+    f = frame.as_matrix()
+    _check_dim(rho0, f)
+    return f @ rho0 @ f.conj().T
 
 
 def recover_unitary(

@@ -74,7 +74,7 @@ def test_criterion_1_perfect_protection_jump():
 def test_criterion_2_unmonitored_infinite_T_curve():
     model = LindbladModel(2, GAMMA, GAMMA)
     dt = 1e-3
-    series = integrate_master(model, BELL, dt, 1.0)
+    series = integrate_master(model, BELL, dt * np.arange(1001))
     expected = analytic_concurrence("infinite_T", GAMMA, None, series.times)
     got = np.array([concurrence(s) for s in series.values])
     max_err = float(np.max(np.abs(got - expected)))
@@ -94,7 +94,7 @@ def test_criterion_2_unmonitored_infinite_T_curve():
 
 def test_criterion_3_unmonitored_zero_T_curve():
     model = LindbladModel(2, GAMMA, 0.0)
-    series = integrate_master(model, BELL, 1e-3, 1.0)
+    series = integrate_master(model, BELL, 1e-3 * np.arange(1001))
     got = np.array([concurrence(s) for s in series.values])
     max_err = float(np.max(np.abs(got - np.exp(-GAMMA * series.times))))
     ok = max_err <= 1e-6
@@ -195,7 +195,7 @@ def test_criterion_7_unraveling_invariance():
     base = canonical_jumps(model)
     n_traj = 5000
     times = [0.5, 1.0]
-    master = integrate_master(model, BELL, 1e-3, 1.0)
+    master = integrate_master(model, BELL, times)
     gen = np.random.default_rng(707)
     worst = 0.0
     for k in range(10):

@@ -19,7 +19,7 @@ from qtraj.diffusive import (
     step_protecting_unitary,
 )
 from qtraj.entangle import concurrence, trace_distance
-from qtraj.jumps import trajectory_seed
+from qtraj.jumps import _trajectory_rng, trajectory_seed
 from qtraj.master import LindbladModel, integrate_master, lindblad_rhs
 from qtraj.qcore import random_density_matrix
 from qtraj.recovery import LocalUnitaryFrame, recover_unitary
@@ -195,6 +195,29 @@ class TestProtectingUnitary:
         restored = recover_unitary(rec.final_state, rec.frame)
         assert trace_distance(restored, bell_rho) < 1e-8
 
+    def test_frame_path_matches_stepwise_conjugation(self, bell_rho):
+        # the trajectory forms its sample states from the frames alone; the
+        # per-step conjugation of step_protecting_unitary on the same draws
+        # is the reference (t_max crosses one reunitarization)
+        model = LindbladModel(2, 1.0, 1.0)
+        dt, seed, times = 1e-3, 33, [0.0, 0.25, 1.0, 1.5]
+        rec = run_protecting_unitary_trajectory(
+            model, bell_rho, dt, 1.5, seed, sample_times=times
+        )
+        rng = _trajectory_rng(seed)
+        state, frame = bell_rho, LocalUnitaryFrame.identity(2)
+        stepped = [bell_rho]
+        for _ in range(1500):
+            state, frame = step_protecting_unitary(state, 1.0, rng, dt, frame)
+            stepped.append(state)
+        for t, sample, fr in zip(times, rec.samples, rec.sample_frames):
+            assert fr.unitarity_defect() <= 1e-12
+            f = fr.as_matrix()
+            assert np.array_equal(sample, f @ bell_rho @ f.conj().T)
+            assert np.max(np.abs(sample - stepped[round(t / dt)])) < 1e-12
+        assert rec.frame.unitarity_defect() <= 1e-12
+        assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
+
     def test_requires_balanced_rates(self, bell_rho):
         with pytest.raises(ValueError, match="balanced|gamma"):
             run_protecting_unitary_trajectory(
@@ -222,7 +245,7 @@ class TestEnsembleAgainstMaster:
                 model, u, bell_rho, dt, t_max, trajectory_seed(41, i)
             )
             acc += rec.final_state
-        master = integrate_master(model, bell_rho, dt, t_max)
+        master = integrate_master(model, bell_rho, [t_max])
         assert trace_distance(acc / n_traj, master.at(t_max)) < 4 / np.sqrt(n_traj)
 
     def test_sme_concurrence_near_constant_protecting(self, bell_rho):

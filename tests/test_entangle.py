@@ -28,7 +28,7 @@ class TestConcurrence:
 
     def test_integrated_infinite_T_state(self, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
-        series = integrate_master(model, bell_rho, 1e-3, 0.2)
+        series = integrate_master(model, bell_rho, [0.2])
         assert abs(concurrence(series.values[-1]) - INFINITE_T_AT_02) < 1e-6
 
     def test_invariant_under_pauli_conjugation(self, rng):
@@ -52,13 +52,33 @@ class TestConcurrence:
 
     def test_signed_goes_negative_after_disentanglement(self, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
-        series = integrate_master(model, bell_rho, 1e-3, 0.6)
+        series = integrate_master(model, bell_rho, [0.6])
         assert concurrence_signed(series.values[-1]) < -0.05
         assert concurrence(series.values[-1]) == 0.0
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             concurrence(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError):
+            concurrence(np.zeros((3, 2, 2), dtype=complex))
+
+    def test_stacked_equals_per_state_calls(self, rng, bell_rho):
+        states = [random_density_matrix(4, rng) for _ in range(10)]
+        for _ in range(10):
+            psi = random_unitary(4, rng)[:, 0]
+            pure = np.outer(psi, psi.conj())
+            states += [pure, 0.7 * pure + 0.3 * random_density_matrix(4, rng)]
+        # the Bell states a Pauli frame produces: C = 1 up to eigen-noise
+        for la in PAULI_LABELS:
+            for lb in PAULI_LABELS:
+                p = np.kron(pauli_matrix(la), pauli_matrix(lb))
+                states.append(p @ bell_rho @ p.conj().T)
+        stack = np.stack(states)
+        for fn in (concurrence, concurrence_signed):
+            one_by_one = np.array([fn(s) for s in states])
+            assert all(isinstance(fn(s), float) for s in states[:3])
+            assert np.array_equal(fn(stack), one_by_one)
+            assert np.array_equal(fn(stack.reshape(2, -1, 4, 4)), one_by_one.reshape(2, -1))
 
 
 class TestDistances:

@@ -353,7 +353,7 @@ class TestTrajectories:
             )
             for t, s in zip(times, rec.samples):
                 acc[t] += s
-        master = integrate_master(model, bell_rho, 1e-3, t_max)
+        master = integrate_master(model, bell_rho, times)
         for t in times:
             assert trace_distance(acc[t] / n_traj, master.at(t)) < 4 / np.sqrt(n_traj)
 

@@ -1,7 +1,9 @@
-"""Master-equation integration and the closed-form oracles."""
+"""The exact master-equation solution and the closed-form oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.master import (
@@ -14,7 +16,13 @@ from qtraj.master import (
     integrate_master,
     lindblad_rhs,
 )
-from qtraj.qcore import computational_ket, density, random_density_matrix
+from qtraj.qcore import (
+    InvariantViolation,
+    computational_ket,
+    density,
+    random_density_matrix,
+    validate_density_matrix,
+)
 
 GROUND = density(computational_ket("0"))
 EXCITED = density(computational_ket("1"))
@@ -71,49 +79,66 @@ class TestRhs:
             lindblad_rhs(LindbladModel(2, 1.0, 0.0), np.eye(2, dtype=complex) / 2)
 
 
+def _grid(dt, t_max):
+    return dt * np.arange(int(round(t_max / dt)) + 1)
+
+
+def _rk4(model, rho0, dt, t_max):
+    """Reference fixed-step RK4 over lindblad_rhs on the grid 0, dt, ..., t_max."""
+    rho = rho0.astype(complex)
+    states = [rho]
+    for _ in range(int(round(t_max / dt))):
+        k1 = lindblad_rhs(model, rho)
+        k2 = lindblad_rhs(model, rho + 0.5 * dt * k1)
+        k3 = lindblad_rhs(model, rho + 0.5 * dt * k2)
+        k4 = lindblad_rhs(model, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho)
+    return np.array(states)
+
+
 class TestIntegrateMaster:
     def test_frozen_without_coupling(self, rng):
         model = LindbladModel(1, 0.0, 0.0)
         rho0 = random_density_matrix(2, rng)
-        series = integrate_master(model, rho0, 1e-3, 0.05)
+        series = integrate_master(model, rho0, _grid(1e-3, 0.05))
         assert np.max(np.abs(series.values[-1] - rho0)) < 1e-14
 
     def test_zero_T_concurrence_curve(self, bell_rho):
         model = LindbladModel(2, 1.0, 0.0)
-        series = integrate_master(model, bell_rho, 1e-3, 1.0)
+        series = integrate_master(model, bell_rho, _grid(1e-3, 1.0))
         for t, state in zip(series.times[::100], series.values[::100]):
             assert abs(concurrence(state) - np.exp(-t)) < 1e-6
 
     def test_infinite_T_concurrence_curve(self, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
-        series = integrate_master(model, bell_rho, 1e-3, 1.0)
+        series = integrate_master(model, bell_rho, _grid(1e-3, 1.0))
         expected = analytic_concurrence("infinite_T", 1.0, None, series.times)
         got = np.array([concurrence(s) for s in series.values])
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_analytic_states_match_integrator(self, bell_rho):
         for gm, gp, kind in ((1.0, 1.0, "infinite_T"), (1.0, 0.0, "zero_T")):
-            series = integrate_master(LindbladModel(2, gm, gp), bell_rho, 1e-3, 0.8)
+            series = integrate_master(LindbladModel(2, gm, gp), bell_rho, [0.2, 0.5, 0.8])
             for t in (0.2, 0.5, 0.8):
                 assert trace_distance(series.at(t), analytic_bell_state(kind, 1.0, t)) < 1e-9
 
     def test_preserves_trace_and_hermiticity(self, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
-        series = integrate_master(model, bell_rho, 1e-3, 0.3)
+        series = integrate_master(model, bell_rho, _grid(1e-3, 0.3))
         for state in series.values[::50]:
             assert abs(state.trace() - 1.0) < 1e-10
             assert np.max(np.abs(state - state.conj().T)) < 1e-10
 
     def test_fourth_order_convergence(self, bell_rho):
+        # a test-side RK4 over lindblad_rhs converges to the exact solution:
         # halving dt in the gamma*dt in [1e-4, 1e-2] regime must shrink the
-        # deviation from the closed form by at least 8x (expected 16x)
+        # deviation by at least 8x (expected 16x)
         model = LindbladModel(2, 1.0, 1.0)
         errs = []
         for dt in (1e-2, 5e-3):
-            series = integrate_master(model, bell_rho, dt, 0.4)
-            expected = analytic_concurrence("infinite_T", 1.0, None, series.times)
-            got = np.array([concurrence(s) for s in series.values])
-            errs.append(np.max(np.abs(got - expected)))
+            exact = np.array(integrate_master(model, bell_rho, _grid(dt, 0.4)).values)
+            errs.append(np.max(np.abs(_rk4(model, bell_rho, dt, 0.4) - exact)))
         assert errs[0] / errs[1] >= 8.0
 
     def test_balanced_drives_single_qubit_to_mixed(self, rng):
@@ -121,13 +146,67 @@ class TestIntegrateMaster:
         half = np.eye(2, dtype=complex) / 2
         for _ in range(5):
             rho0 = random_density_matrix(2, rng)
-            series = integrate_master(model, rho0, 1e-3, 0.5)
-            dists = [trace_distance(s, half) for s in series.values[::25]]
+            series = integrate_master(model, rho0, _grid(0.025, 0.5))
+            dists = [trace_distance(s, half) for s in series.values]
             assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
-    def test_step_too_large(self, bell_rho):
-        with pytest.raises(ValueError):
-            integrate_master(LindbladModel(2, 1.0, 1.0), bell_rho, 0.05, 1.0)
+    @pytest.mark.parametrize(
+        "times",
+        [[-0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [], [0.0, np.nan]],
+        ids=["negative", "decreasing", "duplicate", "empty", "nan"],
+    )
+    def test_rejects_bad_times(self, bell_rho, times):
+        with pytest.raises(ValueError, match="times"):
+            integrate_master(LindbladModel(2, 1.0, 1.0), bell_rho, times)
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [
+            np.diag([0.5, 0.6]).astype(complex),  # trace 1.1
+            np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex),  # not Hermitian
+            np.diag([1.2, -0.2]).astype(complex),  # not positive
+        ],
+        ids=["trace", "hermiticity", "positivity"],
+    )
+    def test_rejects_invalid_rho0(self, rho0):
+        with pytest.raises(InvariantViolation, match="rho0"):
+            integrate_master(LindbladModel(1, 1.0, 1.0), rho0, [0.1])
+
+    def test_rejects_rho0_of_wrong_dimension(self, bell_rho):
+        with pytest.raises(ValueError, match="dim"):
+            integrate_master(LindbladModel(1, 1.0, 1.0), bell_rho, [0.1])
+
+
+_rate = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 3))
+    gm = draw(st.lists(_rate, min_size=n, max_size=n))
+    gp = draw(st.lists(_rate, min_size=n, max_size=n))
+    rho0 = random_density_matrix(2**n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return LindbladModel(n, gm, gp), rho0
+
+
+class TestExactPropagatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_models(), st.floats(0.0, 2.0), st.floats(1e-3, 1.0))
+    def test_generator_semigroup_and_validity(self, model_rho0, t, s):
+        model, rho0 = model_rho0
+        h = 1e-5
+        series = integrate_master(model, rho0, [t, t + h, t + s, t + s + h, t + s + 2 * h])
+        states = series.values
+        for state in states:
+            validate_density_matrix(state, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-12)
+        # d/dt of the solution is the Lindblad right-hand side (central
+        # difference at t + s + h; truncation ~h^2 |L^3|, rounding ~eps/h)
+        slope = (states[4] - states[2]) / (2 * h)
+        assert np.max(np.abs(slope - lindblad_rhs(model, states[3]))) < 1e-6
+        # rho(t + s) = Phi_s(rho(t)) and rho(t + h) = Phi_h(rho(t))
+        later = integrate_master(model, states[0], [h, s])
+        assert np.max(np.abs(later.values[0] - states[1])) < 1e-12
+        assert np.max(np.abs(later.values[1] - states[2])) < 1e-12
 
 
 class TestAnalyticConcurrence:

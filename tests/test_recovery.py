@@ -1,8 +1,14 @@
 """Pauli frames, local-unitary frames and state restoration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qtraj
 from qtraj.jumps import JumpEvent
 from qtraj.qcore import (
     SIGMA_X,
@@ -61,6 +67,23 @@ class TestPauliFrame:
         assert frame_from_events(events, 2).labels == ("Z", "I")
         assert frame_from_events(events, 2, include_undetected=True).labels == ("Z", "Y")
         assert frame_from_events(events, 2, up_to_time=0.3).labels == ("X", "I")
+
+
+    def test_tensor_cached_and_read_only(self):
+        a = PauliFrame(("X", "Y")).as_matrix()
+        assert a is PauliFrame(("X", "Y")).as_matrix()
+        assert not a.flags.writeable
+        assert np.array_equal(a, np.kron(SIGMA_X, SIGMA_Y))
+
+    def test_tensor_cache_empty_at_import(self):
+        code = "import qtraj.recovery as r; print(r._pauli_tensor.cache_info().currsize)"
+        src = str(Path(qtraj.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
 
 class TestRecover:

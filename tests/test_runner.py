@@ -51,6 +51,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sample_times"):
             _config(sample_times=np.array([0.12345e-1])).validate()
 
+    @pytest.mark.parametrize(
+        "unraveling",
+        ["none", "jump_canonical", "jump_protecting", "diffusive", "diffusive_protecting_unitary"],
+    )
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1]], ids=["dup", "desc"])
+    def test_unordered_sample_times_rejected(self, unraveling, times):
+        cfg = _config(unraveling=unraveling, n_trajectories=0, sample_times=np.array(times))
+        with pytest.raises(ConfigError) as err:
+            run_ensemble(cfg)
+        msg = str(err.value)
+        assert "sample_times" in msg and "n_trajectories" in msg
+
     def test_rate_step_product_guard(self):
         with pytest.raises(ConfigError, match="gamma_max"):
             _config(model=LindbladModel(2, 100.0, 100.0)).validate()
@@ -146,6 +158,21 @@ class TestRunEnsemble:
         monkeypatch.setenv(WORKERS_ENV, "zero")
         with pytest.raises(ConfigError):
             default_workers()
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        import os
+
+        from qtraj.runner import WORKERS_ENV, default_workers
+
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert default_workers() == 3
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert default_workers() == 2
+        monkeypatch.delenv(WORKERS_ENV)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_workers() == 6
 
     def test_diffusive_unitary_ensemble(self):
         cfg = _config(
