@@ -4,7 +4,8 @@ Subcommands: ``master`` (exact unconditioned solution), ``jump`` and ``diffusive
 (trajectory ensembles), ``figure3`` (the five concurrence-vs-time CSV series)
 and ``params`` (engineered-reservoir rate helper). Options can come from an
 INI config file ([model] and [run] sections, see the README schema); explicit
-flags win over the file. Unknown config keys are errors.
+flags win over the file. Unknown config keys are errors, and so is an
+``unraveling`` key that disagrees with the subcommand and its flags.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -35,6 +36,7 @@ from .runner import (
     run_ensemble,
 )
 
+_VIEWS = ("trajectory", "recovered")
 _MODEL_KEYS = {"n_qubits", "gamma_minus", "gamma_plus", "eta"}
 _RUN_KEYS = {
     "unraveling",
@@ -53,9 +55,12 @@ _RUN_KEYS = {
 }
 
 
+def _parse_times(text: str) -> np.ndarray:
+    return np.array([float(x) for x in text.replace(",", " ").split()])
+
+
 def _parse_rates(text: str):
-    parts = text.replace(",", " ").split()
-    vals = [float(p) for p in parts]
+    vals = _parse_times(text).tolist()
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -92,8 +97,11 @@ def _merged(args: argparse.Namespace, flag: str, cfg: dict, key: str, convert, d
     return default
 
 
-def _build_config(args: argparse.Namespace, unraveling: str) -> ExperimentConfig:
-    cfg = load_config_file(args.config) if args.config else {}
+def _build_config(args: argparse.Namespace, unraveling: str, cfg: dict) -> ExperimentConfig:
+    if cfg.get("unraveling", unraveling) != unraveling:
+        raise ConfigError(
+            f"config: unraveling = {cfg['unraveling']} disagrees with the command line ({unraveling})"
+        )
     n_qubits = _merged(args, "n_qubits", cfg, "n_qubits", int, 2)
     gamma_minus = _merged(args, "gamma_minus", cfg, "gamma_minus", _parse_rates, 1.0)
     gamma_plus = _merged(args, "gamma_plus", cfg, "gamma_plus", _parse_rates, 1.0)
@@ -102,13 +110,6 @@ def _build_config(args: argparse.Namespace, unraveling: str) -> ExperimentConfig
         model = LindbladModel(n_qubits, gamma_minus, gamma_plus, eta)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
-
-    sample_times = _merged(
-        args, "sample_times", cfg, "sample_times",
-        lambda s: np.array([float(x) for x in s.replace(",", " ").split()]),
-    )
-    if isinstance(sample_times, str):
-        sample_times = np.array([float(x) for x in sample_times.replace(",", " ").split()])
 
     u = None
     if unraveling == "diffusive":
@@ -125,7 +126,7 @@ def _build_config(args: argparse.Namespace, unraveling: str) -> ExperimentConfig
         n_trajectories=_merged(args, "n_traj", cfg, "n_trajectories", int, 1000),
         master_seed=_merged(args, "seed", cfg, "master_seed", int, 0),
         initial_state=_merged(args, "initial_state", cfg, "initial_state", str, "bell"),
-        sample_times=sample_times,
+        sample_times=_merged(args, "sample_times", cfg, "sample_times", _parse_times),
         u=u,
         output=_merged(args, "output", cfg, "output", str),
         workers=_merged(args, "workers", cfg, "workers", int),
@@ -146,16 +147,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--initial-state", dest="initial_state",
                      help="bell, ground or excited")
-    sub.add_argument("--sample-times", dest="sample_times",
+    sub.add_argument("--sample-times", type=_parse_times, dest="sample_times",
                      help="comma/space separated times on the dt grid")
     sub.add_argument("--workers", type=int)
     sub.add_argument("--output", help="CSV output path (default: stdout)")
-    sub.add_argument("--view", choices=("trajectory", "recovered"),
+    sub.add_argument("--view", choices=_VIEWS,
                      help="which concurrence series the CSV carries")
 
 
-def _run_and_emit(config: ExperimentConfig, args: argparse.Namespace) -> None:
-    view = getattr(args, "view", None) or "trajectory"
+def _run_and_emit(args: argparse.Namespace, unraveling: str) -> None:
+    cfg = load_config_file(args.config) if args.config else {}
+    config = _build_config(args, unraveling, cfg)
+    view = _merged(args, "view", cfg, "view", str, "trajectory")
+    if view not in _VIEWS:
+        raise ConfigError(f"config: view: unknown {view!r}, expected one of {_VIEWS}")
     stats = run_ensemble(config)
     if config.output:
         emit_csv(stats, config.output, view=view)
@@ -209,13 +214,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "master":
-            _run_and_emit(_build_config(args, "none"), args)
+            _run_and_emit(args, "none")
         elif args.command == "jump":
             kind = "jump_canonical" if args.unraveling == "canonical" else "jump_protecting"
-            _run_and_emit(_build_config(args, kind), args)
+            _run_and_emit(args, kind)
         elif args.command == "diffusive":
             kind = "diffusive_protecting_unitary" if args.exact_unitary else "diffusive"
-            _run_and_emit(_build_config(args, kind), args)
+            _run_and_emit(args, kind)
         elif args.command == "figure3":
             paths = figure3(
                 args.output_dir,

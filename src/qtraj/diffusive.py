@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jumps import _sample_steps, _trajectory_rng
+from .jumps import _trajectory_rng, check_protecting_rates
 from .master import LindbladModel
 from .qcore import (
     SIGMA_MINUS,
@@ -46,6 +46,8 @@ from .qcore import (
     SIGMA_Y,
     InvariantViolation,
     embed,
+    step_grid,
+    tensor_product,
     validate_density_matrix,
 )
 from .recovery import LocalUnitaryFrame, frame_state, unitary_part
@@ -82,7 +84,6 @@ class DiffusiveRecord:
     samples: list[np.ndarray] | None = field(default=None, repr=False)
     sample_times: np.ndarray | None = None
     sample_frames: list[LocalUnitaryFrame] | None = field(default=None, repr=False)
-    currents: list | None = field(default=None, repr=False)
 
 
 def check_noise_correlation(u: np.ndarray) -> np.ndarray:
@@ -147,15 +148,20 @@ def _per_qubit_u(u, n_qubits: int) -> list[np.ndarray]:
     return [check_noise_correlation(u)] * n_qubits
 
 
+def check_perfect_detection(model: LindbladModel) -> None:
+    """Both diffusive engines model perfect detection; raise ValueError otherwise."""
+    if model.eta != 1.0:
+        raise ValueError(
+            f"the diffusive engines model perfect detection (eta = 1), got eta = {model.eta}; "
+            "inefficiency curves come from the jump engine"
+        )
+
+
 class _SMEContext:
     """Precomputed channel operators and noise coefficients for one model + u."""
 
     def __init__(self, model: LindbladModel, u=None, c_blocks: list[np.ndarray] | None = None):
-        if model.eta != 1.0:
-            raise ValueError(
-                "the diffusive engine models perfect detection (eta = 1); "
-                "inefficiency curves come from the jump engine"
-            )
+        check_perfect_detection(model)
         self.model = model
         n = model.n_qubits
         self.n_qubits = n
@@ -307,42 +313,31 @@ def run_diffusive_trajectory(
     t_max: float,
     seed: int,
     sample_times=None,
-    collect_currents: bool = False,
 ) -> DiffusiveRecord:
     """Integrate one diffusive trajectory of the general-u engine."""
-    if dt <= 0 or t_max < dt:
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    n_steps, sample_steps = step_grid(dt, t_max, sample_times)
     ctx = _SMEContext(model, u)
-    n_steps = int(round(t_max / dt))
-    sample_steps = _sample_steps(sample_times, dt, n_steps)
     rng = _trajectory_rng(seed)
     sqdt = math.sqrt(dt)
 
     state = rho0.astype(complex).copy()
     samples: list[np.ndarray] = []
-    currents: list[list[CurrentSample]] = []
-    si = 0
-    if sample_steps and sample_steps[0] == 0:
+    wanted = set(sample_steps)
+    if 0 in wanted:
         samples.append(state.copy())
-        si += 1
     for step in range(n_steps):
         dw = rng.standard_normal(ctx.n_noise) * sqdt
-        if collect_currents:
-            dxi = ctx.c @ dw
-            currents.append(_currents(ctx, state, dxi, dt))
         state = sme_update(state, ctx, dw, dt)
         if (step + 1) % 200 == 0:
             _guard(state, f"diffusive step {step + 1}")
-        if si < len(sample_steps) and sample_steps[si] == step + 1:
+        if step + 1 in wanted:
             samples.append(state.copy())
-            si += 1
     _guard(state, "diffusive final state")
     return DiffusiveRecord(
         final_state=state,
         seed=seed,
         samples=samples if sample_times is not None else None,
         sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-        currents=currents if collect_currents else None,
     )
 
 
@@ -360,14 +355,6 @@ def protecting_unitary(gamma: float, dw1: float, dw2: float) -> np.ndarray:
         return np.eye(2, dtype=complex)
     nx, ny = ax / theta, ay / theta
     return math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * (nx * SIGMA_X + ny * SIGMA_Y)
-
-
-def _apply_local_unitaries(state: np.ndarray, us: list[np.ndarray]) -> np.ndarray:
-    full = us[0]
-    for u2 in us[1:]:  # broadcasting kron, cheaper than np.kron for 2x2 factors
-        d = full.shape[0]
-        full = (full[:, None, :, None] * u2[None, :, None, :]).reshape(2 * d, 2 * d)
-    return full @ state @ full.conj().T
 
 
 def step_protecting_unitary(
@@ -389,7 +376,8 @@ def step_protecting_unitary(
         raise ValueError(f"need one rate per qubit, got {len(gammas)} for {n}")
     dws = rng.standard_normal((n, 2)) * math.sqrt(dt)
     us = [protecting_unitary(gammas[a], dws[a, 0], dws[a, 1]) for a in range(n)]
-    new = _apply_local_unitaries(state, us)
+    full = tensor_product(us)
+    new = full @ state @ full.conj().T
     for a in range(n):
         frame.left_multiply(a, us[a])
     return new, frame
@@ -405,19 +393,14 @@ def run_protecting_unitary_trajectory(
 ) -> DiffusiveRecord:
     """Integrate one trajectory on the exact-unitary protecting path.
 
-    Requires balanced rates (the stochastic-Hamiltonian mapping only exists
-    there). Snapshots include frame copies so states at sample times can be
-    recovered.
+    Requires balanced, strictly positive rates (the stochastic-Hamiltonian
+    mapping only exists there). Snapshots include frame copies so states at
+    sample times can be recovered.
     """
-    if not model.balanced:
-        raise ValueError("the protecting-unitary path requires gamma_minus == gamma_plus")
-    if model.eta != 1.0:
-        raise ValueError("the protecting-unitary path models perfect detection (eta = 1)")
-    if dt <= 0 or t_max < dt:
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    check_protecting_rates(model)
+    check_perfect_detection(model)
     n = model.n_qubits
-    n_steps = int(round(t_max / dt))
-    sample_steps = _sample_steps(sample_times, dt, n_steps)
+    n_steps, sample_steps = step_grid(dt, t_max, sample_times)
     rng = _trajectory_rng(seed)
     dws = rng.standard_normal((n_steps, n, 2)) * math.sqrt(dt)
 
@@ -440,17 +423,15 @@ def run_protecting_unitary_trajectory(
     # and states are formed at the sample steps alone
     frames = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     sample_frames: list[LocalUnitaryFrame] = []
-    si = 0
-    if sample_steps and sample_steps[0] == 0:
+    wanted = set(sample_steps)
+    if 0 in wanted:
         sample_frames.append(LocalUnitaryFrame(frames))
-        si += 1
     for step in range(n_steps):
         frames = locals_u[step] @ frames
         if (step + 1) % _REUNITARIZE_EVERY == 0:
             frames = unitary_part(frames)
-        if si < len(sample_steps) and sample_steps[si] == step + 1:
+        if step + 1 in wanted:
             sample_frames.append(LocalUnitaryFrame(frames))
-            si += 1
     frame = LocalUnitaryFrame(unitary_part(frames))
     samples = [frame_state(fr, rho0) for fr in sample_frames]
     state = frame_state(frame, rho0)

@@ -18,10 +18,13 @@ still happens physically, the observer just may not see it.
 
 Sampling spends one uniform per step, partitioned over sub-segments
 [eta*p_1, (1-eta)*p_1, eta*p_2, ...] in fixed operator order (qubit-major,
-label-minor), so runs are reproducible bit-for-bit for a given seed. When the
-no-jump operator is proportional to the identity (balanced rates) the engine
-skips ahead between clicks over a pre-drawn uniform array; this is outcome-
-and stream-identical to the reference per-step loop.
+label-minor), so runs are reproducible bit-for-bit for a given seed. Every
+single-qubit set has diagonal M and J†J (J = a sigma_- + b sigma_+ gives
+J†J = |a|^2 sigma_+ sigma_- + |b|^2 sigma_- sigma_+), and the engine skips
+ahead between its clicks over the pre-drawn uniforms; at balanced rates M is
+proportional to the identity and the state waits unchanged for the next
+click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Other sets, e.g.
+collective jumps, take the per-step loop; both give the same clicks.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +37,7 @@ from .qcore import (
     SIGMA_PLUS,
     InvariantViolation,
     embed,
+    step_grid,
     validate_density_matrix,
 )
 
@@ -133,14 +137,19 @@ def protecting_transform() -> UnravelingTransform:
     return UnravelingTransform(np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0))
 
 
-def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
-    """Pauli x/y jumps, sqrt(gamma/2)-weighted, per qubit. Requires balanced rates."""
+def check_protecting_rates(model: LindbladModel) -> None:
+    """Both protecting unravelings need balanced, strictly positive rates."""
     if not model.balanced:
         raise ValueError(
-            "protecting jumps require gamma_minus == gamma_plus on every qubit"
+            "protecting unravelings require gamma_minus == gamma_plus on every qubit"
         )
     if min(model.gamma_minus) <= 0.0:
-        raise ValueError("protecting jumps require strictly positive rates")
+        raise ValueError("protecting unravelings require strictly positive rates")
+
+
+def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
+    """Pauli x/y jumps, sqrt(gamma/2)-weighted, per qubit. Requires balanced rates."""
+    check_protecting_rates(model)
     u = protecting_transform()
     out = []
     for alpha in range(model.n_qubits):
@@ -181,11 +190,13 @@ def jump_probabilities(
         raise InvariantViolation(f"negative jump probability: {p.min():.3e}")
     p = np.maximum(p, 0.0)
     total = p.sum()
-    if total > MAX_STEP_PROB:
-        raise ValueError(
-            f"sum of jump probabilities {total:.3g} > {MAX_STEP_PROB}: reduce dt"
-        )
+    _check_step_prob(total)
     return p, 1.0 - total
+
+
+def _check_step_prob(total: float) -> None:
+    if total > MAX_STEP_PROB:
+        raise ValueError(f"sum of jump probabilities {total:.3g} > {MAX_STEP_PROB}: reduce dt")
 
 
 class _JumpKernel:
@@ -213,19 +224,16 @@ class _JumpKernel:
             self.m_op = eye.copy()
         # balanced rates make M proportional to the identity: no-jump is a no-op
         self.m_scalar = np.max(np.abs(self.m_op - self.m_op[0, 0] * eye)) < 1e-15
+        # diagonal J†J (hence diagonal M) selects the skip-ahead scan
         off = ~np.eye(self.dim, dtype=bool)
         self.m_diagonal = (
-            not np.any(self.m_op[off])
-            and not self.e_stack[:, off].any()
+            not self.e_stack[:, off].any()
             and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
         )
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
-        if p.sum() > MAX_STEP_PROB:
-            raise ValueError(
-                f"sum of jump probabilities {p.sum():.3g} > {MAX_STEP_PROB}: reduce dt"
-            )
+        _check_step_prob(p.sum())
         return p
 
     def cumulative(self, p: np.ndarray) -> np.ndarray:
@@ -297,20 +305,6 @@ def _trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _sample_steps(sample_times, dt: float, n_steps: int) -> list[int]:
-    if sample_times is None:
-        return []
-    steps = []
-    for t in np.atleast_1d(np.asarray(sample_times, dtype=float)):
-        k = int(round(t / dt))
-        if not 0 <= k <= n_steps or abs(k * dt - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"sample time {t} is not on the step grid (dt={dt})")
-        steps.append(k)
-    if steps != sorted(steps):
-        raise ValueError("sample times must be increasing")
-    return steps
-
-
 def run_jump_trajectory(
     model: LindbladModel,
     jumps: list[JumpOperator],
@@ -319,62 +313,52 @@ def run_jump_trajectory(
     t_max: float,
     seed: int,
     sample_times=None,
-    force_generic: bool = False,
 ) -> TrajectoryRecord:
     """Integrate one monitored trajectory; deterministic for a given seed.
 
     ``sample_times`` (optional, on the step grid) collects state snapshots into
     the returned record. The uniform draws for all steps are generated up
     front from the trajectory's own Philox stream, so results are independent
-    of how trajectories are scheduled across workers.
+    of how trajectories are scheduled across workers. Jump sets with diagonal
+    M and J†J take the skip-ahead scan, every other set the per-step loop.
     """
-    if dt <= 0 or t_max < dt:
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    n_steps, steps = step_grid(dt, t_max, sample_times)
     if model.max_rate * dt > 0.01 + 1e-15:
         raise ValueError(f"gamma_max*dt = {model.max_rate * dt:.3g} too large for jump stepping")
     kernel = _JumpKernel(jumps, model, dt)
-    n_steps = int(round(t_max / dt))
-    sample_steps = _sample_steps(sample_times, dt, n_steps)
+    us = _trajectory_rng(seed).random(n_steps)
+    walk = _scan if kernel.m_diagonal else _step_loop
+    state, events, samples = walk(kernel, rho0.astype(complex).copy(), us, steps)
+    validate_density_matrix(state, context="trajectory final state")
+    return TrajectoryRecord(
+        events=events,
+        final_state=state,
+        seed=seed,
+        samples=samples if sample_times is not None else None,
+        sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
+    )
 
-    rng = _trajectory_rng(seed)
-    us = rng.random(n_steps)
 
-    state = rho0.astype(complex).copy()
+def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
+    """Skip-ahead walk for diagonal M and J†J; returns (state, events, samples).
+
+    Between clicks the populations scale by elementwise powers of diag(M)^2,
+    so the click search over a whole no-jump run is one vectorized scan. When
+    M is proportional to the identity the state does not move between clicks
+    and the click probability is constant until the next one.
+    """
+    n_steps = len(us)
+    m2 = (kernel.m_op.diagonal().real) ** 2
+    e_diag = kernel.e_stack.diagonal(axis1=1, axis2=2).real  # (k, dim)
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []
     si = 0  # next sample index
-
-    if kernel.m_scalar and not force_generic:
-        # state only changes at clicks; scan the pre-drawn uniforms between them
-        pos = 0
-        p = kernel.probabilities(state)
-        total = p.sum() if p.size else 0.0
-        while pos < n_steps:
-            hits = np.flatnonzero(us[pos:] < total)
-            nxt = pos + int(hits[0]) if hits.size else n_steps
-            while si < len(sample_steps) and sample_steps[si] <= nxt:
-                samples.append(state.copy())
-                si += 1
-            if nxt == n_steps:
-                break
-            k, detected = kernel.sample(p, us[nxt])
-            state = kernel.apply_jump(state, k)
-            events.append(kernel.event_for(k, detected, (nxt + 1) * dt))
-            pos = nxt + 1
-            p = kernel.probabilities(state)
-            total = p.sum() if p.size else 0.0
-        while si < len(sample_steps):
-            samples.append(state.copy())
-            si += 1
-    elif kernel.m_diagonal and not force_generic:
-        # diagonal M and E (canonical sets): between clicks populations scale
-        # by elementwise powers of diag(M)^2, so the click search over a whole
-        # no-jump run is one vectorized scan
-        m2 = (kernel.m_op.diagonal().real) ** 2
-        e_diag = kernel.e_stack.diagonal(axis1=1, axis2=2).real  # (k, dim)
-        pos = 0
-        while pos < n_steps:
-            horizon = n_steps - pos
+    pos = 0
+    while pos < n_steps:
+        horizon = n_steps - pos
+        if kernel.m_scalar:
+            ptot = kernel.probabilities(state).sum()
+        else:
             d = state.diagonal().real
             # powers[o] = m2**o for o = 0..horizon
             powers = np.empty((horizon + 1, kernel.dim))
@@ -385,56 +369,48 @@ def run_jump_trajectory(
             ptot = (powers[:-1] @ (e_diag.sum(axis=0) * d)) * (
                 kernel.dt / (powers[:-1] @ d)
             )
-            if ptot.max(initial=0.0) > MAX_STEP_PROB:
-                raise ValueError(
-                    f"sum of jump probabilities {ptot.max():.3g} > {MAX_STEP_PROB}: reduce dt"
-                )
-            hits = np.flatnonzero(us[pos : pos + horizon] < ptot)
-            off = int(hits[0]) if hits.size else horizon
+            _check_step_prob(ptot.max(initial=0.0))
+        hits = np.flatnonzero(us[pos:] < ptot)
+        off = int(hits[0]) if hits.size else horizon
 
-            def _state_at(o):
-                if o == 0:
-                    return state
-                scaled = state * np.outer(powers[o], powers[o]) ** 0.5
-                return scaled / scaled.trace().real
+        def _state_at(o):
+            if o == 0 or kernel.m_scalar:
+                return state
+            scaled = state * np.outer(powers[o], powers[o]) ** 0.5
+            return scaled / scaled.trace().real
 
-            while si < len(sample_steps) and sample_steps[si] <= pos + off:
-                samples.append(_state_at(sample_steps[si] - pos).copy())
-                si += 1
-            if not hits.size:
-                state = _state_at(horizon).copy()
-                pos = n_steps
-                break
-            at_hit = _state_at(off)
-            k, detected = kernel.sample(kernel.probabilities(at_hit), us[pos + off])
-            state = kernel.apply_jump(at_hit, k)
-            events.append(kernel.event_for(k, detected, (pos + off + 1) * dt))
-            pos = pos + off + 1
-        while si < len(sample_steps):
-            samples.append(state.copy())
+        while si < len(steps) and steps[si] <= pos + off:
+            samples.append(_state_at(steps[si] - pos).copy())
             si += 1
-    else:
-        if sample_steps and sample_steps[0] == 0:
-            samples.append(state.copy())
-            si += 1
-        for step in range(n_steps):
-            p = kernel.probabilities(state)
-            out = kernel.sample(p, us[step])
-            if out is None:
-                state = kernel.apply_no_jump(state)
-            else:
-                k, detected = out
-                state = kernel.apply_jump(state, k)
-                events.append(kernel.event_for(k, detected, (step + 1) * dt))
-            if si < len(sample_steps) and sample_steps[si] == step + 1:
-                samples.append(state.copy())
-                si += 1
+        if not hits.size:
+            state = _state_at(horizon).copy()
+            break
+        at_hit = _state_at(off)
+        k, detected = kernel.sample(kernel.probabilities(at_hit), us[pos + off])
+        state = kernel.apply_jump(at_hit, k)
+        events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
+        pos += off + 1
+    while si < len(steps):
+        samples.append(state.copy())
+        si += 1
+    return state, events, samples
 
-    validate_density_matrix(state, context="trajectory final state")
-    return TrajectoryRecord(
-        events=events,
-        final_state=state,
-        seed=seed,
-        samples=samples if sample_times is not None else None,
-        sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-    )
+
+def _step_loop(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
+    """Per-step reference walk for any jump set; returns (state, events, samples)."""
+    events: list[JumpEvent] = []
+    samples: list[np.ndarray] = []
+    wanted = set(steps)
+    if 0 in wanted:
+        samples.append(state.copy())
+    for step in range(len(us)):
+        out = kernel.sample(kernel.probabilities(state), us[step])
+        if out is None:
+            state = kernel.apply_no_jump(state)
+        else:
+            k, detected = out
+            state = kernel.apply_jump(state, k)
+            events.append(kernel.event_for(k, detected, (step + 1) * kernel.dt))
+        if step + 1 in wanted:
+            samples.append(state.copy())
+    return state, events, samples

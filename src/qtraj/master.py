@@ -29,6 +29,7 @@ from .qcore import (
     bell_state,
     density,
     embed,
+    step_grid,
     validate_density_matrix,
 )
 
@@ -278,8 +279,7 @@ def oracle_kind(model: LindbladModel) -> str | None:
 def bell_concurrence_curve(model: LindbladModel, dt: float, t_max: float) -> TimeSeries:
     """Concurrence of a Bell input under the model on the grid 0, dt, ..., t_max."""
     _require_symmetric_two_qubit(model)
-    if dt <= 0 or t_max < dt:
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
-    times = dt * np.arange(int(round(t_max / dt)) + 1)
+    n_steps, _ = step_grid(dt, t_max)
+    times = dt * np.arange(n_steps + 1)
     series = integrate_master(model, density(bell_state()), times)
     return TimeSeries(series.times, list(concurrence(np.stack(series.values))))

@@ -56,6 +56,32 @@ def tensor_product(factors) -> np.ndarray:
     return out
 
 
+def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int]]:
+    """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
+
+    Raises ValueError unless 0 < dt <= t_max and the sample times are finite,
+    on the grid and strictly increasing. Messages start with the offending
+    field name.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt: must be > 0, got {dt}")
+    if not t_max >= dt:
+        raise ValueError(f"t_max: must be >= dt, got {t_max}")
+    n_steps = int(round(t_max / dt))
+    if sample_times is None:
+        return n_steps, []
+    times = np.atleast_1d(np.asarray(sample_times, dtype=float))
+    k = np.round(times / dt)
+    with np.errstate(invalid="ignore"):  # inf - inf: non-finite times fail the test
+        on_grid = (0 <= k) & (k <= n_steps) & (np.abs(k * dt - times) <= 1e-9 + 1e-9 * np.abs(times))
+    if not on_grid.all():
+        bad = times[~on_grid][0]
+        raise ValueError(f"sample_times: {bad} is not on the step grid (dt={dt}, t_max={t_max})")
+    if np.any(np.diff(k) <= 0):
+        raise ValueError("sample_times: must be strictly increasing, without duplicates")
+    return n_steps, k.astype(int).tolist()
+
+
 def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Lindblad dissipator c rho c† - (1/2){c†c, rho}. Hermitian and traceless."""
     if c.shape != rho.shape:

@@ -22,10 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusive import run_diffusive_trajectory, run_protecting_unitary_trajectory
+from .diffusive import (
+    check_noise_correlation,
+    check_perfect_detection,
+    run_diffusive_trajectory,
+    run_protecting_unitary_trajectory,
+)
 from .entangle import concurrence, trace_distance
 from .jumps import (
     canonical_jumps,
+    check_protecting_rates,
     protecting_jumps,
     run_jump_trajectory,
     trajectory_seed,
@@ -36,7 +42,7 @@ from .master import (
     integrate_master,
     oracle_kind,
 )
-from .qcore import bell_state, computational_ket, density
+from .qcore import bell_state, computational_ket, density, step_grid
 from .recovery import frame_from_events, recover, recover_unitary
 
 WORKERS_ENV = "QTRAJ_WORKERS"
@@ -87,13 +93,18 @@ class ExperimentConfig:
     workers: int | None = None
 
     def validate(self) -> None:
+        """Raise one ConfigError that lists every bad field, before any work starts."""
         errors = []
+
+        def check(field, fn, *args):
+            try:
+                fn(*args)
+            except ValueError as exc:
+                errors.append(f"{field}: {exc}" if field else str(exc))
+
         if self.unraveling not in UNRAVELINGS:
             errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
-        if not self.dt > 0:
-            errors.append(f"dt: must be > 0, got {self.dt}")
-        elif self.t_max < self.dt:
-            errors.append(f"t_max: must be >= dt, got {self.t_max}")
+        check(None, step_grid, self.dt, self.t_max, self.sample_times)
         if self.n_trajectories < 1:
             errors.append(f"n_trajectories: must be >= 1, got {self.n_trajectories}")
         if self.workers is not None and self.workers < 1:
@@ -102,21 +113,17 @@ class ExperimentConfig:
             errors.append(
                 f"dt: gamma_max*dt = {self.model.max_rate * self.dt:.3g} exceeds 0.01"
             )
-        try:
-            resolve_initial_state(self.initial_state, self.model.n_qubits)
-        except ValueError as exc:
-            errors.append(f"initial_state: {exc}")
-        if self.sample_times is not None and self.dt > 0:
-            ts = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
-            n_steps = int(round(self.t_max / self.dt))
-            for t in ts:
-                k = round(t / self.dt)
-                if not 0 <= k <= n_steps or abs(k * self.dt - t) > 1e-9 + 1e-9 * abs(t):
-                    errors.append(f"sample_times: {t} is not on the dt grid")
-                    break
-            steps = np.round(ts / self.dt)
-            if np.any(np.diff(steps) <= 0):
-                errors.append("sample_times: must be strictly increasing, without duplicates")
+        check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
+        # the engines' own preconditions, checked here so that no worker starts
+        if self.unraveling in ("jump_protecting", "diffusive_protecting_unitary"):
+            check("model", check_protecting_rates, self.model)
+        if self.unraveling in ("diffusive", "diffusive_protecting_unitary"):
+            check("eta", check_perfect_detection, self.model)
+        if self.u is not None:
+            if self.unraveling == "diffusive":
+                check("u", check_noise_correlation, self.u)
+            else:
+                errors.append(f"u: only the diffusive unraveling reads u, not {self.unraveling!r}")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -148,7 +155,8 @@ class EnsembleStatistics:
 
     ``mean_concurrence``/``stderr`` are over per-trajectory concurrences;
     ``recovered_concurrence`` is the concurrence of the recovered-then-averaged
-    state with a chunk-blocked stderr estimate. Trace distances compare the raw
+    state with a chunk-blocked stderr estimate (NaN with a single chunk, like
+    ``stderr`` with a single trajectory). Trace distances compare the raw
     mean against the full-rate master solution and the recovered mean against
     the master run at rates (1-eta)*gamma.
     """
@@ -172,14 +180,14 @@ class EnsembleStatistics:
 
 
 def _default_sample_times(dt: float, t_max: float) -> np.ndarray:
-    n_steps = int(round(t_max / dt))
+    n_steps, _ = step_grid(dt, t_max)
     idx = np.unique(np.round(np.linspace(0, n_steps, min(21, n_steps + 1))).astype(int))
     return idx * dt
 
 
 def _step_times(config: ExperimentConfig, times: np.ndarray) -> np.ndarray:
     """The sample times snapped to the step grid the trajectories sample on."""
-    return config.dt * np.round(times / config.dt)
+    return config.dt * np.array(step_grid(config.dt, config.t_max, times)[1])
 
 
 @dataclass
@@ -328,13 +336,15 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
         raw_sum += part.raw_sum
         rec_sum += part.rec_sum
 
+    # an error bar that cannot be estimated (one trajectory, one chunk, or no
+    # concurrence beyond two qubits) is NaN, never a 0 that reads as exact
     two_qubit = model.n_qubits == 2
     mean_c = conc_sum / n_traj if two_qubit else np.full(nt, np.nan)
     if two_qubit and n_traj > 1:
         var = np.maximum(conc_sq - n_traj * mean_c**2, 0.0) / (n_traj - 1)
         stderr = np.sqrt(var / n_traj)
     else:
-        stderr = np.zeros(nt)
+        stderr = np.full(nt, np.nan)
     raw_mean = raw_sum / n_traj
     rec_mean = rec_sum / n_traj
     rec_conc = concurrence(rec_mean) if two_qubit else np.full(nt, np.nan)
@@ -343,7 +353,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
         block = np.stack([concurrence(p.rec_sum / p.count) for p in partials], axis=1)
         rec_stderr = block.std(axis=1, ddof=1) / np.sqrt(len(partials))
     else:
-        rec_stderr = np.zeros(nt)
+        rec_stderr = np.full(nt, np.nan)
 
     rho0 = resolve_initial_state(config.initial_state, model.n_qubits)[0]
     step_times = _step_times(config, times)

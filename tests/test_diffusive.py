@@ -224,6 +224,14 @@ class TestProtectingUnitary:
                 LindbladModel(2, 1.0, 0.5), bell_rho, 1e-3, 0.1, seed=1
             )
 
+    @pytest.mark.parametrize(
+        "model", [LindbladModel(2, 0.0, 0.0), LindbladModel(2, 1.0, 1.0, eta=0.9)],
+        ids=["zero_rates", "eta_below_one"],
+    )
+    def test_rejects_what_run_ensemble_validates(self, model, bell_rho):
+        with pytest.raises(ValueError, match="positive|eta"):
+            run_protecting_unitary_trajectory(model, bell_rho, 1e-3, 0.1, seed=1)
+
     def test_three_qubit_recovery(self):
         from qtraj.qcore import computational_ket, density
 
@@ -256,3 +264,26 @@ class TestEnsembleAgainstMaster:
         )
         for s in rec.samples:
             assert abs(concurrence(s) - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, rho, times: run_diffusive_trajectory(
+            model, PROTECTING_U, rho, 1e-3, 0.3, 1, sample_times=times
+        ),
+        lambda model, rho, times: run_protecting_unitary_trajectory(
+            model, rho, 1e-3, 0.3, 1, sample_times=times
+        ),
+    ],
+    ids=["sme", "exact_unitary"],
+)
+@pytest.mark.parametrize(
+    "times",
+    [[0.1, 0.1, 0.2], [0.2, 0.1], [0.00037], [0.1, np.nan]],
+    ids=["duplicate", "descending", "off_grid", "nan"],
+)
+def test_bad_sample_times_rejected(run, times, bell_rho):
+    # duplicates once returned one sample for three times
+    with pytest.raises(ValueError, match="sample_times"):
+        run(LindbladModel(2, 1.0, 1.0), bell_rho, times)

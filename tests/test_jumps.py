@@ -5,7 +5,12 @@ import pytest
 
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.jumps import (
+    JumpOperator,
     UnravelingTransform,
+    TrajectoryRecord,
+    _JumpKernel,
+    _step_loop,
+    _trajectory_rng,
     canonical_jumps,
     jump_probabilities,
     no_jump_operator,
@@ -18,6 +23,7 @@ from qtraj.jumps import (
 )
 from qtraj.master import LindbladModel, integrate_master, lindblad_rhs
 from qtraj.qcore import (
+    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
     bell_state,
@@ -25,8 +31,24 @@ from qtraj.qcore import (
     density,
     random_density_matrix,
     random_unitary,
+    step_grid,
+    tensor_product,
 )
 from qtraj.recovery import apply_frame, frame_from_events
+
+
+def _per_step(model, jumps, rho0, dt, t_max, seed, sample_times):
+    """The trajectory on the per-step reference loop and the same draws."""
+    n_steps, steps = step_grid(dt, t_max, sample_times)
+    us = _trajectory_rng(seed).random(n_steps)
+    state, events, samples = _step_loop(_JumpKernel(jumps, model, dt), rho0.astype(complex), us, steps)
+    return TrajectoryRecord(events, state, seed, samples)
+
+
+def _collective_jumps():
+    """Collective decay sigma_- x 1 + 1 x sigma_-: its J†J is not diagonal."""
+    op = tensor_product([SIGMA_MINUS, np.eye(2)]) + tensor_product([np.eye(2), SIGMA_MINUS])
+    return [JumpOperator(op, 0, "collective")]
 
 
 class _FixedUniform:
@@ -275,9 +297,7 @@ class TestTrajectories:
         times = [0.0, 0.25, 0.5]
         for seed in (11, 12, 13, 14):
             fast = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times)
-            slow = run_jump_trajectory(
-                model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times, force_generic=True
-            )
+            slow = _per_step(model, jumps, bell_rho, 1e-3, 0.5, seed, times)
             assert fast.events == slow.events
             assert np.array_equal(fast.final_state, slow.final_state)
             for a, b in zip(fast.samples, slow.samples):
@@ -291,9 +311,7 @@ class TestTrajectories:
         times = [0.0, 0.2, 0.5]
         for seed in (5, 6, 7, 8):
             fast = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times)
-            slow = run_jump_trajectory(
-                model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times, force_generic=True
-            )
+            slow = _per_step(model, jumps, bell_rho, 1e-3, 0.5, seed, times)
             assert fast.events == slow.events
             assert np.max(np.abs(fast.final_state - slow.final_state)) < 1e-12
             for a, b in zip(fast.samples, slow.samples):
@@ -374,6 +392,44 @@ class TestTrajectories:
         jumps = protecting_jumps(model)
         with pytest.raises(ValueError, match="grid"):
             run_jump_trajectory(model, jumps, bell_rho, 1e-3, 1.0, 1, sample_times=[0.00037])
+
+    @pytest.mark.parametrize(
+        "model, make_jumps",
+        [
+            (LindbladModel(2, 1.0, 1.0), protecting_jumps),
+            (LindbladModel(2, 1.0, 0.25), canonical_jumps),
+            (LindbladModel(2, 1.0, 0.0), lambda model: _collective_jumps()),
+        ],
+        ids=["protecting_scan", "canonical_scan", "collective_loop"],
+    )
+    @pytest.mark.parametrize(
+        "times",
+        [[0.1, 0.1, 0.2], [0.2, 0.1], [0.00037], [0.1, np.nan]],
+        ids=["duplicate", "descending", "off_grid", "nan"],
+    )
+    def test_bad_sample_times_rejected_on_both_paths(self, bell_rho, model, make_jumps, times):
+        # duplicates once slipped through the per-step loop and returned one
+        # sample for three times
+        with pytest.raises(ValueError, match="sample_times"):
+            run_jump_trajectory(model, make_jumps(model), bell_rho, 1e-3, 0.3, 1, sample_times=times)
+
+    def test_path_chosen_from_jump_set(self, rng, bell_rho):
+        # every single-qubit set has diagonal M and J†J and takes the scan;
+        # a collective set takes the per-step loop
+        model = LindbladModel(2, 1.0, 0.3)
+        u = UnravelingTransform(random_unitary(2, rng))
+        base = canonical_jumps(model)
+        mixed = transform_jumps(base[:2], u) + transform_jumps(base[2:], u)
+        for jumps in (canonical_jumps(model), protecting_jumps(LindbladModel(2, 1.0, 1.0)), mixed):
+            assert _JumpKernel(jumps, model, 1e-3).m_diagonal
+        assert not _JumpKernel(_collective_jumps(), model, 1e-3).m_diagonal
+        times = [0.0, 0.2, 0.3]
+        for seed in (3, 4):
+            fast = run_jump_trajectory(model, mixed, bell_rho, 1e-3, 0.3, seed, sample_times=times)
+            slow = _per_step(model, mixed, bell_rho, 1e-3, 0.3, seed, times)
+            assert fast.events == slow.events
+            for a, b in zip(fast.samples + [fast.final_state], slow.samples + [slow.final_state]):
+                assert np.max(np.abs(a - b)) < 1e-12
 
     def test_three_qubit_protection_via_recovery(self):
         # the scheme is local, so it is not tied to qubit pairs: a GHZ triple

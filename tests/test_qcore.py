@@ -19,6 +19,7 @@ from qtraj.qcore import (
     pauli_multiply,
     random_density_matrix,
     random_unitary,
+    step_grid,
     validate_density_matrix,
 )
 
@@ -175,3 +176,36 @@ class TestValidation:
         for _ in range(20):
             u = random_unitary(4, rng)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-13
+
+
+class TestStepGrid:
+    def test_steps_of_sample_times(self):
+        assert step_grid(1e-3, 1.0) == (1000, [])
+        assert step_grid(1e-3, 1.0, [0.0, 0.25, 1.0]) == (1000, [0, 250, 1000])
+        assert step_grid(0.1, 0.3, 0.3) == (3, [3])
+
+    @pytest.mark.parametrize(
+        "dt, t_max, field",
+        [(0.0, 1.0, "dt"), (-1e-3, 1.0, "dt"), (np.nan, 1.0, "dt"),
+         (1e-3, 5e-4, "t_max"), (1e-3, np.nan, "t_max")],
+    )
+    def test_rejects_bad_step(self, dt, t_max, field):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            step_grid(dt, t_max)
+
+    @pytest.mark.parametrize(
+        "times, words",
+        [
+            ([0.1, 0.1, 0.2], "increasing"),
+            ([0.2, 0.1], "increasing"),
+            ([0.00037], "grid"),
+            ([0.1, np.nan], "grid"),
+            ([0.0, np.inf], "grid"),
+            ([-1e-3], "grid"),
+            ([1.001], "grid"),
+        ],
+        ids=["duplicate", "descending", "off_grid", "nan", "inf", "negative", "past_t_max"],
+    )
+    def test_rejects_bad_sample_times(self, times, words):
+        with pytest.raises(ValueError, match=f"^sample_times: .*{words}"):
+            step_grid(1e-3, 1.0, times)

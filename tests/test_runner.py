@@ -63,6 +63,39 @@ class TestConfigValidation:
         msg = str(err.value)
         assert "sample_times" in msg and "n_trajectories" in msg
 
+    @pytest.mark.parametrize(
+        "unraveling, model, field",
+        [
+            ("jump_protecting", LindbladModel(2, 1.0, 0.5), "gamma_minus == gamma_plus"),
+            ("jump_protecting", LindbladModel(2, 0.0, 0.0), "strictly positive"),
+            ("diffusive_protecting_unitary", LindbladModel(2, 1.0, 0.5), "gamma_minus == gamma_plus"),
+            ("diffusive_protecting_unitary", LindbladModel(2, 0.0, 0.0), "strictly positive"),
+            ("diffusive", LindbladModel(2, 1.0, 1.0, eta=0.9), "eta:"),
+            ("diffusive_protecting_unitary", LindbladModel(2, 1.0, 1.0, eta=0.9), "eta:"),
+        ],
+    )
+    def test_engine_preconditions_listed(self, unraveling, model, field):
+        cfg = _config(unraveling=unraveling, model=model, n_trajectories=0)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        msg = str(err.value)
+        assert field in msg and "n_trajectories" in msg
+
+    def test_noise_correlation_checked(self):
+        _config(unraveling="diffusive", u=np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
+        with pytest.raises(ConfigError, match="u: .*two-norm"):
+            _config(unraveling="diffusive", u=np.array([[0.0, -2.0], [-2.0, 0.0]])).validate()
+        with pytest.raises(ConfigError, match="u: .*symmetric"):
+            _config(unraveling="diffusive", u=np.array([[0.0, -1.0], [0.0, 0.0]])).validate()
+
+    @pytest.mark.parametrize(
+        "unraveling", ["none", "jump_canonical", "jump_protecting", "diffusive_protecting_unitary"]
+    )
+    def test_u_only_for_diffusive(self, unraveling):
+        cfg = _config(unraveling=unraveling, u=np.zeros((2, 2)))
+        with pytest.raises(ConfigError, match="u: only the diffusive"):
+            cfg.validate()
+
     def test_rate_step_product_guard(self):
         with pytest.raises(ConfigError, match="gamma_max"):
             _config(model=LindbladModel(2, 100.0, 100.0)).validate()
@@ -134,6 +167,17 @@ class TestRunEnsemble:
         )
         stats = run_ensemble(cfg)
         assert np.max(stats.trace_dist_master) < 4 / np.sqrt(n_traj)
+
+    def test_unknown_error_bars_are_nan(self):
+        # one trajectory has no spread and one chunk (N <= 256) has no
+        # chunk-to-chunk spread: neither error bar may read as an exact 0
+        one = run_ensemble(_config(n_trajectories=1))
+        assert np.all(np.isnan(one.stderr)) and np.all(np.isnan(one.recovered_stderr))
+        chunk = run_ensemble(_config(model=LindbladModel(2, 1.0, 1.0, eta=0.5), n_trajectories=256))
+        assert np.all(np.isfinite(chunk.stderr)) and np.all(np.isnan(chunk.recovered_stderr))
+        two = run_ensemble(_config(model=LindbladModel(2, 1.0, 1.0, eta=0.5), n_trajectories=257))
+        assert np.all(np.isfinite(two.recovered_stderr))
+        assert ",nan," in csv_text(chunk, "recovered")
 
     def test_worker_count_does_not_change_bytes(self):
         cfg1 = _config(n_trajectories=600, workers=1)
@@ -287,6 +331,54 @@ class TestCli:
         res = self._run("master", "--config", str(cfg))
         assert res.returncode == 2
         assert "ddt" in res.stderr
+
+    def _ini(self, tmp_path, run_lines):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[model]\ngamma_minus = 1.0\ngamma_plus = 1.0\neta = 0.5\n"
+            "[run]\ndt = 0.001\nt_max = 0.1\nn_trajectories = 10\nmaster_seed = 4\n"
+            "sample_times = 0 0.1\n" + run_lines
+        )
+        return str(cfg)
+
+    def test_config_view_honoured_and_flag_wins(self, tmp_path, capsys):
+        from qtraj.cli import main
+
+        def csv(*argv):
+            assert main(["jump", *argv]) == 0
+            return capsys.readouterr().out
+
+        ini = self._ini(tmp_path, "view = recovered\n")
+        stats = run_ensemble(
+            _config(
+                model=LindbladModel(2, 1.0, 1.0, eta=0.5), t_max=0.1, n_trajectories=10,
+                master_seed=4, sample_times=np.array([0.0, 0.1]),
+            )
+        )
+        assert csv("--config", ini) == csv_text(stats, "recovered")
+        assert csv("--config", ini, "--view", "trajectory") == csv_text(stats, "trajectory")
+        assert main(["jump", "--config", self._ini(tmp_path, "view = raw\n")]) == 2
+        assert "view" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key, ok",
+        [
+            (["jump"], "jump_protecting", True),
+            (["jump", "--unraveling", "canonical"], "jump_canonical", True),
+            (["jump"], "jump_canonical", False),
+            (["jump", "--unraveling", "canonical"], "jump_protecting", False),
+            (["master"], "jump_protecting", False),
+            (["diffusive"], "diffusive_protecting_unitary", False),
+        ],
+    )
+    def test_config_unraveling_must_agree(self, tmp_path, capsys, argv, key, ok):
+        from qtraj.cli import main
+
+        ini = self._ini(tmp_path, f"unraveling = {key}\n")
+        code = main([*argv, "--config", ini, "--eta", "1"])
+        err = capsys.readouterr().err
+        assert code == (0 if ok else 2)
+        assert ok or "unraveling" in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
