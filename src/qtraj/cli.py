@@ -111,8 +111,12 @@ def _build_config(args: argparse.Namespace, unraveling: str, cfg: dict) -> Exper
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
+    # any u key reaches validate(), which rejects it outside the general SME;
+    # plain diffusive defaults to the protecting u
     u = None
-    if unraveling == "diffusive":
+    if unraveling == "diffusive" or any(
+        getattr(args, key, None) is not None or key in cfg for key in ("u11", "u12", "u22")
+    ):
         u11 = _merged(args, "u11", cfg, "u11", complex, 0.0)
         u12 = _merged(args, "u12", cfg, "u12", complex, -1.0)
         u22 = _merged(args, "u22", cfg, "u22", complex, 0.0)
@@ -249,9 +253,6 @@ def main(argv=None) -> int:
                     print(f"thermal_occupation = {thermal_occupation(args.gamma_minus, gp):.12g}")
                 else:
                     print("thermal_occupation = infinite (balanced or inverted)")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

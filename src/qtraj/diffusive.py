@@ -5,8 +5,8 @@ The conditioned state evolves as
     drho = sum_i gamma_i D[sigma_i] rho dt
          + sum_i sqrt(gamma_i) [ (sigma_i - <sigma_i>) rho dxi_i* + h.c. ]
 
-with complex Wiener increments correlated per qubit by a complex symmetric
-matrix u (channel indices {-, +}):
+with complex Wiener increments correlated within each qubit by one complex
+symmetric matrix u, the same on every qubit (channel indices {-, +}):
 
     dxi_i dxi_j* = delta_ij dt,      dxi_i dxi_j = u_ij dt,     ||u||_2 <= 1.
 
@@ -38,19 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jumps import _trajectory_rng, check_protecting_rates
-from .master import LindbladModel
-from .qcore import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    InvariantViolation,
-    embed,
-    step_grid,
-    tensor_product,
-    validate_density_matrix,
-)
-from .recovery import LocalUnitaryFrame, frame_state, unitary_part
+from .master import LindbladModel, channel_operators
+from .qcore import InvariantViolation, step_grid, tensor_product, validate_density_matrix
+from .recovery import LocalUnitaryFrame, apply_frame, unitary_part
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -120,32 +110,11 @@ def noise_factor(u: np.ndarray) -> np.ndarray:
 
     Stacking real/imaginary parts of (dxi_-, dxi_+) as L @ (independent
     standard increments) reproduces dxi_i dxi_j* = delta_ij dt and
-    dxi_i dxi_j = u_ij dt. Failure of positive semidefiniteness is exactly the
-    ||u||_2 > 1 diagnostic.
+    dxi_i dxi_j = u_ij dt. The covariance is positive semidefinite exactly
+    when ||u||_2 <= 1, which ``check_noise_correlation`` enforces.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"noise correlation must be 2x2, got {u.shape}")
-    if np.max(np.abs(u - u.T)) > 1e-12:
-        raise ValueError("noise correlation must be symmetric")
-    cov = _real_covariance(u)
-    w, v = np.linalg.eigh(cov)
-    if w[0] < -1e-10:
-        raise ValueError(
-            f"noise covariance is not positive semidefinite (eigenvalue {w[0]:.3e}): "
-            "the correlation two-norm exceeds 1"
-        )
+    w, v = np.linalg.eigh(_real_covariance(check_noise_correlation(u)))
     return v @ np.diag(np.sqrt(np.maximum(w, 0.0)))
-
-
-def _per_qubit_u(u, n_qubits: int) -> list[np.ndarray]:
-    if u is None:
-        u = PROTECTING_U
-    if isinstance(u, (list, tuple)):
-        if len(u) != n_qubits:
-            raise ValueError(f"need one noise correlation per qubit, got {len(u)}")
-        return [check_noise_correlation(x) for x in u]
-    return [check_noise_correlation(u)] * n_qubits
 
 
 def check_perfect_detection(model: LindbladModel) -> None:
@@ -160,49 +129,32 @@ def check_perfect_detection(model: LindbladModel) -> None:
 class _SMEContext:
     """Precomputed channel operators and noise coefficients for one model + u."""
 
-    def __init__(self, model: LindbladModel, u=None, c_blocks: list[np.ndarray] | None = None):
+    def __init__(self, model: LindbladModel, u=None):
         check_perfect_detection(model)
-        self.model = model
         n = model.n_qubits
-        self.n_qubits = n
         self.dim = model.dim
-        sig, gamma = [], []
-        for alpha in range(n):
-            sig.append(embed(SIGMA_MINUS, alpha, n))
-            sig.append(embed(SIGMA_PLUS, alpha, n))
-            gamma.extend((model.gamma_minus[alpha], model.gamma_plus[alpha]))
-        self.sig = np.stack(sig)  # (2n, d, d)
-        self.sigd = self.sig.conj().transpose(0, 2, 1)
-        self.gamma = np.asarray(gamma)
-        self.sqrtg = np.sqrt(self.gamma)
-        cc = np.einsum("cab,cbd->cad", self.sigd, self.sig)
-        self.cc_sum = np.einsum("c,cab->ab", self.gamma, cc)
+        self.sig, cc = channel_operators(n)  # (2n, d, d)
+        gamma = model.rates
+        self.sqrtg = np.sqrt(gamma)
+        self.cc_sum = np.einsum("c,cab->ab", gamma, cc)
 
-        if c_blocks is None:
-            self.u_list = _per_qubit_u(u, n)
-            c_blocks = []
-            for l in (noise_factor(x) for x in self.u_list):
-                block = np.stack([l[0] + 1j * l[1], l[2] + 1j * l[3]])
-                # rank-deficient correlations leave exactly-zero factor columns
-                keep = np.flatnonzero(np.abs(block).sum(axis=0) > 0.0)
-                c_blocks.append(block[:, keep])
-        else:
-            self.u_list = _per_qubit_u(u, n) if u is not None else None
-            c_blocks = [np.asarray(b, dtype=complex) for b in c_blocks]
-        widths = [b.shape[1] for b in c_blocks]
-        self.n_noise = int(sum(widths))
+        # one u for every qubit: the per-qubit noise block is shared
+        self.u = check_noise_correlation(PROTECTING_U if u is None else u)
+        l = noise_factor(self.u)
+        block = np.stack([l[0] + 1j * l[1], l[2] + 1j * l[3]])
+        # rank-deficient correlations leave exactly-zero factor columns
+        block = block[:, np.abs(block).sum(axis=0) > 0.0]
+        width = block.shape[1]
+        self.n_noise = n * width
         self.c = np.zeros((2 * n, self.n_noise), dtype=complex)
-        pos = 0
-        for alpha, block in enumerate(c_blocks):
-            self.c[2 * alpha : 2 * alpha + 2, pos : pos + block.shape[1]] = block
-            pos += block.shape[1]
+        for alpha in range(n):
+            self.c[2 * alpha : 2 * alpha + 2, alpha * width : (alpha + 1) * width] = block
         self.coef = self.sqrtg[:, None] * self.c  # sqrt(gamma_i) c_im
         # drift superoperator on row-major vec(rho): one matvec per step
         dim = self.dim
         lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
         eye = np.eye(dim)
-        for g, s in zip(self.gamma, self.sig):
-            ss = s.conj().T @ s
+        for g, s, ss in zip(gamma, self.sig, cc):
             lmat += g * (
                 np.kron(s, s.conj())
                 - 0.5 * (np.kron(ss, eye) + np.kron(eye, ss.T))
@@ -245,15 +197,16 @@ def sme_update(rho: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> 
     return new / new.trace().real
 
 
+def _current_means(sig: np.ndarray, sqrtg: np.ndarray, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(n, 2) deterministic current parts sqrt(gamma_i) <sigma_i + sum_j u_ij sigma_j†>."""
+    e = np.einsum("cab,ba->c", sig, rho).reshape(-1, 2)  # <sigma_->, <sigma_+> per qubit
+    return sqrtg.reshape(-1, 2) * (e + e.conj() @ u.T)
+
+
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
     """Deterministic parts sqrt(gamma) <sigma_i + sum_j u_ij sigma_j†> of both currents."""
-    n = model.n_qubits
-    uq = _per_qubit_u(u, n)[qubit]
-    sm = embed(SIGMA_MINUS, qubit, n)
-    sp = embed(SIGMA_PLUS, qubit, n)
-    e = np.array([np.trace(sm @ state), np.trace(sp @ state)])
-    rates = np.sqrt([model.gamma_minus[qubit], model.gamma_plus[qubit]])
-    det = rates * (e + uq @ e.conj())
+    sig, _ = channel_operators(model.n_qubits)
+    det = _current_means(sig, np.sqrt(model.rates), check_noise_correlation(u), state)[qubit]
     return complex(det[0]), complex(det[1])
 
 
@@ -268,15 +221,9 @@ def combine_currents(i12: complex, i34: complex) -> tuple[complex, complex]:
 
 
 def _currents(ctx: _SMEContext, rho: np.ndarray, dxi: np.ndarray, dt: float) -> list[CurrentSample]:
-    e = np.einsum("cab,ba->c", ctx.sig, rho)
+    y = _current_means(ctx.sig, ctx.sqrtg, ctx.u, rho) + dxi.reshape(-1, 2) / dt
     out = []
-    for alpha in range(ctx.n_qubits):
-        em, ep = e[2 * alpha], e[2 * alpha + 1]
-        uq = ctx.u_list[alpha]
-        det = np.array([em, ep]) + uq @ np.conj([em, ep])
-        det = ctx.sqrtg[2 * alpha : 2 * alpha + 2] * det
-        ym = det[0] + dxi[2 * alpha] / dt
-        yp = det[1] + dxi[2 * alpha + 1] / dt
+    for ym, yp in y:
         i12, i34 = homodyne_currents(ym, yp)
         out.append(CurrentSample(complex(ym), complex(yp), float(i12.real), float(i34.real)))
     return out
@@ -341,20 +288,27 @@ def run_diffusive_trajectory(
     )
 
 
-def protecting_unitary(gamma: float, dw1: float, dw2: float) -> np.ndarray:
+def protecting_unitary(gamma, dw1, dw2) -> np.ndarray:
     """exp(-i H) for the local stochastic Hamiltonian of the protecting choice.
 
     H = sqrt(gamma/2) (dw2 sigma_x - dw1 sigma_y); the sign pairing matches the
     dxi_- = (dW1 + i dW2)/sqrt(2), dxi_+ = (-dW1 + i dW2)/sqrt(2) decomposition
-    in the |0>=ground convention.
+    in the |0>=ground convention. Broadcasts over arrays of rates and
+    increments: the result has shape (..., 2, 2).
     """
-    ax = math.sqrt(gamma / 2.0) * dw2
-    ay = -math.sqrt(gamma / 2.0) * dw1
-    theta = math.hypot(ax, ay)
-    if theta == 0.0:
-        return np.eye(2, dtype=complex)
-    nx, ny = ax / theta, ay / theta
-    return math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * (nx * SIGMA_X + ny * SIGMA_Y)
+    half = np.sqrt(np.asarray(gamma, dtype=float) / 2.0)
+    ax = half * dw2
+    ay = -half * dw1
+    theta = np.hypot(ax, ay)
+    safe = np.where(theta > 0.0, theta, 1.0)
+    nx, ny = ax / safe, ay / safe
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = cos_t
+    out[..., 1, 1] = cos_t
+    out[..., 0, 1] = -1j * sin_t * (nx - 1j * ny)
+    out[..., 1, 0] = -1j * sin_t * (nx + 1j * ny)
+    return out
 
 
 def step_protecting_unitary(
@@ -371,11 +325,11 @@ def step_protecting_unitary(
     accumulates the applied unitaries for end-of-run recovery.
     """
     n = frame.n_qubits
-    gammas = (float(gamma),) * n if np.isscalar(gamma) else tuple(float(g) for g in gamma)
-    if len(gammas) != n:
-        raise ValueError(f"need one rate per qubit, got {len(gammas)} for {n}")
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim and gammas.shape != (n,):
+        raise ValueError(f"need one rate per qubit, got {gammas.size} for {n}")
     dws = rng.standard_normal((n, 2)) * math.sqrt(dt)
-    us = [protecting_unitary(gammas[a], dws[a, 0], dws[a, 1]) for a in range(n)]
+    us = protecting_unitary(gammas, dws[:, 0], dws[:, 1])
     full = tensor_product(us)
     new = full @ state @ full.conj().T
     for a in range(n):
@@ -404,19 +358,7 @@ def run_protecting_unitary_trajectory(
     rng = _trajectory_rng(seed)
     dws = rng.standard_normal((n_steps, n, 2)) * math.sqrt(dt)
 
-    # all per-step rotations in one vectorized pass
-    half = np.sqrt(np.asarray(model.gamma_minus) / 2.0)
-    ax = half[None, :] * dws[:, :, 1]
-    ay = -half[None, :] * dws[:, :, 0]
-    theta = np.hypot(ax, ay)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    nx, ny = ax / safe, ay / safe
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    locals_u = np.empty((n_steps, n, 2, 2), dtype=complex)
-    locals_u[..., 0, 0] = cos_t
-    locals_u[..., 1, 1] = cos_t
-    locals_u[..., 0, 1] = -1j * sin_t * (nx - 1j * ny)
-    locals_u[..., 1, 0] = -1j * sin_t * (nx + 1j * ny)
+    locals_u = protecting_unitary(np.asarray(model.gamma_minus), dws[..., 0], dws[..., 1])
 
     # every step is local, so rho(t) = F(t) rho0 F(t)^dagger with F the tensor
     # product of the per-qubit frames: only the (n, 2, 2) frames are stepped,
@@ -433,8 +375,8 @@ def run_protecting_unitary_trajectory(
         if step + 1 in wanted:
             sample_frames.append(LocalUnitaryFrame(frames))
     frame = LocalUnitaryFrame(unitary_part(frames))
-    samples = [frame_state(fr, rho0) for fr in sample_frames]
-    state = frame_state(frame, rho0)
+    samples = [apply_frame(rho0, fr) for fr in sample_frames]
+    state = apply_frame(rho0, frame)
     validate_density_matrix(state, context="protecting-unitary final state")
     return DiffusiveRecord(
         final_state=state,

@@ -31,20 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .master import LindbladModel
-from .qcore import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    InvariantViolation,
-    embed,
-    step_grid,
-    validate_density_matrix,
-)
+from .master import CHANNEL_LABELS, LindbladModel, channel_operators
+from .qcore import InvariantViolation, step_grid, validate_density_matrix
 
 MAX_STEP_PROB = 0.1  # at most one jump per step needs sum(p) well below 1
-
-_CANONICAL_LABELS = ("minus", "plus")
-_CANONICAL_OPS = {"minus": SIGMA_MINUS, "plus": SIGMA_PLUS}
 
 
 @dataclass(frozen=True)
@@ -88,19 +78,17 @@ class TrajectoryRecord:
     sample_times: np.ndarray | None = None
 
 
-def canonical_jumps(model: LindbladModel, drop_zero: bool = True) -> list[JumpOperator]:
-    """sqrt(gm)*sigma_minus and sqrt(gp)*sigma_plus per qubit, qubit-major order."""
-    jumps = []
-    for alpha in range(model.n_qubits):
-        for label, rate in (
-            ("minus", model.gamma_minus[alpha]),
-            ("plus", model.gamma_plus[alpha]),
-        ):
-            if drop_zero and rate == 0.0:
-                continue
-            op = np.sqrt(rate) * embed(_CANONICAL_OPS[label], alpha, model.n_qubits)
-            jumps.append(JumpOperator(op, alpha, label))
-    return jumps
+def canonical_jumps(model: LindbladModel) -> list[JumpOperator]:
+    """sqrt(gm)*sigma_minus and sqrt(gp)*sigma_plus per qubit, qubit-major order.
+
+    Zero-rate channels are dropped.
+    """
+    ops, _ = channel_operators(model.n_qubits)
+    return [
+        JumpOperator(np.sqrt(rate) * op, c // 2, CHANNEL_LABELS[c % 2])
+        for c, (rate, op) in enumerate(zip(model.rates, ops))
+        if rate != 0.0
+    ]
 
 
 def transform_jumps(
@@ -150,48 +138,33 @@ def check_protecting_rates(model: LindbladModel) -> None:
 def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
     """Pauli x/y jumps, sqrt(gamma/2)-weighted, per qubit. Requires balanced rates."""
     check_protecting_rates(model)
+    pairs = canonical_jumps(model)  # positive rates: both channels of every qubit
     u = protecting_transform()
     out = []
     for alpha in range(model.n_qubits):
-        pair = [
-            JumpOperator(
-                np.sqrt(model.gamma_minus[alpha]) * embed(_CANONICAL_OPS[label], alpha, model.n_qubits),
-                alpha,
-                label,
-            )
-            for label in _CANONICAL_LABELS
-        ]
-        out.extend(transform_jumps(pair, u, labels=("x", "y")))
+        out.extend(transform_jumps(pairs[2 * alpha : 2 * alpha + 2], u, labels=("x", "y")))
     return out
 
 
-def _stacks(jumps: list[JumpOperator]):
-    j = np.stack([op.matrix for op in jumps])
-    e = np.einsum("kba,kbc->kac", j.conj(), j)  # J†J per jump
-    return j, e
+def _bare_kernel(jumps: list[JumpOperator], dim: int, dt: float) -> "_JumpKernel":
+    """The kernel of a bare jump set on a ``dim``-dimensional state (eta = 1)."""
+    return _JumpKernel(jumps, LindbladModel(dim.bit_length() - 1, 0.0, 0.0), dt)
 
 
 def no_jump_operator(jumps: list[JumpOperator], dt: float) -> np.ndarray:
     """M = 1 - (dt/2) sum_i J_i† J_i."""
-    _, e = _stacks(jumps)
-    dim = e.shape[1]
-    return np.eye(dim, dtype=complex) - 0.5 * dt * e.sum(axis=0)
+    return _bare_kernel(jumps, jumps[0].matrix.shape[0], dt).m_op
 
 
 def jump_probabilities(
     jumps: list[JumpOperator], rho: np.ndarray, dt: float
 ) -> tuple[np.ndarray, float]:
     """Click probabilities p_i = tr(J_i† J_i rho) dt and p_nj = 1 - sum(p)."""
-    _, e = _stacks(jumps)
-    if e.shape[1] != rho.shape[0]:
-        raise ValueError(f"jump dim {e.shape[1]} does not match state dim {rho.shape[0]}")
-    p = np.einsum("kab,ba->k", e, rho).real * dt
+    p = _bare_kernel(jumps, rho.shape[0], dt).probabilities(rho)
     if np.any(p < -1e-12):
         raise InvariantViolation(f"negative jump probability: {p.min():.3e}")
     p = np.maximum(p, 0.0)
-    total = p.sum()
-    _check_step_prob(total)
-    return p, 1.0 - total
+    return p, 1.0 - p.sum()
 
 
 def _check_step_prob(total: float) -> None:
@@ -208,20 +181,21 @@ class _JumpKernel:
         self.dt = dt
         self.dim = model.dim
         eye = np.eye(self.dim, dtype=complex)
-        if jumps:
-            self.j_stack, self.e_stack = _stacks(jumps)
-            if self.j_stack.shape[1] != self.dim:
-                raise ValueError("jump operators do not match the model dimension")
-            # tr(E rho) = sum_ab E[a,b] rho[b,a]: transpose once so the hot loop
-            # can use rho.ravel() (a view) instead of copying rho.T
-            self.e_flat = np.ascontiguousarray(
-                self.e_stack.transpose(0, 2, 1).reshape(len(jumps), -1)
-            )
-            self.m_op = eye - 0.5 * dt * self.e_stack.sum(axis=0)
-        else:  # all rates zero: nothing to monitor, evolution is trivial
-            self.e_stack = np.zeros((0, self.dim, self.dim), dtype=complex)
-            self.e_flat = np.zeros((0, self.dim * self.dim), dtype=complex)
-            self.m_op = eye.copy()
+        # no jumps (all rates zero): empty stacks, and M = 1
+        self.j_stack = (
+            np.stack([op.matrix for op in jumps])
+            if jumps
+            else np.zeros((0, self.dim, self.dim), dtype=complex)
+        )
+        if self.j_stack.shape[1:] != (self.dim, self.dim):
+            raise ValueError(f"jump dim {self.j_stack.shape[1]} does not match state dim {self.dim}")
+        self.e_stack = np.einsum("kba,kbc->kac", self.j_stack.conj(), self.j_stack)  # J†J
+        # tr(E rho) = sum_ab E[a,b] rho[b,a]: transpose once so the hot loop
+        # can use rho.ravel() (a view) instead of copying rho.T
+        self.e_flat = np.ascontiguousarray(
+            self.e_stack.transpose(0, 2, 1).reshape(len(jumps), self.dim * self.dim)
+        )
+        self.m_op = eye - 0.5 * dt * self.e_stack.sum(axis=0)
         # balanced rates make M proportional to the identity: no-jump is a no-op
         self.m_scalar = np.max(np.abs(self.m_op - self.m_op[0, 0] * eye)) < 1e-15
         # diagonal J†J (hence diagonal M) selects the skip-ahead scan

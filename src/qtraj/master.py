@@ -28,10 +28,14 @@ from .qcore import (
     SIGMA_PLUS,
     bell_state,
     density,
+    dissipator,
     embed,
     step_grid,
     validate_density_matrix,
 )
+
+
+CHANNEL_LABELS = ("minus", "plus")
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -74,6 +78,11 @@ class LindbladModel:
         return max(self.gamma_minus + self.gamma_plus)
 
     @property
+    def rates(self) -> np.ndarray:
+        """Per-channel rates (gm_0, gp_0, gm_1, gp_1, ...), the order of ``channel_operators``."""
+        return np.array([self.gamma_minus, self.gamma_plus]).T.ravel()
+
+    @property
     def balanced(self) -> bool:
         return self.gamma_minus == self.gamma_plus
 
@@ -85,6 +94,23 @@ class LindbladModel:
             tuple(factor * g for g in self.gamma_plus),
             self.eta,
         )
+
+
+@lru_cache(maxsize=32)
+def channel_operators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The embedded channel operators c and their c†c, as two read-only stacks.
+
+    Channel 2a is sigma_minus on qubit a and channel 2a+1 is sigma_plus
+    (qubit-major, labels ``CHANNEL_LABELS``), in the order of
+    ``LindbladModel.rates``. Each stack has shape (2n, 2**n, 2**n).
+    """
+    ops = np.stack(
+        [embed(op, alpha, n_qubits) for alpha in range(n_qubits) for op in (SIGMA_MINUS, SIGMA_PLUS)]
+    )
+    cc = np.stack([c.conj().T @ c for c in ops])
+    ops.flags.writeable = False
+    cc.flags.writeable = False
+    return ops, cc
 
 
 @dataclass
@@ -112,33 +138,14 @@ class TimeSeries:
         return self.values[idx]
 
 
-@lru_cache(maxsize=32)
-def _channel_ops(n_qubits: int) -> tuple:
-    """Embedded (sigma_minus, sigma_plus) per qubit, with c†c precomputed."""
-    out = []
-    for alpha in range(n_qubits):
-        for op in (SIGMA_MINUS, SIGMA_PLUS):
-            c = embed(op, alpha, n_qubits)
-            out.append((alpha, c, c.conj().T @ c))
-    return tuple(out)
-
-
-def _rates_flat(model: LindbladModel) -> list[float]:
-    out = []
-    for alpha in range(model.n_qubits):
-        out.extend((model.gamma_minus[alpha], model.gamma_plus[alpha]))
-    return out
-
-
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Right-hand side sum_i gamma_i D[sigma_i] rho. Hermitian and traceless."""
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
     out = np.zeros_like(rho, dtype=complex)
-    for rate, (_, c, cc) in zip(_rates_flat(model), _channel_ops(model.n_qubits)):
-        if rate == 0.0:
-            continue
-        out += rate * (c @ rho @ c.conj().T - 0.5 * (cc @ rho + rho @ cc))
+    for rate, c in zip(model.rates, channel_operators(model.n_qubits)[0]):
+        if rate != 0.0:
+            out += rate * dissipator(c, rho)
     return out
 
 

@@ -59,15 +59,17 @@ def tensor_product(factors) -> np.ndarray:
 def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int]]:
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 
-    Raises ValueError unless 0 < dt <= t_max and the sample times are finite,
-    on the grid and strictly increasing. Messages start with the offending
-    field name.
+    Raises ValueError unless 0 < dt <= t_max, t_max is finite and on the
+    grid, and the sample times are finite, on the grid and strictly
+    increasing. Messages start with the offending field name.
     """
     if not dt > 0:
         raise ValueError(f"dt: must be > 0, got {dt}")
-    if not t_max >= dt:
-        raise ValueError(f"t_max: must be >= dt, got {t_max}")
+    if not dt <= t_max < np.inf:
+        raise ValueError(f"t_max: must be finite and >= dt, got {t_max}")
     n_steps = int(round(t_max / dt))
+    if abs(n_steps * dt - t_max) > 1e-9 + 1e-9 * t_max:
+        raise ValueError(f"t_max: {t_max} is not on the step grid (dt={dt})")
     if sample_times is None:
         return n_steps, []
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
@@ -141,6 +143,8 @@ def validate_density_matrix(
     """Check Hermiticity, unit trace and positivity; raise InvariantViolation."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvariantViolation(f"{context}: not a square matrix, shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvariantViolation(f"{context}: non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > herm_tol:
         raise InvariantViolation(f"{context}: Hermiticity violated by {herm:.3e}")

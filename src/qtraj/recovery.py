@@ -86,14 +86,14 @@ def frame_from_events(
     return frame
 
 
-def apply_frame(rho: np.ndarray, frame: PauliFrame) -> np.ndarray:
+def apply_frame(rho: np.ndarray, frame: "PauliFrame | LocalUnitaryFrame") -> np.ndarray:
     """P rho P† with P the frame's tensor product (what the record did)."""
     p = frame.as_matrix()
     _check_dim(rho, p)
     return p @ rho @ p.conj().T
 
 
-def recover(rho_c: np.ndarray, frame: PauliFrame) -> np.ndarray:
+def recover(rho_c: np.ndarray, frame: "PauliFrame | LocalUnitaryFrame") -> np.ndarray:
     """Undo the frame: P† rho_c P. Inverse of apply_frame."""
     p = frame.as_matrix()
     _check_dim(rho_c, p)
@@ -145,13 +145,6 @@ def unitary_part(matrices: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def frame_state(frame: LocalUnitaryFrame, rho0: np.ndarray) -> np.ndarray:
-    """F rho0 F† with F the frame's tensor product (what the record did)."""
-    f = frame.as_matrix()
-    _check_dim(rho0, f)
-    return f @ rho0 @ f.conj().T
-
-
 def recover_unitary(
     rho_c: np.ndarray, frame: LocalUnitaryFrame, tol: float = 1e-9
 ) -> np.ndarray:
@@ -159,6 +152,4 @@ def recover_unitary(
     defect = frame.unitarity_defect()
     if defect > tol:
         raise ValueError(f"frame is not unitary within {tol:.1e} (defect {defect:.3e})")
-    f = frame.as_matrix()
-    _check_dim(rho_c, f)
-    return f.conj().T @ rho_c @ f
+    return recover(rho_c, frame)

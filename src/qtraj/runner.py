@@ -42,7 +42,14 @@ from .master import (
     integrate_master,
     oracle_kind,
 )
-from .qcore import bell_state, computational_ket, density, step_grid
+from .qcore import (
+    InvariantViolation,
+    bell_state,
+    computational_ket,
+    density,
+    step_grid,
+    validate_density_matrix,
+)
 from .recovery import frame_from_events, recover, recover_unitary
 
 WORKERS_ENV = "QTRAJ_WORKERS"
@@ -142,9 +149,16 @@ def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"unknown named state {spec!r} (use bell/ground/excited)")
     arr = np.asarray(spec, dtype=complex)
     dim = 2**n_qubits
-    if arr.ndim == 1 and arr.shape == (dim,):
-        return density(arr / np.linalg.norm(arr)), False
+    if arr.shape == (dim,):
+        norm = np.linalg.norm(arr)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"explicit ket must be finite with a nonzero norm, got norm {norm}")
+        return density(arr / norm), False
     if arr.shape == (dim, dim):
+        try:
+            validate_density_matrix(arr, context="explicit state")
+        except InvariantViolation as exc:
+            raise ValueError(str(exc)) from None
         return arr, False
     raise ValueError(f"explicit state must be a {dim}-ket or {dim}x{dim} matrix")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.diffusive import (
     PROTECTING_U,
@@ -160,6 +162,23 @@ class TestProtectingUnitary:
     def test_zero_noise_identity(self):
         assert np.array_equal(protecting_unitary(1.0, 0.0, 0.0), np.eye(2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_broadcast_is_unitary_and_matches_scalar_calls(self, draws):
+        gamma, dw1, dw2 = (np.array(col) for col in zip(*draws))
+        batch = protecting_unitary(gamma, dw1, dw2)
+        assert batch.shape == (len(draws), 2, 2)
+        defect = batch.conj().transpose(0, 2, 1) @ batch - np.eye(2)
+        assert np.max(np.abs(defect)) <= 1e-12
+        for u, g, a, b in zip(batch, gamma, dw1, dw2):
+            assert np.array_equal(u, protecting_unitary(g, a, b))
+
     def test_step_preserves_concurrence_and_purity(self, rng, bell_rho):
         state = bell_rho
         frame = LocalUnitaryFrame.identity(2)
@@ -172,16 +191,17 @@ class TestProtectingUnitary:
         # same underlying draws pushed through the general stepper and the
         # exact unitary: one-step difference shrinks ~ dt^{3/2}
         model = LindbladModel(2, 1.0, 1.0)
-        blocks = [np.array([[1.0, 1.0j], [-1.0, 1.0j]]) / np.sqrt(2.0)] * 2
-        ctx = _SMEContext(model, u=PROTECTING_U, c_blocks=blocks)
-        z = rng.standard_normal(4)
+        ctx = _SMEContext(model, u=PROTECTING_U)
+        z = rng.standard_normal(ctx.n_noise)
         diffs = []
         for dt in (1e-3, 5e-4, 2.5e-4):
             dw = z * np.sqrt(dt)
             sme_state = sme_update(bell_rho, ctx, dw, dt)
-            us = [
-                protecting_unitary(1.0, dw[2 * a], dw[2 * a + 1]) for a in range(2)
-            ]
+            # the context's own factor: dxi_- = (dW1 + i dW2)/sqrt(2) per qubit
+            dxi_minus = (ctx.c @ dw)[0::2]
+            us = protecting_unitary(
+                1.0, np.sqrt(2.0) * dxi_minus.real, np.sqrt(2.0) * dxi_minus.imag
+            )
             full = np.kron(us[0], us[1])
             exact = full @ bell_rho @ full.conj().T
             diffs.append(np.max(np.abs(sme_state - exact)))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtraj.diffusive import _SMEContext
 from qtraj.entangle import concurrence, trace_distance
+from qtraj.jumps import canonical_jumps, protecting_jumps
 from qtraj.master import (
     LindbladModel,
     TimeSeries,
@@ -17,9 +19,12 @@ from qtraj.master import (
     lindblad_rhs,
 )
 from qtraj.qcore import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     InvariantViolation,
     computational_ket,
     density,
+    embed,
     random_density_matrix,
     validate_density_matrix,
 )
@@ -207,6 +212,43 @@ class TestExactPropagatorProperties:
         later = integrate_master(model, states[0], [h, s])
         assert np.max(np.abs(later.values[0] - states[1])) < 1e-12
         assert np.max(np.abs(later.values[1] - states[2])) < 1e-12
+
+
+@st.composite
+def _rate_models(draw):
+    """Random rates with zeros; balanced (gp = gm) about half the time."""
+    n = draw(st.integers(1, 3))
+    gm = draw(st.lists(_rate, min_size=n, max_size=n))
+    gp = gm if draw(st.booleans()) else draw(st.lists(_rate, min_size=n, max_size=n))
+    return LindbladModel(n, gm, gp)
+
+
+class TestChannelListProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_rate_models())
+    def test_every_reader_sums_the_same_dissipative_term(self, model):
+        # K = sum_c gamma_c c†c, read four ways from the one channel list
+        n, dim = model.n_qubits, model.dim
+        k_canonical = sum(
+            (j.matrix.conj().T @ j.matrix for j in canonical_jumps(model)), np.zeros((dim, dim))
+        )
+        k_sme = _SMEContext(model).cc_sum
+        # lindblad_rhs(1) = sum_c gamma_c (c c† - c†c); the c c† part is
+        # rebuilt here from qcore.embed, independently of the channel list
+        jump_term = sum(
+            (
+                g * embed(op, a, n) @ embed(op, a, n).conj().T
+                for a in range(n)
+                for g, op in ((model.gamma_minus[a], SIGMA_MINUS), (model.gamma_plus[a], SIGMA_PLUS))
+            ),
+            np.zeros((dim, dim)),
+        )
+        k_rhs = jump_term - lindblad_rhs(model, np.eye(dim, dtype=complex))
+        assert np.max(np.abs(k_sme - k_canonical)) <= 1e-12
+        assert np.max(np.abs(k_rhs - k_canonical)) <= 1e-12
+        if model.balanced and min(model.gamma_minus) > 0.0:
+            k_protecting = sum(j.matrix.conj().T @ j.matrix for j in protecting_jumps(model))
+            assert np.max(np.abs(k_protecting - k_canonical)) <= 1e-12
 
 
 class TestAnalyticConcurrence:

@@ -172,6 +172,11 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             validate_density_matrix(bad)
 
+    def test_rejects_non_finite(self):
+        bad = np.diag([1.0, np.nan]).astype(complex)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            validate_density_matrix(bad)
+
     def test_random_unitary_is_unitary(self, rng):
         for _ in range(20):
             u = random_unitary(4, rng)
@@ -187,7 +192,8 @@ class TestStepGrid:
     @pytest.mark.parametrize(
         "dt, t_max, field",
         [(0.0, 1.0, "dt"), (-1e-3, 1.0, "dt"), (np.nan, 1.0, "dt"),
-         (1e-3, 5e-4, "t_max"), (1e-3, np.nan, "t_max")],
+         (1e-3, 5e-4, "t_max"), (1e-3, np.nan, "t_max"), (1e-3, np.inf, "t_max"),
+         (0.3, 1.0, "t_max"), (1e-3, 0.0105, "t_max")],
     )
     def test_rejects_bad_step(self, dt, t_max, field):
         with pytest.raises(ValueError, match=f"^{field}:"):

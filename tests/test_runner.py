@@ -111,6 +111,29 @@ class TestConfigValidation:
             resolve_initial_state("cat", 2)
 
 
+    @pytest.mark.parametrize(
+        "state, words",
+        [
+            (np.eye(4) / 2, "trace"),
+            (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1, "Hermiticity"),
+            (np.diag([0.75, 0.75, -0.5, 0.0]), "negative eigenvalue"),
+            (np.zeros(4), "nonzero norm"),
+            (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+        ],
+        ids=["trace_2", "non_hermitian", "negative_eigenvalue", "zero_ket", "nan_ket"],
+    )
+    def test_bad_explicit_initial_state_fails_before_any_chunk(self, monkeypatch, state, words):
+        # these once passed validate() and failed inside a trajectory
+        import qtraj.runner as runner
+
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(runner, "_run_chunk", no_chunk)
+        with pytest.raises(ConfigError, match=f"initial_state: .*{words}"):
+            run_ensemble(_config(initial_state=state))
+
+
 class TestRunEnsemble:
     def test_master_statistics(self):
         cfg = _config(unraveling="none")
@@ -324,6 +347,26 @@ class TestCli:
         res = self._run("jump", "--n-traj", "0")
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    def test_t_max_off_grid_exit_code(self):
+        # dt = 0.3 once ran to t = 0.9 and printed a CSV for t_max = 1
+        res = self._run(
+            "jump", "--dt", "0.3", "--t-max", "1.0", "--n-traj", "2",
+            "--gamma-minus", "0.01", "--gamma-plus", "0.01",
+        )
+        assert res.returncode == 2
+        assert "t_max" in res.stderr and not res.stdout
+
+    def test_u_outside_general_sme_exit_code(self, tmp_path):
+        cfg = tmp_path / "u.ini"
+        cfg.write_text("[run]\nn_trajectories = 2\nt_max = 0.1\nu12 = 3\n")
+        for argv in (
+            ["jump", "--config", str(cfg)],
+            ["diffusive", "--exact-unitary", "--n-traj", "2", "--t-max", "0.1", "--u12", "3"],
+        ):
+            res = self._run(*argv)
+            assert res.returncode == 2, argv
+            assert "u: only the diffusive" in res.stderr and not res.stdout
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
