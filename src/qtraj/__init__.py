@@ -57,17 +57,14 @@ from .qcore import (
     embed,
     hermitian_eigenvalues,
     pauli_matrix,
-    pauli_multiply,
     validate_density_matrix,
 )
 from .recovery import (
-    LocalUnitaryFrame,
-    PauliFrame,
     apply_frame,
     frame_from_events,
     recover,
     recover_unitary,
-    update_frame,
+    unitarity_defect,
 )
 from .reservoir import (
     AdiabaticityWarning,

@@ -40,7 +40,7 @@ import numpy as np
 from .jumps import _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
 from .qcore import InvariantViolation, step_grid, tensor_product, validate_density_matrix
-from .recovery import LocalUnitaryFrame, apply_frame, unitary_part
+from .recovery import apply_frame, unitary_part
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -70,10 +70,10 @@ class CurrentSample:
 class DiffusiveRecord:
     final_state: np.ndarray
     seed: int
-    frame: LocalUnitaryFrame | None = None
+    frame: np.ndarray | None = None  # (n, 2, 2) per-qubit unitaries
     samples: list[np.ndarray] | None = field(default=None, repr=False)
     sample_times: np.ndarray | None = None
-    sample_frames: list[LocalUnitaryFrame] | None = field(default=None, repr=False)
+    sample_frames: np.ndarray | None = field(default=None, repr=False)  # (nt, n, 2, 2)
 
 
 def check_noise_correlation(u: np.ndarray) -> np.ndarray:
@@ -316,25 +316,23 @@ def step_protecting_unitary(
     gamma,
     rng: np.random.Generator,
     dt: float,
-    frame: LocalUnitaryFrame,
-) -> tuple[np.ndarray, LocalUnitaryFrame]:
+    frame: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact-unitary step of the protecting diffusive unravelling.
 
     Each qubit is rotated by the closed-form 2x2 exponential of its stochastic
-    Hamiltonian; purity and concurrence are exactly preserved. The frame
-    accumulates the applied unitaries for end-of-run recovery.
+    Hamiltonian; purity and concurrence are exactly preserved. The returned
+    ``(n, 2, 2)`` frame accumulates the applied unitaries for end-of-run
+    recovery.
     """
-    n = frame.n_qubits
+    n = frame.shape[0]
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim and gammas.shape != (n,):
         raise ValueError(f"need one rate per qubit, got {gammas.size} for {n}")
     dws = rng.standard_normal((n, 2)) * math.sqrt(dt)
     us = protecting_unitary(gammas, dws[:, 0], dws[:, 1])
     full = tensor_product(us)
-    new = full @ state @ full.conj().T
-    for a in range(n):
-        frame.left_multiply(a, us[a])
-    return new, frame
+    return full @ state @ full.conj().T, us @ frame
 
 
 def run_protecting_unitary_trajectory(
@@ -348,8 +346,9 @@ def run_protecting_unitary_trajectory(
     """Integrate one trajectory on the exact-unitary protecting path.
 
     Requires balanced, strictly positive rates (the stochastic-Hamiltonian
-    mapping only exists there). Snapshots include frame copies so states at
-    sample times can be recovered.
+    mapping only exists there). The record carries the ``(n, 2, 2)`` frame
+    and the ``(nt, n, 2, 2)`` frames at the sample times, so states at sample
+    times can be recovered.
     """
     check_protecting_rates(model)
     check_perfect_detection(model)
@@ -364,18 +363,18 @@ def run_protecting_unitary_trajectory(
     # product of the per-qubit frames: only the (n, 2, 2) frames are stepped,
     # and states are formed at the sample steps alone
     frames = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    sample_frames: list[LocalUnitaryFrame] = []
-    wanted = set(sample_steps)
-    if 0 in wanted:
-        sample_frames.append(LocalUnitaryFrame(frames))
-    for step in range(n_steps):
-        frames = locals_u[step] @ frames
-        if (step + 1) % _REUNITARIZE_EVERY == 0:
+    sample_frames = np.empty((len(sample_steps), n, 2, 2), dtype=complex)
+    row = {step: j for j, step in enumerate(sample_steps)}
+    if 0 in row:
+        sample_frames[row[0]] = frames
+    for step in range(1, n_steps + 1):
+        frames = locals_u[step - 1] @ frames
+        if step % _REUNITARIZE_EVERY == 0:
             frames = unitary_part(frames)
-        if step + 1 in wanted:
-            sample_frames.append(LocalUnitaryFrame(frames))
-    frame = LocalUnitaryFrame(unitary_part(frames))
-    samples = [apply_frame(rho0, fr) for fr in sample_frames]
+        if step in row:
+            sample_frames[row[step]] = frames
+    frame = unitary_part(frames)
+    samples = list(apply_frame(rho0, sample_frames))
     state = apply_frame(rho0, frame)
     validate_density_matrix(state, context="protecting-unitary final state")
     return DiffusiveRecord(

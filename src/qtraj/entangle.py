@@ -8,9 +8,9 @@ breaks the measure).
 
 import numpy as np
 
-from .qcore import SIGMA_Y, hermitian_eigenvalues
+from .qcore import SIGMA_Y, hermitian_eigenvalues, tensor_product
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_YY = tensor_product([SIGMA_Y, SIGMA_Y])
 
 # spin-flipped eigenvalue noise below this is numerical, clamp before sqrt
 # (the product is PSD analytically but not numerically; for pure states the

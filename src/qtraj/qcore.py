@@ -18,13 +18,11 @@ SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PAULI_LABELS = ("I", "X", "Y", "Z")
 PAULI_MATRICES = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-# Projective products (global phases discarded): conjugation kills them.
-_PAULI_PRODUCT = {
-    ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
-    ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
-    ("Y", "I"): "Y", ("Y", "X"): "Z", ("Y", "Y"): "I", ("Y", "Z"): "X",
-    ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
-}
+# A Pauli modulo phase as its (x, z) bit pair; the product of two Paulis is,
+# up to a phase that conjugation kills, the XOR of their pairs (Aaronson &
+# Gottesman, PRA 70, 052328 (2004)). PAULI_BY_BITS is indexed by 2x + z.
+PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+PAULI_BY_BITS = np.stack([I2, SIGMA_Z, SIGMA_X, SIGMA_Y])
 
 
 class InvariantViolation(RuntimeError):
@@ -37,22 +35,21 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
         raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-    out = np.array([[1.0 + 0.0j]])
-    for slot in range(n_qubits):
-        out = np.kron(out, op if slot == qubit else I2)
-    return out
+    return tensor_product([op if slot == qubit else I2 for slot in range(n_qubits)])
 
 
 def tensor_product(factors) -> np.ndarray:
-    """Kronecker product of square factors (slot 0 leftmost).
+    """Kronecker product over axis -3 of a ``(..., n, k, k)`` stack (slot 0 leftmost).
 
     The same elementwise products as a chain of ``np.kron`` calls from a 1x1
-    identity, without its per-call overhead.
+    identity, without its per-call overhead; leading axes are a batch.
     """
-    out = np.ones((1, 1), dtype=complex)
-    for f in factors:
-        d, k = out.shape[0], f.shape[0]
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d * k, d * k)
+    factors = np.asarray(factors, dtype=complex)
+    out = np.ones(factors.shape[:-3] + (1, 1), dtype=complex)
+    for f in np.moveaxis(factors, -3, 0):
+        d, k = out.shape[-1], f.shape[-1]
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (d * k, d * k))
     return out
 
 
@@ -98,14 +95,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
     return np.linalg.eigvalsh(m)[::-1]
-
-
-def pauli_multiply(a: str, b: str) -> str:
-    """Projective Pauli product; every label squares to I."""
-    try:
-        return _PAULI_PRODUCT[(a, b)]
-    except KeyError:
-        raise ValueError(f"not Pauli labels: {a!r}, {b!r}") from None
 
 
 def pauli_matrix(label: str) -> np.ndarray:

@@ -1,142 +1,68 @@
 """Trace the local correction implied by a measurement record and undo it.
 
-Each Pauli-type click multiplies a per-qubit Pauli label into the frame
+A frame is an ``(..., n, 2, 2)`` array: one 2x2 unitary per qubit, the
+frame's operator being their tensor product. Stacks of frames and of states
+are conjugated in one batched call.
+
+Each Pauli-type click multiplies a Pauli into its qubit's frame
 (projectively -- conjugation is phase-blind, so phases are never stored).
-Conjugating the final state by the frame's tensor product restores the
-initial state exactly for perfectly detected protecting-jump records, and
-restores the slowed-decoherence mixed state on average when clicks are missed.
+``frame_from_events`` folds a record once, as XORs of (x, z) bit pairs, and
+returns the frame after every prefix of it. Conjugating the final state by
+the frame restores the initial state exactly for perfectly detected
+protecting-jump records, and restores the slowed-decoherence mixed state on
+average when clicks are missed.
 
 Diffusive records accumulate an actual 2x2 unitary per qubit instead; undoing
 it is conjugation by the inverse.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .jumps import JumpEvent
-from .qcore import pauli_matrix, pauli_multiply, tensor_product
-
-_FRAME_LABELS = {"x": "X", "y": "Y"}
-
-
-@dataclass(frozen=True)
-class PauliFrame:
-    """One Pauli label per qubit; updating twice with a label cancels."""
-
-    labels: tuple[str, ...]
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliFrame":
-        return cls(("I",) * n_qubits)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    def as_matrix(self) -> np.ndarray:
-        """The frame's tensor product; read-only and shared between calls."""
-        return _pauli_tensor(self.labels)
-
-
-# keyed on the label tuple, so an n-qubit run fills at most 4**n entries; the
-# bound covers every frame of up to four qubits
-@lru_cache(maxsize=4**4)
-def _pauli_tensor(labels: tuple[str, ...]) -> np.ndarray:
-    out = tensor_product([pauli_matrix(label) for label in labels])
-    out.flags.writeable = False
-    return out
-
-
-def update_frame(frame: PauliFrame, event: JumpEvent) -> PauliFrame:
-    """Fold one protecting-jump click into the frame.
-
-    Only Pauli-type labels ("x"/"y") are invertible local unitaries; canonical
-    decay/pump clicks admit no frame recovery and are rejected.
-    """
-    if event.label not in _FRAME_LABELS:
-        raise ValueError(
-            f"no frame recovery for {event.label!r} clicks (projective, non-unitary)"
-        )
-    labels = list(frame.labels)
-    labels[event.qubit] = pauli_multiply(_FRAME_LABELS[event.label], labels[event.qubit])
-    return PauliFrame(tuple(labels))
+from .qcore import PAULI_BITS, PAULI_BY_BITS, tensor_product
 
 
 def frame_from_events(
-    events: list[JumpEvent],
-    n_qubits: int,
-    include_undetected: bool = False,
-    up_to_time: float | None = None,
-) -> PauliFrame:
-    """Accumulate the frame of a click record.
+    events: list[JumpEvent], n_qubits: int, include_undetected: bool = False
+) -> np.ndarray:
+    """The Pauli frames after every prefix of a click record, ``(len(events)+1, n, 2, 2)``.
 
-    The observer only has detected clicks; ``include_undetected`` exists for
-    oracle checks against the true trajectory. ``up_to_time`` restricts to
-    clicks at or before that time.
+    Row k folds the first k events; row 0 is the identity. The observer only
+    has detected clicks; ``include_undetected`` exists for oracle checks
+    against the true trajectory. Only Pauli-type labels ("x"/"y") are
+    invertible local unitaries; canonical decay/pump clicks admit no frame
+    recovery and are rejected.
     """
-    frame = PauliFrame.identity(n_qubits)
-    for event in events:
-        if up_to_time is not None and event.time > up_to_time + 1e-12:
-            continue
+    bits = np.zeros((len(events) + 1, n_qubits, 2), dtype=np.uint8)
+    for k, event in enumerate(events):
         if not (event.detected or include_undetected):
             continue
-        frame = update_frame(frame, event)
-    return frame
+        if event.label not in ("x", "y"):
+            raise ValueError(
+                f"no frame recovery for {event.label!r} clicks (projective, non-unitary)"
+            )
+        bits[k + 1, event.qubit] = PAULI_BITS[event.label.upper()]
+    np.bitwise_xor.accumulate(bits, axis=0, out=bits)
+    return PAULI_BY_BITS[2 * bits[..., 0] + bits[..., 1]]
 
 
-def apply_frame(rho: np.ndarray, frame: "PauliFrame | LocalUnitaryFrame") -> np.ndarray:
+def _operator(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    p = tensor_product(frame)
+    if rho.shape[-2:] != p.shape[-2:]:
+        raise ValueError(f"frame dim {p.shape[-2:]} does not match state dim {rho.shape[-2:]}")
+    return p
+
+
+def apply_frame(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """P rho P† with P the frame's tensor product (what the record did)."""
-    p = frame.as_matrix()
-    _check_dim(rho, p)
-    return p @ rho @ p.conj().T
+    p = _operator(rho, frame)
+    return p @ rho @ p.conj().swapaxes(-1, -2)
 
 
-def recover(rho_c: np.ndarray, frame: "PauliFrame | LocalUnitaryFrame") -> np.ndarray:
+def recover(rho_c: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Undo the frame: P† rho_c P. Inverse of apply_frame."""
-    p = frame.as_matrix()
-    _check_dim(rho_c, p)
-    return p.conj().T @ rho_c @ p
-
-
-def _check_dim(rho: np.ndarray, p: np.ndarray) -> None:
-    if rho.shape != p.shape:
-        raise ValueError(f"frame dim {p.shape} does not match state dim {rho.shape}")
-
-
-class LocalUnitaryFrame:
-    """Accumulated per-qubit 2x2 unitaries from a diffusive record."""
-
-    def __init__(self, matrices: list[np.ndarray]):
-        self.matrices = [np.asarray(m, dtype=complex).copy() for m in matrices]
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "LocalUnitaryFrame":
-        return cls([np.eye(2, dtype=complex) for _ in range(n_qubits)])
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.matrices)
-
-    def copy(self) -> "LocalUnitaryFrame":
-        return LocalUnitaryFrame(self.matrices)
-
-    def left_multiply(self, qubit: int, u: np.ndarray) -> None:
-        """Compose a newly applied unitary into the frame (acts after the rest)."""
-        self.matrices[qubit] = u @ self.matrices[qubit]
-
-    def reunitarize(self) -> None:
-        """Polar projection onto the unitary group; bounds drift of long products."""
-        self.matrices = list(unitary_part(np.stack(self.matrices)))
-
-    def unitarity_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(m.conj().T @ m - np.eye(2)))) for m in self.matrices
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        return tensor_product(self.matrices)
+    p = _operator(rho_c, frame)
+    return p.conj().swapaxes(-1, -2) @ rho_c @ p
 
 
 def unitary_part(matrices: np.ndarray) -> np.ndarray:
@@ -145,11 +71,15 @@ def unitary_part(matrices: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def recover_unitary(
-    rho_c: np.ndarray, frame: LocalUnitaryFrame, tol: float = 1e-9
-) -> np.ndarray:
+def unitarity_defect(frame: np.ndarray) -> float:
+    """Largest entry of |F†F - 1| over every 2x2 of a frame stack."""
+    gram = frame.conj().swapaxes(-1, -2) @ frame
+    return float(np.max(np.abs(gram - np.eye(2)), initial=0.0))
+
+
+def recover_unitary(rho_c: np.ndarray, frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Conjugate by the inverse accumulated unitary: F† rho_c F."""
-    defect = frame.unitarity_defect()
+    defect = unitarity_defect(frame)
     if defect > tol:
         raise ValueError(f"frame is not unitary within {tol:.1e} (defect {defect:.3e})")
     return recover(rho_c, frame)

@@ -207,7 +207,7 @@ def _step_times(config: ExperimentConfig, times: np.ndarray) -> np.ndarray:
 @dataclass
 class _ChunkPartial:
     conc_sum: np.ndarray
-    conc_sq: np.ndarray
+    conc_m2: np.ndarray  # sum of squared deviations from the chunk mean
     conc_min: np.ndarray
     raw_sum: np.ndarray
     rec_sum: np.ndarray
@@ -224,8 +224,7 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
     two_qubit = n == 2
 
     conc_sum = np.zeros(nt)
-    conc_sq = np.zeros(nt)
-    conc_min = np.full(nt, np.inf)
+    conc = np.zeros((hi - lo, nt))
     raw_sum = np.zeros((nt, dim, dim), dtype=complex)
     rec_sum = np.zeros((nt, dim, dim), dtype=complex)
 
@@ -244,12 +243,11 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
             )
             states = np.stack(record.samples)
             if kind == "jump_protecting":
-                recovered = np.stack(
-                    [
-                        recover(state, frame_from_events(record.events, n, up_to_time=t))
-                        for t, state in zip(times, states)
-                    ]
-                )
+                # the frame at t folds the clicks at or before t
+                frames = frame_from_events(record.events, n)
+                event_times = np.array([e.time for e in record.events])
+                rows = np.searchsorted(event_times, times + 1e-12, side="right")
+                recovered = recover(states, frames[rows])
             else:
                 recovered = states
         elif kind == "diffusive":
@@ -263,12 +261,7 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
                 model, rho0, config.dt, config.t_max, seed, sample_times=times
             )
             states = np.stack(record.samples)
-            recovered = np.stack(
-                [
-                    recover_unitary(state, fr)
-                    for state, fr in zip(states, record.sample_frames)
-                ]
-            )
+            recovered = recover_unitary(states, record.sample_frames)
         else:  # pragma: no cover - guarded by validate()
             raise ConfigError(f"unraveling: unknown {kind!r}")
 
@@ -277,10 +270,12 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
         if two_qubit:
             c = concurrence(states)
             conc_sum += c
-            conc_sq += c * c
-            np.minimum(conc_min, c, out=conc_min)
+            conc[idx - lo] = c
 
-    return _ChunkPartial(conc_sum, conc_sq, conc_min, raw_sum, rec_sum, hi - lo)
+    # two passes: deviations from the chunk mean, not conc² - N·mean², which
+    # cancels when the concurrences are nearly equal
+    m2 = ((conc - conc_sum / (hi - lo)) ** 2).sum(axis=0)
+    return _ChunkPartial(conc_sum, m2, conc.min(axis=0), raw_sum, rec_sum, hi - lo)
 
 
 def _master_statistics(config: ExperimentConfig) -> EnsembleStatistics:
@@ -339,13 +334,18 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
 
     nt = len(times)
     conc_sum = np.zeros(nt)
-    conc_sq = np.zeros(nt)
+    count, chan_mean, m2 = 0, np.zeros(nt), np.zeros(nt)
     conc_min = np.full(nt, np.inf)
     raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
     rec_sum = np.zeros_like(raw_sum)
     for part in partials:  # chunk order fixed by construction
         conc_sum += part.conc_sum
-        conc_sq += part.conc_sq
+        # Chan, Golub & LeVeque: merge the chunk's mean and M2 into the running pair
+        delta = part.conc_sum / part.count - chan_mean
+        total = count + part.count
+        chan_mean += delta * (part.count / total)
+        m2 += part.conc_m2 + delta**2 * (count * part.count / total)
+        count = total
         conc_min = np.minimum(conc_min, part.conc_min)
         raw_sum += part.raw_sum
         rec_sum += part.rec_sum
@@ -355,8 +355,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     two_qubit = model.n_qubits == 2
     mean_c = conc_sum / n_traj if two_qubit else np.full(nt, np.nan)
     if two_qubit and n_traj > 1:
-        var = np.maximum(conc_sq - n_traj * mean_c**2, 0.0) / (n_traj - 1)
-        stderr = np.sqrt(var / n_traj)
+        stderr = np.sqrt(m2 / (n_traj - 1) / n_traj)
     else:
         stderr = np.full(nt, np.nan)
     raw_mean = raw_sum / n_traj

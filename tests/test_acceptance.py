@@ -60,7 +60,7 @@ def test_criterion_1_perfect_protection_jump():
             model, jumps, BELL, dt, t_max, trajectory_seed(101, i), sample_times=times
         )
         worst_dev = max(worst_dev, max(abs(concurrence(s) - 1.0) for s in rec.samples))
-        frame = frame_from_events(rec.events, 2)
+        frame = frame_from_events(rec.events, 2)[-1]
         fid = fidelity_to_pure(recover(rec.final_state, frame), bell_state())
         worst_fid = min(worst_fid, fid)
     ok = worst_dev <= 1e-9 and worst_fid >= 1.0 - 1e-9

@@ -23,8 +23,10 @@ from qtraj.diffusive import (
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.jumps import _trajectory_rng, trajectory_seed
 from qtraj.master import LindbladModel, integrate_master, lindblad_rhs
-from qtraj.qcore import random_density_matrix
-from qtraj.recovery import LocalUnitaryFrame, recover_unitary
+from qtraj.qcore import random_density_matrix, tensor_product
+from qtraj.recovery import recover_unitary, unitarity_defect
+
+IDENTITY_FRAME = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
 
 
 def _random_symmetric_u(rng, norm=0.8):
@@ -180,8 +182,7 @@ class TestProtectingUnitary:
             assert np.array_equal(u, protecting_unitary(g, a, b))
 
     def test_step_preserves_concurrence_and_purity(self, rng, bell_rho):
-        state = bell_rho
-        frame = LocalUnitaryFrame.identity(2)
+        state, frame = bell_rho, IDENTITY_FRAME
         for _ in range(50):
             state, frame = step_protecting_unitary(state, 1.0, rng, 1e-3, frame)
             assert abs(concurrence(state) - 1.0) < 1e-12
@@ -225,17 +226,17 @@ class TestProtectingUnitary:
             model, bell_rho, dt, 1.5, seed, sample_times=times
         )
         rng = _trajectory_rng(seed)
-        state, frame = bell_rho, LocalUnitaryFrame.identity(2)
+        state, frame = bell_rho, IDENTITY_FRAME
         stepped = [bell_rho]
         for _ in range(1500):
             state, frame = step_protecting_unitary(state, 1.0, rng, dt, frame)
             stepped.append(state)
         for t, sample, fr in zip(times, rec.samples, rec.sample_frames):
-            assert fr.unitarity_defect() <= 1e-12
-            f = fr.as_matrix()
+            assert unitarity_defect(fr) <= 1e-12
+            f = tensor_product(fr)
             assert np.array_equal(sample, f @ bell_rho @ f.conj().T)
             assert np.max(np.abs(sample - stepped[round(t / dt)])) < 1e-12
-        assert rec.frame.unitarity_defect() <= 1e-12
+        assert unitarity_defect(rec.frame) <= 1e-12
         assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
 
     def test_requires_balanced_rates(self, bell_rho):

@@ -326,7 +326,7 @@ class TestTrajectories:
         for state in rec.samples:
             assert abs(concurrence(state) - 1.0) < 1e-9
         # Eq-5 product form: the final state is the frame conjugation of rho0
-        frame = frame_from_events(rec.events, 2, include_undetected=True)
+        frame = frame_from_events(rec.events, 2, include_undetected=True)[-1]
         assert np.max(np.abs(rec.final_state - apply_frame(bell_rho, frame))) < 1e-12
 
     def test_detected_count_poisson_rate(self, bell_rho):
@@ -383,7 +383,7 @@ class TestTrajectories:
         jumps = protecting_jumps(model)
         for i in range(20):
             rec = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 2.0, trajectory_seed(29, i))
-            frame = frame_from_events(rec.events, 2)
+            frame = frame_from_events(rec.events, 2)[-1]
             fid = fidelity_to_pure(recover(rec.final_state, frame), bell_state())
             assert fid > 1 - 1e-9
 
@@ -442,5 +442,5 @@ class TestTrajectories:
         rho0 = density(ghz)
         for i in range(10):
             rec = run_jump_trajectory(model, jumps, rho0, 1e-3, 0.5, trajectory_seed(31, i))
-            frame = frame_from_events(rec.events, 3)
+            frame = frame_from_events(rec.events, 3)[-1]
             assert trace_distance(recover(rec.final_state, frame), rho0) < 1e-9

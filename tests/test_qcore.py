@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qtraj.qcore import (
+    PAULI_BITS,
+    PAULI_BY_BITS,
     PAULI_LABELS,
     SIGMA_MINUS,
     SIGMA_X,
@@ -16,10 +18,10 @@ from qtraj.qcore import (
     embed,
     hermitian_eigenvalues,
     pauli_matrix,
-    pauli_multiply,
     random_density_matrix,
     random_unitary,
     step_grid,
+    tensor_product,
     validate_density_matrix,
 )
 
@@ -62,6 +64,23 @@ class TestEmbed:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             embed(SIGMA_X, 2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kron_chain_bit_for_bit(self, n, rng):
+        def chain(factors):
+            out = np.array([[1.0 + 0.0j]])
+            for f in factors:
+                out = np.kron(out, f)
+            return out
+
+        stack = rng.standard_normal((5, n, 2, 2)) + 1j * rng.standard_normal((5, n, 2, 2))
+        for factors, out in zip(stack, tensor_product(stack)):
+            assert np.array_equal(out, chain(factors))
+        for op in (stack[0, 0], stack[0, 0].real, SIGMA_MINUS):
+            for q in range(n):
+                eye = np.eye(2, dtype=complex)
+                expected = chain([op if slot == q else eye for slot in range(n)])
+                assert np.array_equal(embed(op, q, n), expected)
 
 
 class TestDissipator:
@@ -117,36 +136,44 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _bit_product(a: str, b: str) -> str:
+    """Projective Pauli product as the click fold forms it: XOR of (x, z) bit pairs."""
+    bits = tuple(int(v) for v in np.bitwise_xor(PAULI_BITS[a], PAULI_BITS[b]))
+    return next(label for label, pair in PAULI_BITS.items() if pair == bits)
+
+
 class TestPauliMultiply:
     @pytest.mark.parametrize("a", PAULI_LABELS)
     def test_involution(self, a):
-        assert pauli_multiply(a, a) == "I"
+        assert _bit_product(a, a) == "I"
 
     @pytest.mark.parametrize("a", PAULI_LABELS)
     def test_identity_neutral(self, a):
-        assert pauli_multiply("I", a) == a
-        assert pauli_multiply(a, "I") == a
+        assert _bit_product("I", a) == a
+        assert _bit_product(a, "I") == a
 
     @pytest.mark.parametrize(
         "a, b, expected",
         [("X", "Y", "Z"), ("Y", "X", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")],
     )
     def test_products(self, a, b, expected):
-        assert pauli_multiply(a, b) == expected
+        assert _bit_product(a, b) == expected
 
     def test_associative(self):
         for a in PAULI_LABELS:
             for b in PAULI_LABELS:
                 for c in PAULI_LABELS:
-                    left = pauli_multiply(pauli_multiply(a, b), c)
-                    right = pauli_multiply(a, pauli_multiply(b, c))
+                    left = _bit_product(_bit_product(a, b), c)
+                    right = _bit_product(a, _bit_product(b, c))
                     assert left == right
 
     def test_matches_matrix_product_up_to_phase(self):
         for a in PAULI_LABELS:
+            x, z = PAULI_BITS[a]
+            assert np.array_equal(PAULI_BY_BITS[2 * x + z], pauli_matrix(a))
             for b in PAULI_LABELS:
                 prod = pauli_matrix(a) @ pauli_matrix(b)
-                expected = pauli_matrix(pauli_multiply(a, b))
+                expected = pauli_matrix(_bit_product(a, b))
                 # strip the global phase before comparing
                 k = np.flatnonzero(np.abs(expected) > 0.5)[0]
                 phase = prod.flat[k] / expected.flat[k]
@@ -154,8 +181,12 @@ class TestPauliMultiply:
                 assert np.allclose(prod, phase * expected, atol=1e-15)
 
     def test_rejects_garbage(self):
+        # the click fold is the one place labels become bit pairs
+        from qtraj.jumps import JumpEvent
+        from qtraj.recovery import frame_from_events
+
         with pytest.raises(ValueError):
-            pauli_multiply("X", "Q")
+            frame_from_events([JumpEvent(0.0, 0, "q", True)], 1)
 
 
 class TestValidation:

@@ -153,6 +153,14 @@ class TestRunEnsemble:
         # recovered average sits on the initial state when nothing is missed
         assert np.max(stats.recovered_trace_dist) < 1e-9
 
+    def test_recovery_includes_clicks_at_the_sample_time(self):
+        # sampling every step puts every click exactly at a sample time; at
+        # eta = 1 each recovered sample is the Bell state only if the frame
+        # at t folds the clicks at t and none after it
+        times = np.arange(201) * 1e-3
+        stats = run_ensemble(_config(n_trajectories=20, t_max=0.2, sample_times=times))
+        assert np.max(stats.recovered_trace_dist) < 1e-9
+
     def test_raw_mean_tracks_master(self):
         stats = run_ensemble(_config(n_trajectories=400))
         assert np.max(stats.trace_dist_master) < 4 / np.sqrt(400)
@@ -201,6 +209,33 @@ class TestRunEnsemble:
         two = run_ensemble(_config(model=LindbladModel(2, 1.0, 1.0, eta=0.5), n_trajectories=257))
         assert np.all(np.isfinite(two.recovered_stderr))
         assert ",nan," in csv_text(chunk, "recovered")
+
+    def test_stderr_of_equal_concurrences_is_two_pass(self):
+        # every trajectory starts in the Bell state, so t = 0 has no spread;
+        # conc² - N·mean² would leave ~1e-9 of cancellation noise there
+        from qtraj.entangle import concurrence
+        from qtraj.jumps import protecting_jumps, run_jump_trajectory, trajectory_seed
+
+        model = LindbladModel(2, 1.0, 1.0)
+        cfg = _config(model=model, t_max=1.0, n_trajectories=300, master_seed=4, sample_times=None)
+        stats = run_ensemble(cfg)  # two chunks: 256 + 44
+        rho0, _ = resolve_initial_state("bell", 2)
+        c = np.array(
+            [
+                concurrence(
+                    np.stack(
+                        run_jump_trajectory(
+                            model, protecting_jumps(model), rho0, 1e-3, 1.0,
+                            trajectory_seed(4, i), sample_times=stats.times,
+                        ).samples
+                    )
+                )
+                for i in range(300)
+            ]
+        )
+        assert stats.stderr[0] < 1e-15
+        expected = np.std(c, axis=0, ddof=1) / np.sqrt(300)
+        assert np.max(np.abs(stats.stderr - expected)) <= 1e-15
 
     def test_worker_count_does_not_change_bytes(self):
         cfg1 = _config(n_trajectories=600, workers=1)
