@@ -10,6 +10,12 @@ symmetric matrix u, the same on every qubit (channel indices {-, +}):
 
     dxi_i dxi_j* = delta_ij dt,      dxi_i dxi_j = u_ij dt,     ||u||_2 <= 1.
 
+Splitting dxi = C dw into independent real increments dw_m ~ N(0, dt)
+(C C† = 1, C Cᵀ = u) makes this homodyne detection of the measured operators
+L_m = sum_i sqrt(gamma_i) conj(C_im) sigma_i, with sum_m D[L_m] = sum_i gamma_i D[sigma_i]:
+
+    drho = sum_m D[L_m] rho dt + sum_m (L_m rho + rho L_m† - <L_m + L_m†> rho) dw_m
+
 The u = [[0, -1], [-1, 0]] choice makes the noise term a commutator with a
 local stochastic Hamiltonian, so every trajectory evolves by local unitaries:
 purity and entanglement are exactly preserved and the accumulated unitary can
@@ -22,14 +28,15 @@ point along local-unitary directions for the protecting u and do not affect
 entanglement). This is what makes per-trajectory concurrence deviations shrink
 proportionally to dt; the plain first-order scheme only achieves sqrt(dt).
 
-Measurement currents per channel:
+The measurement currents per channel are the channel image
+Y = C (<L + L†> + dw/dt) of the real records:
 
-    Y_i dt = sqrt(gamma) <sigma_i + sum_j u_ij sigma_j†> dt + dxi_i
+    Y_i dt = [sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>] dt + dxi_i
 
-For the protecting u the deterministic part cancels identically
-(<sigma_- - sigma_-> = 0): the records are pure noise. The two real
-photocurrent differences relate to the complex pair by the exact linear
-bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34.
+For the protecting u at balanced rates the deterministic part cancels
+identically (sqrt(gamma) <sigma_- - sigma_+†> = 0): the records are pure
+noise. The two real photocurrent differences relate to the complex pair by
+the exact linear bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34.
 """
 
 import math
@@ -39,7 +46,7 @@ import numpy as np
 
 from .jumps import _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
-from .qcore import InvariantViolation, step_grid, tensor_product, validate_density_matrix
+from .qcore import step_grid, tensor_product, validate_density_matrix
 from .recovery import apply_frame, unitary_part
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
@@ -127,86 +134,67 @@ def check_perfect_detection(model: LindbladModel) -> None:
 
 
 class _SMEContext:
-    """Precomputed channel operators and noise coefficients for one model + u."""
+    """The measured operators of one model + u, built once.
+
+    L_m = sum_c sqrt(gamma_c) conj(C_cm) sigma_c, with C the noise factor
+    (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
+    """
 
     def __init__(self, model: LindbladModel, u=None):
-        check_perfect_detection(model)
-        n = model.n_qubits
-        self.dim = model.dim
-        self.sig, cc = channel_operators(n)  # (2n, d, d)
-        gamma = model.rates
-        self.sqrtg = np.sqrt(gamma)
-        self.cc_sum = np.einsum("c,cab->ab", gamma, cc)
+        sig, cc = channel_operators(model.n_qubits)  # (2n, d, d)
+        self.cc_sum = np.einsum("c,cab->ab", model.rates, cc)
 
         # one u for every qubit: the per-qubit noise block is shared
-        self.u = check_noise_correlation(PROTECTING_U if u is None else u)
-        l = noise_factor(self.u)
+        l = noise_factor(PROTECTING_U if u is None else u)
         block = np.stack([l[0] + 1j * l[1], l[2] + 1j * l[3]])
         # rank-deficient correlations leave exactly-zero factor columns
         block = block[:, np.abs(block).sum(axis=0) > 0.0]
-        width = block.shape[1]
-        self.n_noise = n * width
-        self.c = np.zeros((2 * n, self.n_noise), dtype=complex)
-        for alpha in range(n):
-            self.c[2 * alpha : 2 * alpha + 2, alpha * width : (alpha + 1) * width] = block
-        self.coef = self.sqrtg[:, None] * self.c  # sqrt(gamma_i) c_im
-        # drift superoperator on row-major vec(rho): one matvec per step
-        dim = self.dim
-        lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-        eye = np.eye(dim)
-        for g, s, ss in zip(gamma, self.sig, cc):
-            lmat += g * (
-                np.kron(s, s.conj())
-                - 0.5 * (np.kron(ss, eye) + np.kron(eye, ss.T))
-            )
-        self.drift_op = lmat
+        self.c = np.kron(np.eye(model.n_qubits), block)  # (2n, n_noise)
+        self.n_noise = self.c.shape[1]
+        self.l = np.einsum("c,cm,cab->mab", np.sqrt(model.rates), self.c.conj(), sig)
+        self.l_dag = self.l.conj().transpose(0, 2, 1)
+        # [L_0 L_1 ...]: sum_m L_m A_m is one product with the stacked A_m
+        self.l_row = self.l.transpose(1, 0, 2).reshape(model.dim, -1)
 
 
 def sme_update(rho: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np.ndarray:
     """One conditioned step given the real noise increments dw ~ N(0, dt).
 
-    Euler-Maruyama drift+noise plus the symmetric second-order noise term,
-    then Hermitization and trace renormalization. The second-order sum
-    (1/2) sum_ml (D_{b_l} b_m)(dw_m dw_l - delta_ml dt) is contracted without
-    materializing the (channel, noise, d, d) tensor: with
-    B_c = sum_l W_cl b_l it reduces to the Hermitian part of
-    sum_c [sigma_c B_c - <sigma_c> B_c] - tr(sum_c sigma_c B_c) rho.
+    Euler-Maruyama drift and noise over the measured operators L_m plus the
+    symmetric second-order term (1/2) sum_ml (D_{b_l} b_m)(dw_m dw_l - delta_ml dt),
+    then Hermitization and trace renormalization. With the noise directions
+    b_m = L_m rho + rho L_m† - h_m rho, h_m = <L_m + L_m†>, B_m = sum_l W_ml b_l
+    and X = sum_m L_m B_m, that term is Herm(X) - (1/2) sum_m h_m B_m - Re tr(X) rho.
     """
-    p = ctx.sig @ rho  # (2n, d, d): sigma_i rho
-    e = p.diagonal(axis1=1, axis2=2).sum(axis=1)  # <sigma_i>
-    a = p - e[:, None, None] * rho
-    ah = a.conj().transpose(0, 2, 1)
-
-    drift = (ctx.drift_op @ rho.ravel()).reshape(ctx.dim, ctx.dim)
-
-    b = np.einsum("cm,cab->mab", ctx.coef.conj(), a, optimize=False)
-    b += np.einsum("cm,cab->mab", ctx.coef, ah, optimize=False)
+    m, d = ctx.n_noise, rho.shape[0]
+    rl = rho @ ctx.l_dag  # (M, d, d): rho L_m†
+    lr = rl.conj().transpose(0, 2, 1)  # L_m rho
+    h = 2.0 * rl.trace(axis1=1, axis2=2).real  # <L_m + L_m†>
+    b = (lr + rl - h[:, None, None] * rho).reshape(m, d * d)  # row m: b_m
+    k = ctx.cc_sum @ rho
+    drift = ctx.l_row @ rl.reshape(m * d, d) - 0.5 * (k + k.conj().T)
 
     w = np.outer(dw, dw)
-    w.ravel()[:: ctx.n_noise + 1] -= dt
-    wc = ctx.coef.conj() @ w  # (2n, M): sum_m conj(coef_im) w_ml
-    bc = np.einsum("cl,lab->cab", wc, b, optimize=False)
-    sig_bc = ctx.sig @ bc
-    sum_sig_bc = sig_bc.sum(axis=0)
-    x = sum_sig_bc - np.einsum("c,cab->ab", e, bc, optimize=False)
-    x -= sum_sig_bc.trace() * rho
+    w.ravel()[:: m + 1] -= dt
+    bw = w @ b  # row m: B_m
+    x = ctx.l_row @ bw.reshape(m * d, d)
+    x -= 0.5 * (h @ bw).reshape(d, d) + x.trace().real * rho
 
-    new = rho + drift * dt + np.einsum("m,mab->ab", dw, b, optimize=False)
+    new = rho + drift * dt + (dw @ b).reshape(d, d)
     new += 0.5 * (x + x.conj().T)
     new = 0.5 * (new + new.conj().T)
     return new / new.trace().real
 
 
-def _current_means(sig: np.ndarray, sqrtg: np.ndarray, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """(n, 2) deterministic current parts sqrt(gamma_i) <sigma_i + sum_j u_ij sigma_j†>."""
-    e = np.einsum("cab,ba->c", sig, rho).reshape(-1, 2)  # <sigma_->, <sigma_+> per qubit
-    return sqrtg.reshape(-1, 2) * (e + e.conj() @ u.T)
+def _homodyne_means(ctx: _SMEContext, rho: np.ndarray) -> np.ndarray:
+    """<L_m + L_m†>: the deterministic part of each real record dw_m / dt."""
+    return 2.0 * np.einsum("mab,ba->m", ctx.l, rho).real
 
 
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
-    """Deterministic parts sqrt(gamma) <sigma_i + sum_j u_ij sigma_j†> of both currents."""
-    sig, _ = channel_operators(model.n_qubits)
-    det = _current_means(sig, np.sqrt(model.rates), check_noise_correlation(u), state)[qubit]
+    """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
+    ctx = _SMEContext(model, u)
+    det = (ctx.c @ _homodyne_means(ctx, state)).reshape(-1, 2)[qubit]
     return complex(det[0]), complex(det[1])
 
 
@@ -220,13 +208,13 @@ def combine_currents(i12: complex, i34: complex) -> tuple[complex, complex]:
     return i12 + 1j * i34, -i12 + 1j * i34
 
 
-def _currents(ctx: _SMEContext, rho: np.ndarray, dxi: np.ndarray, dt: float) -> list[CurrentSample]:
-    y = _current_means(ctx.sig, ctx.sqrtg, ctx.u, rho) + dxi.reshape(-1, 2) / dt
-    out = []
-    for ym, yp in y:
-        i12, i34 = homodyne_currents(ym, yp)
-        out.append(CurrentSample(complex(ym), complex(yp), float(i12.real), float(i34.real)))
-    return out
+def _currents(ctx: _SMEContext, rho: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
+    # the channel image Y = C (<L + L†> + dw/dt) of the real homodyne records
+    ym, yp = (ctx.c @ (_homodyne_means(ctx, rho) + dw / dt)).reshape(-1, 2).T
+    return [
+        CurrentSample(complex(a), complex(b), float(c.real), float(d.real))
+        for a, b, c, d in zip(ym, yp, *homodyne_currents(ym, yp))
+    ]
 
 
 def step_diffusive(
@@ -237,19 +225,10 @@ def step_diffusive(
     dt: float,
 ) -> tuple[np.ndarray, list[CurrentSample]]:
     """Advance one diffusive step and emit the per-qubit measurement currents."""
+    check_perfect_detection(model)
     ctx = _SMEContext(model, u)
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
-    new = sme_update(state, ctx, dw, dt)
-    dxi = ctx.c @ dw
-    return new, _currents(ctx, state, dxi, dt)
-
-
-def _guard(state: np.ndarray, where: str) -> None:
-    herm = np.max(np.abs(state - state.conj().T))
-    if herm > 1e-10 or not np.isfinite(state).all():
-        raise InvariantViolation(f"{where}: state left its tolerance envelope")
-    if np.linalg.eigvalsh(state)[0] < _EIG_GUARD:
-        raise InvariantViolation(f"{where}: eigenvalue below {_EIG_GUARD}")
+    return sme_update(state, ctx, dw, dt), _currents(ctx, state, dw, dt)
 
 
 def run_diffusive_trajectory(
@@ -262,6 +241,7 @@ def run_diffusive_trajectory(
     sample_times=None,
 ) -> DiffusiveRecord:
     """Integrate one diffusive trajectory of the general-u engine."""
+    check_perfect_detection(model)
     n_steps, sample_steps = step_grid(dt, t_max, sample_times)
     ctx = _SMEContext(model, u)
     rng = _trajectory_rng(seed)
@@ -272,14 +252,14 @@ def run_diffusive_trajectory(
     wanted = set(sample_steps)
     if 0 in wanted:
         samples.append(state.copy())
-    for step in range(n_steps):
+    for step in range(1, n_steps + 1):
         dw = rng.standard_normal(ctx.n_noise) * sqdt
         state = sme_update(state, ctx, dw, dt)
-        if (step + 1) % 200 == 0:
-            _guard(state, f"diffusive step {step + 1}")
-        if step + 1 in wanted:
+        if step % 200 == 0:
+            validate_density_matrix(state, eig_floor=_EIG_GUARD, context=f"diffusive step {step}")
+        if step in wanted:
             samples.append(state.copy())
-    _guard(state, "diffusive final state")
+    validate_density_matrix(state, eig_floor=_EIG_GUARD, context="diffusive final state")
     return DiffusiveRecord(
         final_state=state,
         seed=seed,

@@ -135,6 +135,12 @@ def check_protecting_rates(model: LindbladModel) -> None:
         raise ValueError("protecting unravelings require strictly positive rates")
 
 
+def check_rate_step(model: LindbladModel, dt: float) -> None:
+    """One jump per step stays accurate only while gamma_max*dt <= 0.01."""
+    if model.max_rate * dt > 0.01 + 1e-15:
+        raise ValueError(f"gamma_max*dt = {model.max_rate * dt:.3g} exceeds 0.01")
+
+
 def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
     """Pauli x/y jumps, sqrt(gamma/2)-weighted, per qubit. Requires balanced rates."""
     check_protecting_rates(model)
@@ -297,8 +303,7 @@ def run_jump_trajectory(
     M and J†J take the skip-ahead scan, every other set the per-step loop.
     """
     n_steps, steps = step_grid(dt, t_max, sample_times)
-    if model.max_rate * dt > 0.01 + 1e-15:
-        raise ValueError(f"gamma_max*dt = {model.max_rate * dt:.3g} too large for jump stepping")
+    check_rate_step(model, dt)
     kernel = _JumpKernel(jumps, model, dt)
     us = _trajectory_rng(seed).random(n_steps)
     walk = _scan if kernel.m_diagonal else _step_loop

@@ -77,9 +77,9 @@ def unitarity_defect(frame: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(2)), initial=0.0))
 
 
-def recover_unitary(rho_c: np.ndarray, frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def recover_unitary(rho_c: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Conjugate by the inverse accumulated unitary: F† rho_c F."""
     defect = unitarity_defect(frame)
-    if defect > tol:
-        raise ValueError(f"frame is not unitary within {tol:.1e} (defect {defect:.3e})")
+    if defect > 1e-9:
+        raise ValueError(f"frame is not unitary within 1e-9 (defect {defect:.3e})")
     return recover(rho_c, frame)

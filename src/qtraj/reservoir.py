@@ -12,7 +12,7 @@ infinite-temperature limit.
 import warnings
 from dataclasses import dataclass
 
-# "much smaller" threshold for the adiabatic elimination; the configurable default
+# "much smaller" threshold for the adiabatic elimination
 ADIABATIC_RATIO = 10.0
 
 
@@ -30,18 +30,18 @@ class DriveParams:
         if self.omega < 0 or self.big_gamma < 0 or self.gamma_minus < 0:
             raise ValueError("drive parameters must be >= 0")
 
-    def adiabatic_ok(self, ratio: float = ADIABATIC_RATIO) -> bool:
-        return self.omega <= self.big_gamma / ratio
+    def adiabatic_ok(self) -> bool:
+        return self.omega <= self.big_gamma / ADIABATIC_RATIO
 
 
-def engineered_pump_rate(params: DriveParams, ratio: float = ADIABATIC_RATIO) -> float:
+def engineered_pump_rate(params: DriveParams) -> float:
     """Pump rate 4 Omega^2 / Gamma; warns (not fails) outside the adiabatic regime."""
     if params.big_gamma <= 0:
         raise ValueError("big_gamma must be > 0")
-    if not params.adiabatic_ok(ratio):
+    if not params.adiabatic_ok():
         warnings.warn(
-            f"Omega = {params.omega:g} exceeds Gamma/{ratio:g} = "
-            f"{params.big_gamma / ratio:g}: adiabatic elimination is marginal",
+            f"Omega = {params.omega:g} exceeds Gamma/{ADIABATIC_RATIO:g} = "
+            f"{params.big_gamma / ADIABATIC_RATIO:g}: adiabatic elimination is marginal",
             AdiabaticityWarning,
             stacklevel=2,
         )

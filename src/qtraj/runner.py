@@ -32,6 +32,7 @@ from .entangle import concurrence, trace_distance
 from .jumps import (
     canonical_jumps,
     check_protecting_rates,
+    check_rate_step,
     protecting_jumps,
     run_jump_trajectory,
     trajectory_seed,
@@ -116,10 +117,8 @@ class ExperimentConfig:
             errors.append(f"n_trajectories: must be >= 1, got {self.n_trajectories}")
         if self.workers is not None and self.workers < 1:
             errors.append(f"workers: must be >= 1, got {self.workers}")
-        if self.dt > 0 and self.model.max_rate * self.dt > 0.01 + 1e-15:
-            errors.append(
-                f"dt: gamma_max*dt = {self.model.max_rate * self.dt:.3g} exceeds 0.01"
-            )
+        if self.dt > 0:
+            check("dt", check_rate_step, self.model, self.dt)
         check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
         # the engines' own preconditions, checked here so that no worker starts
         if self.unraveling in ("jump_protecting", "diffusive_protecting_unitary"):

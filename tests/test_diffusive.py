@@ -23,7 +23,16 @@ from qtraj.diffusive import (
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.jumps import _trajectory_rng, trajectory_seed
 from qtraj.master import LindbladModel, integrate_master, lindblad_rhs
-from qtraj.qcore import random_density_matrix, tensor_product
+from qtraj.qcore import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    computational_ket,
+    density,
+    embed,
+    random_density_matrix,
+    random_unitary,
+    tensor_product,
+)
 from qtraj.recovery import recover_unitary, unitarity_defect
 
 IDENTITY_FRAME = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
@@ -33,6 +42,15 @@ def _random_symmetric_u(rng, norm=0.8):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     u = 0.5 * (a + a.T)
     return norm * u / np.linalg.norm(u, 2)
+
+
+def _admissible_u(rng):
+    # Takagi form V diag(s) V^T: complex symmetric with two-norm max(s) <= 1
+    v = random_unitary(2, rng)
+    return v @ np.diag(rng.uniform(0.0, 1.0, 2)) @ v.T
+
+
+_rates = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
 
 
 class TestNoiseFactor:
@@ -133,6 +151,108 @@ class TestStepDiffusive:
         model = LindbladModel(2, 1.0, 1.0, eta=0.9)
         with pytest.raises(ValueError, match="eta"):
             step_diffusive(bell_rho, model, PROTECTING_U, rng, 1e-3)
+        with pytest.raises(ValueError, match="eta"):
+            run_diffusive_trajectory(model, PROTECTING_U, bell_rho, 1e-3, 0.01, 1)
+        # the current means do not depend on eta
+        assert current_expectations(bell_rho, model, np.zeros((2, 2)), 0) == current_expectations(
+            bell_rho, LindbladModel(2, 1.0, 1.0), np.zeros((2, 2)), 0
+        )
+
+
+class TestCurrentMeans:
+    @staticmethod
+    def _closed_form(rho, model, u, qubit):
+        # sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>, channels (-, +)
+        ops = [embed(op, qubit, model.n_qubits) for op in (SIGMA_MINUS, SIGMA_PLUS)]
+        g = np.sqrt([model.gamma_minus[qubit], model.gamma_plus[qubit]])
+        e = np.array([np.trace(op @ rho) for op in ops])
+        e_dag = np.array([np.trace(op.conj().T @ rho) for op in ops])
+        return g * e + u @ (g * e_dag)
+
+    @pytest.mark.parametrize(
+        "gamma_plus, expected", [(0.0, 0.5), (0.25, 0.25), (1.0, 0.0)]
+    )
+    def test_plus_state_protecting_u(self, gamma_plus, expected):
+        # the u-term carries the rate of the channel it reads: at zero and low
+        # temperature the protecting records are not pure noise
+        plus = density((computational_ket("0") + computational_ket("1")) / np.sqrt(2.0))
+        det_m, det_p = current_expectations(
+            plus, LindbladModel(1, 1.0, gamma_plus), PROTECTING_U, 0
+        )
+        assert abs(det_m - expected) < 1e-14 and abs(det_p + expected) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        gm=st.lists(_rates, min_size=2, max_size=2),
+        gp=st.lists(_rates, min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_expectations_and_step_currents_match_closed_form(self, n, gm, gp, seed):
+        rng = np.random.default_rng(seed)
+        model = LindbladModel(n, gm[:n], gp[:n])
+        u = _admissible_u(rng)
+        rho = random_density_matrix(2**n, rng)
+        dt = 1.0  # keeps dw/dt of order one, so its subtraction below is exact to 1e-15
+        _, currents = step_diffusive(rho, model, u, np.random.default_rng(seed), dt)
+        ctx = _SMEContext(model, u)
+        dxi = (ctx.c @ np.random.default_rng(seed).standard_normal(ctx.n_noise)).reshape(n, 2)
+        for qubit in range(n):
+            want = self._closed_form(rho, model, u, qubit)
+            got = np.array(current_expectations(rho, model, u, qubit))
+            assert np.max(np.abs(got - want)) < 1e-14
+            c = currents[qubit]
+            stepped = np.array([c.y_minus, c.y_plus]) - dxi[qubit] / dt
+            assert np.max(np.abs(stepped - want)) < 1e-14
+
+
+class TestSchemeReference:
+    """sme_update against the Milstein-type scheme written out from its definitions."""
+
+    @staticmethod
+    def _noise_directions(rho, model, ctx):
+        # b_m(rho) = sum_c sqrt(gamma_c) [conj(C_cm) (sigma_c - <sigma_c>) rho + h.c.],
+        # quadratic in rho (dxi_c* = sum_m conj(C_cm) dw_m)
+        out = []
+        for m in range(ctx.n_noise):
+            b = np.zeros_like(rho)
+            for c, (rate, coef) in enumerate(zip(model.rates, ctx.c[:, m].conj())):
+                sig = embed((SIGMA_MINUS, SIGMA_PLUS)[c % 2], c // 2, model.n_qubits)
+                a = np.sqrt(rate) * coef * (sig @ rho - np.trace(sig @ rho) * rho)
+                b += a + a.conj().T
+            out.append(b)
+        return out
+
+    def _reference(self, rho, model, ctx, dw, dt):
+        b = self._noise_directions(rho, model, ctx)
+        new = rho + lindblad_rhs(model, rho) * dt + sum(w * bm for w, bm in zip(dw, b))
+        eps = 0.5  # central differences of a quadratic map are exact at any step
+        for l, bl in enumerate(b):
+            plus = self._noise_directions(rho + eps * bl, model, ctx)
+            minus = self._noise_directions(rho - eps * bl, model, ctx)
+            for m in range(ctx.n_noise):
+                weight = dw[m] * dw[l] - (dt if m == l else 0.0)
+                new = new + 0.5 * weight * (plus[m] - minus[m]) / (2 * eps)
+        new = 0.5 * (new + new.conj().T)
+        return new / new.trace().real
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        gm=st.lists(_rates, min_size=2, max_size=2),
+        gp=st.lists(_rates, min_size=2, max_size=2),
+        protecting=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_update_matches_definition(self, n, gm, gp, protecting, seed):
+        rng = np.random.default_rng(seed)
+        model = LindbladModel(n, gm[:n], gp[:n])
+        ctx = _SMEContext(model, PROTECTING_U if protecting else _admissible_u(rng))
+        rho = random_density_matrix(2**n, rng)
+        dt = 1e-3
+        dw = rng.standard_normal(ctx.n_noise) * np.sqrt(dt)
+        want = self._reference(rho, model, ctx, dw, dt)
+        assert np.max(np.abs(sme_update(rho, ctx, dw, dt) - want)) < 1e-12
 
 
 class TestCurrents:

@@ -12,6 +12,7 @@ from qtraj.jumps import (
     _step_loop,
     _trajectory_rng,
     canonical_jumps,
+    check_rate_step,
     jump_probabilities,
     no_jump_operator,
     protecting_jumps,
@@ -267,6 +268,16 @@ class TestStepJump:
         kernel = _JumpKernel(canonical_jumps(model), model, 1e-3)
         with pytest.raises(InvariantViolation, match="normalization"):
             kernel.apply_jump(density(computational_ket("0")), 0)
+
+    def test_rate_step_rule(self, bell_rho):
+        # the engine and ExperimentConfig.validate share one bound, with the
+        # 1e-15 slack that admits gamma*dt = 0.01 exactly
+        model = LindbladModel(2, 2.0, 2.0)
+        check_rate_step(model, 0.005)
+        with pytest.raises(ValueError, match="gamma_max"):
+            check_rate_step(model, 0.006)
+        with pytest.raises(ValueError, match="gamma_max"):
+            run_jump_trajectory(model, protecting_jumps(model), bell_rho, 0.006, 0.06, 1)
 
 
 class TestNoJumpOperator:
