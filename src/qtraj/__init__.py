@@ -11,7 +11,6 @@ with detector efficiency.
 from .diffusive import (
     PROTECTING_U,
     CurrentSample,
-    DiffusiveRecord,
     check_noise_correlation,
     combine_currents,
     current_expectations,
@@ -43,7 +42,6 @@ from .master import (
     TimeSeries,
     analytic_bell_state,
     analytic_concurrence,
-    bell_concurrence_curve,
     disentanglement_time,
     integrate_master,
     lindblad_rhs,

@@ -40,11 +40,11 @@ the exact linear bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jumps import _trajectory_rng, check_protecting_rates
+from .jumps import TrajectoryRecord, _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
 from .qcore import step_grid, tensor_product, validate_density_matrix
 from .recovery import apply_frame, unitary_part
@@ -71,16 +71,6 @@ class CurrentSample:
     y_plus: complex
     i12: float
     i34: float
-
-
-@dataclass
-class DiffusiveRecord:
-    final_state: np.ndarray
-    seed: int
-    frame: np.ndarray | None = None  # (n, 2, 2) per-qubit unitaries
-    samples: list[np.ndarray] | None = field(default=None, repr=False)
-    sample_times: np.ndarray | None = None
-    sample_frames: np.ndarray | None = field(default=None, repr=False)  # (nt, n, 2, 2)
 
 
 def check_noise_correlation(u: np.ndarray) -> np.ndarray:
@@ -239,7 +229,7 @@ def run_diffusive_trajectory(
     t_max: float,
     seed: int,
     sample_times=None,
-) -> DiffusiveRecord:
+) -> TrajectoryRecord:
     """Integrate one diffusive trajectory of the general-u engine."""
     check_perfect_detection(model)
     n_steps, sample_steps = step_grid(dt, t_max, sample_times)
@@ -260,12 +250,7 @@ def run_diffusive_trajectory(
         if step in wanted:
             samples.append(state.copy())
     validate_density_matrix(state, eig_floor=_EIG_GUARD, context="diffusive final state")
-    return DiffusiveRecord(
-        final_state=state,
-        seed=seed,
-        samples=samples if sample_times is not None else None,
-        sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-    )
+    return TrajectoryRecord(final_state=state, samples=samples)
 
 
 def protecting_unitary(gamma, dw1, dw2) -> np.ndarray:
@@ -322,7 +307,7 @@ def run_protecting_unitary_trajectory(
     t_max: float,
     seed: int,
     sample_times=None,
-) -> DiffusiveRecord:
+) -> TrajectoryRecord:
     """Integrate one trajectory on the exact-unitary protecting path.
 
     Requires balanced, strictly positive rates (the stochastic-Hamiltonian
@@ -357,11 +342,6 @@ def run_protecting_unitary_trajectory(
     samples = list(apply_frame(rho0, sample_frames))
     state = apply_frame(rho0, frame)
     validate_density_matrix(state, context="protecting-unitary final state")
-    return DiffusiveRecord(
-        final_state=state,
-        seed=seed,
-        frame=frame,
-        samples=samples if sample_times is not None else None,
-        sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-        sample_frames=sample_frames if sample_times is not None else None,
+    return TrajectoryRecord(
+        final_state=state, samples=samples, frame=frame, sample_frames=sample_frames
     )

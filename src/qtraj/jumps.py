@@ -71,11 +71,19 @@ class JumpEvent:
 
 @dataclass
 class TrajectoryRecord:
-    events: list[JumpEvent]
+    """One trajectory as every engine returns it.
+
+    ``samples`` holds one state per requested sample time (empty without
+    them). Jump engines fill ``events``; the exact-unitary diffusive path
+    fills ``frame``, its ``(n, 2, 2)`` per-qubit unitaries, and
+    ``sample_frames``, the ``(nt, n, 2, 2)`` frames at the sample times.
+    """
+
     final_state: np.ndarray
-    seed: int
-    samples: list[np.ndarray] | None = field(default=None, repr=False)
-    sample_times: np.ndarray | None = None
+    samples: list[np.ndarray] = field(default_factory=list, repr=False)
+    events: list[JumpEvent] = field(default_factory=list)
+    frame: np.ndarray | None = None
+    sample_frames: np.ndarray | None = field(default=None, repr=False)
 
 
 def canonical_jumps(model: LindbladModel) -> list[JumpOperator]:
@@ -258,6 +266,14 @@ class _JumpKernel:
         op = self.jumps[k]
         return JumpEvent(time, op.qubit, op.label, detected)
 
+    def step(self, rho: np.ndarray, u: float, time: float) -> tuple[np.ndarray, JumpEvent | None]:
+        """One step on the uniform ``u``: a click stamped ``time``, else the no-jump update."""
+        out = self.sample(self.probabilities(rho), u)
+        if out is None:
+            return self.apply_no_jump(rho), None
+        k, detected = out
+        return self.apply_jump(rho, k), self.event_for(k, detected, time)
+
 
 def step_jump(
     state: np.ndarray,
@@ -268,12 +284,7 @@ def step_jump(
     time: float = 0.0,
 ) -> tuple[np.ndarray, JumpEvent | None]:
     """Advance one step: click with probability p_i (Bernoulli-eta detected), else no-jump."""
-    kernel = _JumpKernel(jumps, model, dt)
-    out = kernel.sample(kernel.probabilities(state), rng.random())
-    if out is None:
-        return kernel.apply_no_jump(state.copy()), None
-    k, detected = out
-    return kernel.apply_jump(state, k), kernel.event_for(k, detected, time + dt)
+    return _JumpKernel(jumps, model, dt).step(state.copy(), rng.random(), time + dt)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -309,13 +320,7 @@ def run_jump_trajectory(
     walk = _scan if kernel.m_diagonal else _step_loop
     state, events, samples = walk(kernel, rho0.astype(complex).copy(), us, steps)
     validate_density_matrix(state, context="trajectory final state")
-    return TrajectoryRecord(
-        events=events,
-        final_state=state,
-        seed=seed,
-        samples=samples if sample_times is not None else None,
-        sample_times=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
-    )
+    return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
 def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
@@ -383,13 +388,9 @@ def _step_loop(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: li
     if 0 in wanted:
         samples.append(state.copy())
     for step in range(len(us)):
-        out = kernel.sample(kernel.probabilities(state), us[step])
-        if out is None:
-            state = kernel.apply_no_jump(state)
-        else:
-            k, detected = out
-            state = kernel.apply_jump(state, k)
-            events.append(kernel.event_for(k, detected, (step + 1) * kernel.dt))
+        state, event = kernel.step(state, us[step], (step + 1) * kernel.dt)
+        if event is not None:
+            events.append(event)
         if step + 1 in wanted:
             samples.append(state.copy())
     return state, events, samples

@@ -22,17 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entangle import concurrence
-from .qcore import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    bell_state,
-    density,
-    dissipator,
-    embed,
-    step_grid,
-    validate_density_matrix,
-)
+from .qcore import SIGMA_MINUS, SIGMA_PLUS, dissipator, embed, validate_density_matrix
 
 
 CHANNEL_LABELS = ("minus", "plus")
@@ -282,11 +272,3 @@ def oracle_kind(model: LindbladModel) -> str | None:
         return "infinite_T"
     return None
 
-
-def bell_concurrence_curve(model: LindbladModel, dt: float, t_max: float) -> TimeSeries:
-    """Concurrence of a Bell input under the model on the grid 0, dt, ..., t_max."""
-    _require_symmetric_two_qubit(model)
-    n_steps, _ = step_grid(dt, t_max)
-    times = dt * np.arange(n_steps + 1)
-    series = integrate_master(model, density(bell_state()), times)
-    return TimeSeries(series.times, list(concurrence(np.stack(series.values))))

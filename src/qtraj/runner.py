@@ -16,7 +16,7 @@ CSV writer picks one via its ``view`` argument.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -192,15 +192,19 @@ class EnsembleStatistics:
         raise ValueError(f"unknown view {view!r} (use trajectory/recovered)")
 
 
-def _default_sample_times(dt: float, t_max: float) -> np.ndarray:
-    n_steps, _ = step_grid(dt, t_max)
-    idx = np.unique(np.round(np.linspace(0, n_steps, min(21, n_steps + 1))).astype(int))
-    return idx * dt
+def _sample_clock(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The requested sample times (the CSV's time column) and their grid times.
 
-
-def _step_times(config: ExperimentConfig, times: np.ndarray) -> np.ndarray:
-    """The sample times snapped to the step grid the trajectories sample on."""
-    return config.dt * np.array(step_grid(config.dt, config.t_max, times)[1])
+    Every state is taken and every click compared at the grid time
+    ``dt * step``, the same product the engines stamp on their clicks, so the
+    two clocks agree exactly; without requested times, up to 21 evenly spaced
+    grid times are sampled.
+    """
+    n_steps, steps = step_grid(config.dt, config.t_max, config.sample_times)
+    if config.sample_times is None:
+        steps = np.unique(np.round(np.linspace(0, n_steps, min(21, n_steps + 1))).astype(int))
+        return config.dt * steps, config.dt * steps
+    return np.atleast_1d(np.asarray(config.sample_times, dtype=float)), config.dt * np.array(steps)
 
 
 @dataclass
@@ -213,12 +217,11 @@ class _ChunkPartial:
     count: int
 
 
-def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
+def _run_chunk(config: ExperimentConfig, grid: np.ndarray, lo: int, hi: int) -> _ChunkPartial:
     model = config.model
     n = model.n_qubits
     rho0, _ = resolve_initial_state(config.initial_state, n)
-    times = np.atleast_1d(np.asarray(config.sample_times, dtype=float))
-    nt = len(times)
+    nt = len(grid)
     dim = model.dim
     two_qubit = n == 2
 
@@ -228,41 +231,26 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
     rec_sum = np.zeros((nt, dim, dim), dtype=complex)
 
     kind = config.unraveling
-    jumps = None
-    if kind == "jump_canonical":
-        jumps = canonical_jumps(model)
-    elif kind == "jump_protecting":
-        jumps = protecting_jumps(model)
+    if kind == "diffusive":
+        engine, lead = run_diffusive_trajectory, (model, config.u)
+    elif kind == "diffusive_protecting_unitary":
+        engine, lead = run_protecting_unitary_trajectory, (model,)
+    else:
+        jumps = protecting_jumps(model) if kind == "jump_protecting" else canonical_jumps(model)
+        engine, lead = run_jump_trajectory, (model, jumps)
 
     for idx in range(lo, hi):
         seed = trajectory_seed(config.master_seed, idx)
-        if kind in ("jump_canonical", "jump_protecting"):
-            record = run_jump_trajectory(
-                model, jumps, rho0, config.dt, config.t_max, seed, sample_times=times
-            )
-            states = np.stack(record.samples)
-            if kind == "jump_protecting":
-                # the frame at t folds the clicks at or before t
-                frames = frame_from_events(record.events, n)
-                event_times = np.array([e.time for e in record.events])
-                rows = np.searchsorted(event_times, times + 1e-12, side="right")
-                recovered = recover(states, frames[rows])
-            else:
-                recovered = states
-        elif kind == "diffusive":
-            record = run_diffusive_trajectory(
-                model, config.u, rho0, config.dt, config.t_max, seed, sample_times=times
-            )
-            states = np.stack(record.samples)
-            recovered = states
+        record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
+        states = np.stack(record.samples)
+        if kind == "jump_protecting":
+            # the frame at t folds the clicks at or before t
+            rows = np.searchsorted([e.time for e in record.events], grid, side="right")
+            recovered = recover(states, frame_from_events(record.events, n)[rows])
         elif kind == "diffusive_protecting_unitary":
-            record = run_protecting_unitary_trajectory(
-                model, rho0, config.dt, config.t_max, seed, sample_times=times
-            )
-            states = np.stack(record.samples)
             recovered = recover_unitary(states, record.sample_frames)
-        else:  # pragma: no cover - guarded by validate()
-            raise ConfigError(f"unraveling: unknown {kind!r}")
+        else:
+            recovered = states
 
         raw_sum += states
         rec_sum += recovered
@@ -277,19 +265,20 @@ def _run_chunk(config: ExperimentConfig, lo: int, hi: int) -> _ChunkPartial:
     return _ChunkPartial(conc_sum, m2, conc.min(axis=0), raw_sum, rec_sum, hi - lo)
 
 
-def _master_statistics(config: ExperimentConfig) -> EnsembleStatistics:
+def _master_statistics(
+    config: ExperimentConfig, times: np.ndarray, grid: np.ndarray
+) -> EnsembleStatistics:
     model = config.model
     rho0, is_bell = resolve_initial_state(config.initial_state, model.n_qubits)
-    times = np.atleast_1d(np.asarray(config.sample_times, dtype=float))
-    series = integrate_master(model, rho0, _step_times(config, times))
-    states = np.stack([series.at(t) for t in times])
+    series = integrate_master(model, rho0, grid)
+    states = np.stack([series.at(t) for t in grid])
     conc = concurrence(states) if model.n_qubits == 2 else np.full(len(times), np.nan)
     kind = oracle_kind(model) if is_bell else None
     if kind is not None:
         dist = np.array(
             [
                 trace_distance(s, analytic_bell_state(kind, model.gamma_minus[0], t))
-                for t, s in zip(times, states)
+                for t, s in zip(grid, states)
             ]
         )
     else:
@@ -311,27 +300,24 @@ def _master_statistics(config: ExperimentConfig) -> EnsembleStatistics:
 def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     """Run the configured ensemble and reduce it deterministically."""
     config.validate()
-    if config.sample_times is None:
-        config = replace(config, sample_times=_default_sample_times(config.dt, config.t_max))
-
+    times, grid = _sample_clock(config)
     if config.unraveling == "none":
-        return _master_statistics(config)
+        return _master_statistics(config, times, grid)
 
     model = config.model
-    times = np.atleast_1d(np.asarray(config.sample_times, dtype=float))
     n_traj = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     workers = config.workers if config.workers is not None else default_workers()
 
     if workers == 1 or len(bounds) == 1:
-        partials = [_run_chunk(config, lo, hi) for lo, hi in bounds]
+        partials = [_run_chunk(config, grid, lo, hi) for lo, hi in bounds]
     else:
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds)), mp_context=ctx) as pool:
-            futures = [pool.submit(_run_chunk, config, lo, hi) for lo, hi in bounds]
+            futures = [pool.submit(_run_chunk, config, grid, lo, hi) for lo, hi in bounds]
             partials = [f.result() for f in futures]
 
-    nt = len(times)
+    nt = len(grid)
     conc_sum = np.zeros(nt)
     count, chan_mean, m2 = 0, np.zeros(nt), np.zeros(nt)
     conc_min = np.full(nt, np.inf)
@@ -368,12 +354,11 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
         rec_stderr = np.full(nt, np.nan)
 
     rho0 = resolve_initial_state(config.initial_state, model.n_qubits)[0]
-    step_times = _step_times(config, times)
-    oracle = integrate_master(model, rho0, step_times)
-    eta_oracle = integrate_master(model.scaled(1.0 - model.eta), rho0, step_times)
-    dist = np.array([trace_distance(raw_mean[i], oracle.at(t)) for i, t in enumerate(times)])
+    oracle = integrate_master(model, rho0, grid)
+    eta_oracle = integrate_master(model.scaled(1.0 - model.eta), rho0, grid)
+    dist = np.array([trace_distance(raw_mean[i], oracle.at(t)) for i, t in enumerate(grid)])
     rec_dist = np.array(
-        [trace_distance(rec_mean[i], eta_oracle.at(t)) for i, t in enumerate(times)]
+        [trace_distance(rec_mean[i], eta_oracle.at(t)) for i, t in enumerate(grid)]
     )
     if not two_qubit:
         conc_min = np.full(nt, np.nan)
@@ -451,9 +436,6 @@ def figure3(
     outdir.mkdir(parents=True, exist_ok=True)
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
 
-    def series_seed(k: int) -> int:
-        return int(np.random.SeedSequence((master_seed, k)).generate_state(1, np.uint64)[0])
-
     paths = []
     masters = [
         ("a_infinite_T_master", LindbladModel(2, gamma, gamma)),
@@ -473,7 +455,7 @@ def figure3(
             dt=dt,
             t_max=t_max,
             n_trajectories=n_trajectories,
-            master_seed=series_seed(k + 2),
+            master_seed=trajectory_seed(master_seed, k + 2),
             sample_times=times,
             workers=workers,
         )

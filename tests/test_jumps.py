@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from qtraj.diffusive import (
+    PROTECTING_U,
+    run_diffusive_trajectory,
+    run_protecting_unitary_trajectory,
+)
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.jumps import (
     JumpOperator,
@@ -43,7 +48,7 @@ def _per_step(model, jumps, rho0, dt, t_max, seed, sample_times):
     n_steps, steps = step_grid(dt, t_max, sample_times)
     us = _trajectory_rng(seed).random(n_steps)
     state, events, samples = _step_loop(_JumpKernel(jumps, model, dt), rho0.astype(complex), us, steps)
-    return TrajectoryRecord(events, state, seed, samples)
+    return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
 def _collective_jumps():
@@ -293,6 +298,33 @@ class TestNoJumpOperator:
         model = LindbladModel(1, 1.0, 0.2)
         m = no_jump_operator(canonical_jumps(model), 1e-3)
         assert np.max(np.abs(m - m[0, 0] * np.eye(2))) > 1e-5
+
+
+_ENGINES = {
+    "jump": lambda model, rho, times: run_jump_trajectory(
+        model, protecting_jumps(model), rho, 1e-3, 0.3, 1, sample_times=times
+    ),
+    "sme": lambda model, rho, times: run_diffusive_trajectory(
+        model, PROTECTING_U, rho, 1e-3, 0.3, 1, sample_times=times
+    ),
+    "exact_unitary": lambda model, rho, times: run_protecting_unitary_trajectory(
+        model, rho, 1e-3, 0.3, 1, sample_times=times
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+@pytest.mark.parametrize("times", [None, [0.0, 0.1, 0.3]], ids=["no_samples", "three"])
+def test_every_engine_returns_one_record(engine, times, bell_rho):
+    rec = _ENGINES[engine](LindbladModel(2, 1.0, 1.0), bell_rho, times)
+    nt = 0 if times is None else len(times)
+    assert isinstance(rec, TrajectoryRecord)
+    assert isinstance(rec.samples, list) and len(rec.samples) == nt
+    if engine == "exact_unitary":
+        assert rec.sample_frames.shape == (nt, 2, 2, 2)
+        assert rec.frame.shape == (2, 2, 2)
+    else:
+        assert rec.frame is None and rec.sample_frames is None
 
 
 class TestTrajectories:

@@ -13,7 +13,6 @@ from qtraj.master import (
     TimeSeries,
     analytic_bell_state,
     analytic_concurrence,
-    bell_concurrence_curve,
     disentanglement_time,
     integrate_master,
     lindblad_rhs,
@@ -315,7 +314,3 @@ class TestTimeSeries:
         assert ts.at(0.1) == 2
         with pytest.raises(KeyError):
             ts.at(0.05)
-
-    def test_curve_helper_rejects_asymmetric_rates(self, bell_rho):
-        with pytest.raises(ValueError):
-            bell_concurrence_curve(LindbladModel(2, (1.0, 2.0), 0.0), 1e-3, 0.1)

@@ -75,7 +75,7 @@ class TestPauliFrame:
         everything = frame_from_events(events, 2, include_undetected=True)
         assert np.array_equal(everything[-1], _pauli("Z", "Y"))
         # the frame at t = 0.3 is the row after the clicks at or before it
-        row = np.searchsorted([e.time for e in events], 0.3 + 1e-12, side="right")
+        row = np.searchsorted([e.time for e in events], 0.3, side="right")
         assert np.array_equal(frame_from_events(events, 2)[row], _pauli("X", "I"))
 
 
@@ -102,7 +102,11 @@ N_STEPS = 50
 
 @st.composite
 def click_records(draw):
-    """A sorted click record on the dt grid and sample steps, some of them at clicks."""
+    """A sorted click record on the dt grid and sample steps, some of them at clicks.
+
+    Click and sample times are both ``step * DT`` products, so a click at a
+    sample step has exactly the sample's time.
+    """
     n = draw(st.integers(1, 3))
     clicks = draw(
         st.lists(
@@ -135,11 +139,11 @@ class TestFoldAndBatch:
         n, events, times = record
         frames = frame_from_events(events, n, include_undetected=include_undetected)
         assert frames.shape == (len(events) + 1, n, 2, 2)
-        rows = np.searchsorted([e.time for e in events], times + 1e-12, side="right")
+        rows = np.searchsorted([e.time for e in events], times, side="right")
         for t, row in zip(times, rows):
             expected = _identity(n)
             for e in events:
-                if e.time <= t + 1e-12 and (e.detected or include_undetected):
+                if e.time <= t and (e.detected or include_undetected):
                     expected[e.qubit] = pauli_matrix(e.label.upper()) @ expected[e.qubit]
             for q in range(n):
                 assert _equal_up_to_phase(frames[row, q], expected[q])
@@ -149,7 +153,7 @@ class TestFoldAndBatch:
     def test_batched_conjugation_matches_per_state(self, record, seed):
         n, events, times = record
         rng = np.random.default_rng(seed)
-        rows = np.searchsorted([e.time for e in events], times + 1e-12, side="right")
+        rows = np.searchsorted([e.time for e in events], times, side="right")
         paulis = frame_from_events(events, n, include_undetected=True)[rows]
         unitaries = np.array(
             [[random_unitary(2, rng) for _ in range(n)] for _ in times]

@@ -156,10 +156,23 @@ class TestRunEnsemble:
     def test_recovery_includes_clicks_at_the_sample_time(self):
         # sampling every step puts every click exactly at a sample time; at
         # eta = 1 each recovered sample is the Bell state only if the frame
-        # at t folds the clicks at t and none after it
+        # at t folds the clicks at t and none after it, also for requested
+        # times that sit just below the grid time they mean
         times = np.arange(201) * 1e-3
-        stats = run_ensemble(_config(n_trajectories=20, t_max=0.2, sample_times=times))
-        assert np.max(stats.recovered_trace_dist) < 1e-9
+        below = np.concatenate([[0.0], times[1:] - 5e-10])
+        for requested in (times, below):
+            stats = run_ensemble(_config(n_trajectories=20, t_max=0.2, sample_times=requested))
+            assert np.max(stats.recovered_trace_dist) < 1e-9
+            assert np.array_equal(stats.times, requested)
+
+    @pytest.mark.parametrize("unraveling", ["none", "jump_protecting"])
+    def test_sample_time_within_grid_tolerance_is_looked_up(self, unraveling):
+        # 2 - 1.5e-9 passes the grid check, so every later lookup must find it
+        times = np.array([0.5, 2.0 - 1.5e-9])
+        cfg = _config(unraveling=unraveling, n_trajectories=4, t_max=2.0, sample_times=times)
+        stats = run_ensemble(cfg)
+        assert len(csv_text(stats).splitlines()) == 1 + 2
+        assert np.array_equal(stats.times, times)
 
     def test_raw_mean_tracks_master(self):
         stats = run_ensemble(_config(n_trajectories=400))
@@ -402,6 +415,13 @@ class TestCli:
             res = self._run(*argv)
             assert res.returncode == 2, argv
             assert "u: only the diffusive" in res.stderr and not res.stdout
+
+    def test_master_config_with_time_below_grid(self, tmp_path):
+        cfg = tmp_path / "master.ini"
+        cfg.write_text("[run]\ndt = 0.001\nt_max = 2\nsample_times = 0.5 1.9999999985\n")
+        res = self._run("master", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.splitlines()) == 1 + 2
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
