@@ -23,11 +23,18 @@ single-qubit set has diagonal M and J†J (J = a sigma_- + b sigma_+ gives
 J†J = |a|^2 sigma_+ sigma_- + |b|^2 sigma_- sigma_+), and the engine skips
 ahead between its clicks over the pre-drawn uniforms; at balanced rates M is
 proportional to the identity and the state waits unchanged for the next
-click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Other sets, e.g.
-collective jumps, take the per-step loop; both give the same clicks.
+click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Within a no-click
+run the state scales by powers of diag(M)^2, tabulated once per kernel, and
+every sample that falls in the run is formed in one broadcast product. Other
+sets, e.g. collective jumps, take the per-step loop; both give the same
+clicks. Kernels are memoized by the value of (jumps, model, dt), so the
+trajectories of an ensemble share one and pay only for their own draws and
+clicks.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -218,6 +225,23 @@ class _JumpKernel:
             not self.e_stack[:, off].any()
             and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
         )
+        self._m2_powers = np.empty((0, self.dim))
+
+    def m2_powers(self, n_steps: int) -> np.ndarray:
+        """Rows diag(M)**(2o) for o = 0..n_steps: the no-click population factors.
+
+        Row o is the o-fold running product, so every prefix is the table of a
+        shorter run; the longest table asked for is kept for every trajectory
+        on this kernel.
+        """
+        if len(self._m2_powers) <= n_steps:
+            m2 = self.m_op.diagonal().real ** 2
+            table = np.empty((n_steps + 1, self.dim))
+            table[0] = 1.0
+            np.multiply.accumulate(np.broadcast_to(m2, (n_steps, self.dim)), axis=0, out=table[1:])
+            table.flags.writeable = False
+            self._m2_powers = table
+        return self._m2_powers[: n_steps + 1]
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
@@ -275,6 +299,32 @@ class _JumpKernel:
         return self.apply_jump(rho, k), self.event_for(k, detected, time)
 
 
+def _kernel(jumps: list[JumpOperator], model: LindbladModel, dt: float) -> _JumpKernel:
+    """The read-only kernel of (jumps, model, dt), memoized by value.
+
+    Every trajectory of an ensemble steps the same kernel. The key holds each
+    operator's bytes, not its identity, so a matrix changed in place gets a
+    new kernel.
+    """
+    ops = tuple(
+        (op.qubit, op.label, op.matrix.dtype.str, op.matrix.shape, op.matrix.tobytes())
+        for op in jumps
+    )
+    return _kernel_of(ops, model, dt)
+
+
+@lru_cache(maxsize=16)
+def _kernel_of(ops: tuple, model: LindbladModel, dt: float) -> _JumpKernel:
+    jumps = [
+        JumpOperator(np.frombuffer(raw, dtype).reshape(shape), qubit, label)
+        for qubit, label, dtype, shape, raw in ops
+    ]
+    kernel = _JumpKernel(jumps, model, dt)
+    for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op):
+        arr.flags.writeable = False
+    return kernel
+
+
 def step_jump(
     state: np.ndarray,
     jumps: list[JumpOperator],
@@ -284,7 +334,7 @@ def step_jump(
     time: float = 0.0,
 ) -> tuple[np.ndarray, JumpEvent | None]:
     """Advance one step: click with probability p_i (Bernoulli-eta detected), else no-jump."""
-    return _JumpKernel(jumps, model, dt).step(state.copy(), rng.random(), time + dt)
+    return _kernel(jumps, model, dt).step(state.copy(), rng.random(), time + dt)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -315,7 +365,7 @@ def run_jump_trajectory(
     """
     n_steps, steps = step_grid(dt, t_max, sample_times)
     check_rate_step(model, dt)
-    kernel = _JumpKernel(jumps, model, dt)
+    kernel = _kernel(jumps, model, dt)
     us = _trajectory_rng(seed).random(n_steps)
     walk = _scan if kernel.m_diagonal else _step_loop
     state, events, samples = walk(kernel, rho0.astype(complex).copy(), us, steps)
@@ -332,8 +382,8 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     and the click probability is constant until the next one.
     """
     n_steps = len(us)
-    m2 = (kernel.m_op.diagonal().real) ** 2
-    e_diag = kernel.e_stack.diagonal(axis1=1, axis2=2).real  # (k, dim)
+    table = None if kernel.m_scalar else kernel.m2_powers(n_steps)
+    e_sum = kernel.e_stack.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # diag(sum J†J)
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []
     si = 0  # next sample index
@@ -344,32 +394,29 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
             ptot = kernel.probabilities(state).sum()
         else:
             d = state.diagonal().real
-            # powers[o] = m2**o for o = 0..horizon
-            powers = np.empty((horizon + 1, kernel.dim))
-            powers[0] = 1.0
-            np.multiply.accumulate(
-                np.broadcast_to(m2, (horizon, kernel.dim)), axis=0, out=powers[1:]
-            )
-            ptot = (powers[:-1] @ (e_diag.sum(axis=0) * d)) * (
-                kernel.dt / (powers[:-1] @ d)
-            )
+            ahead = table[:horizon]  # row o: diag(M)**(2o)
+            ptot = (ahead @ (e_sum * d)) * (kernel.dt / (ahead @ d))
             _check_step_prob(ptot.max(initial=0.0))
         hits = np.flatnonzero(us[pos:] < ptot)
         off = int(hits[0]) if hits.size else horizon
 
-        def _state_at(o):
-            if o == 0 or kernel.m_scalar:
-                return state
-            scaled = state * np.outer(powers[o], powers[o]) ** 0.5
-            return scaled / scaled.trace().real
-
-        while si < len(steps) and steps[si] <= pos + off:
-            samples.append(_state_at(steps[si] - pos).copy())
-            si += 1
+        # the states at the run's sample steps and at its end (the click step,
+        # or the horizon), all in one broadcast
+        sj = bisect_right(steps, pos + off, si)
+        offs = np.array(steps[si:sj] + [pos + off]) - pos
+        states = np.empty((len(offs),) + state.shape, dtype=complex)
+        states[...] = state
+        if not kernel.m_scalar:
+            moved = offs > 0
+            p = table[offs[moved]]
+            scaled = state * (p[:, :, None] * p[:, None, :]) ** 0.5
+            states[moved] = scaled / scaled.trace(axis1=1, axis2=2).real[:, None, None]
+        samples.extend(states[:-1])
+        si = sj
         if not hits.size:
-            state = _state_at(horizon).copy()
+            state = states[-1]
             break
-        at_hit = _state_at(off)
+        at_hit = states[-1]
         k, detected = kernel.sample(kernel.probabilities(at_hit), us[pos + off])
         state = kernel.apply_jump(at_hit, k)
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))

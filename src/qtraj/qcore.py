@@ -6,6 +6,8 @@ matrices in the computational basis |0⟩=ground, |1⟩=excited (so ``SIGMA_MINU
 de-excites, |1⟩ → |0⟩). Systems of interest are 2-4 qubits, so no sparsity.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -57,9 +59,19 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 
     Raises ValueError unless 0 < dt <= t_max, t_max is finite and on the
-    grid, and the sample times are finite, on the grid and strictly
-    increasing. Messages start with the offending field name.
+    grid, and the sample times, if given, are non-empty, finite, on the grid
+    and strictly increasing. Messages start with the offending field name.
+    Every trajectory of an ensemble asks for the same grid, so grids are
+    memoized by value; each call gets its own list of steps.
     """
+    if sample_times is not None:
+        sample_times = tuple(np.atleast_1d(np.asarray(sample_times, dtype=float)).tolist())
+    n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)
+    return n_steps, list(steps)
+
+
+@lru_cache(maxsize=32)
+def _step_grid(dt: float, t_max: float, sample_times) -> tuple[int, tuple[int, ...]]:
     if not dt > 0:
         raise ValueError(f"dt: must be > 0, got {dt}")
     if not dt <= t_max < np.inf:
@@ -68,8 +80,10 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     if abs(n_steps * dt - t_max) > 1e-9 + 1e-9 * t_max:
         raise ValueError(f"t_max: {t_max} is not on the step grid (dt={dt})")
     if sample_times is None:
-        return n_steps, []
-    times = np.atleast_1d(np.asarray(sample_times, dtype=float))
+        return n_steps, ()
+    if not sample_times:
+        raise ValueError("sample_times: must not be empty (omit them for the default times)")
+    times = np.array(sample_times)
     k = np.round(times / dt)
     with np.errstate(invalid="ignore"):  # inf - inf: non-finite times fail the test
         on_grid = (0 <= k) & (k <= n_steps) & (np.abs(k * dt - times) <= 1e-9 + 1e-9 * np.abs(times))
@@ -78,7 +92,7 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
         raise ValueError(f"sample_times: {bad} is not on the step grid (dt={dt}, t_max={t_max})")
     if np.any(np.diff(k) <= 0):
         raise ValueError("sample_times: must be strictly increasing, without duplicates")
-    return n_steps, k.astype(int).tolist()
+    return n_steps, tuple(k.astype(int).tolist())
 
 
 def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -432,6 +432,8 @@ def figure3(
     state in the oracle column; monitored series report the recovered-average
     statistics. Output is byte-identical at any worker count.
     """
+    if not (np.isfinite(sample_spacing) and sample_spacing > 0):
+        raise ValueError(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.diffusive import (
     PROTECTING_U,
@@ -14,6 +16,8 @@ from qtraj.jumps import (
     UnravelingTransform,
     TrajectoryRecord,
     _JumpKernel,
+    _kernel,
+    _scan,
     _step_loop,
     _trajectory_rng,
     canonical_jumps,
@@ -341,6 +345,7 @@ class TestTrajectories:
         for seed in (11, 12, 13, 14):
             fast = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times)
             slow = _per_step(model, jumps, bell_rho, 1e-3, 0.5, seed, times)
+            assert len(fast.samples) == len(slow.samples) == len(times)
             assert fast.events == slow.events
             assert np.array_equal(fast.final_state, slow.final_state)
             for a, b in zip(fast.samples, slow.samples):
@@ -355,6 +360,7 @@ class TestTrajectories:
         for seed in (5, 6, 7, 8):
             fast = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.5, seed, sample_times=times)
             slow = _per_step(model, jumps, bell_rho, 1e-3, 0.5, seed, times)
+            assert len(fast.samples) == len(slow.samples) == len(times)
             assert fast.events == slow.events
             assert np.max(np.abs(fast.final_state - slow.final_state)) < 1e-12
             for a, b in zip(fast.samples, slow.samples):
@@ -452,9 +458,10 @@ class TestTrajectories:
     )
     def test_bad_sample_times_rejected_on_both_paths(self, bell_rho, model, make_jumps, times):
         # duplicates once slipped through the per-step loop and returned one
-        # sample for three times
-        with pytest.raises(ValueError, match="sample_times"):
-            run_jump_trajectory(model, make_jumps(model), bell_rho, 1e-3, 0.3, 1, sample_times=times)
+        # sample for three times; grids are memoized, errors are not
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sample_times"):
+                run_jump_trajectory(model, make_jumps(model), bell_rho, 1e-3, 0.3, 1, sample_times=times)
 
     def test_path_chosen_from_jump_set(self, rng, bell_rho):
         # every single-qubit set has diagonal M and J†J and takes the scan;
@@ -470,6 +477,7 @@ class TestTrajectories:
         for seed in (3, 4):
             fast = run_jump_trajectory(model, mixed, bell_rho, 1e-3, 0.3, seed, sample_times=times)
             slow = _per_step(model, mixed, bell_rho, 1e-3, 0.3, seed, times)
+            assert len(fast.samples) == len(slow.samples) == len(times)
             assert fast.events == slow.events
             for a, b in zip(fast.samples + [fast.final_state], slow.samples + [slow.final_state]):
                 assert np.max(np.abs(a - b)) < 1e-12
@@ -487,3 +495,81 @@ class TestTrajectories:
             rec = run_jump_trajectory(model, jumps, rho0, 1e-3, 0.5, trajectory_seed(31, i))
             frame = frame_from_events(rec.events, 3)[-1]
             assert trace_distance(recover(rec.final_state, frame), rho0) < 1e-9
+
+
+_SCAN_DT, _SCAN_STEPS = 1e-3, 300
+_SCAN_SETS = {
+    # finite temperature: M is diagonal but not scalar, so samples are rescaled
+    "canonical_finite_T": (LindbladModel(2, 5.0, 2.0, eta=0.7), canonical_jumps, 1e-12),
+    # balanced rates: M is scalar, so samples are plain copies, bit for bit
+    "protecting": (LindbladModel(2, 5.0, 5.0, eta=0.7), protecting_jumps, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_SETS))
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    inner=st.sets(st.integers(1, _SCAN_STEPS - 1), max_size=12),
+    sample_clicks=st.booleans(),
+)
+def test_scan_matches_per_step_loop(name, seed, inner, sample_clicks):
+    # sample steps include 0 and the last step, so one no-click run holds
+    # several samples; with sample_clicks the steps just before and just
+    # after every click are sampled as well
+    model, make_jumps, tol = _SCAN_SETS[name]
+    jumps = make_jumps(model)
+    rho0 = density(bell_state())
+    t_max = _SCAN_DT * _SCAN_STEPS
+    steps = {0, _SCAN_STEPS} | inner
+    if sample_clicks:
+        clicks = _per_step(model, jumps, rho0, _SCAN_DT, t_max, seed, None).events
+        after = {int(round(e.time / _SCAN_DT)) for e in clicks}
+        steps |= after | {k - 1 for k in after}
+    steps = sorted(steps)
+    slow = _per_step(model, jumps, rho0, _SCAN_DT, t_max, seed, _SCAN_DT * np.array(steps))
+    us = _trajectory_rng(seed).random(_SCAN_STEPS)
+    state, events, samples = _scan(_kernel(jumps, model, _SCAN_DT), rho0.astype(complex), us, steps)
+    assert events == slow.events
+    assert len(samples) == len(slow.samples) == len(steps)
+    for a, b in zip(samples + [state], slow.samples + [slow.final_state]):
+        if tol == 0.0:
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) < tol
+
+
+class TestKernelMemo:
+    def test_matrix_changed_in_place_gets_a_new_kernel(self, bell_rho):
+        model = LindbladModel(2, 1.0, 0.25)
+        jumps = canonical_jumps(model)
+        first = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 1.0, 4, sample_times=[0.5, 1.0])
+        assert any(e.qubit == 0 and e.label == "minus" for e in first.events)
+        jumps[0].matrix[...] = 0.0  # same list, same objects, new values: no qubit-0 decay
+        fresh = [JumpOperator(op.matrix.copy(), op.qubit, op.label) for op in jumps]
+        second = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 1.0, 4, sample_times=[0.5, 1.0])
+        rebuilt = run_jump_trajectory(model, fresh, bell_rho, 1e-3, 1.0, 4, sample_times=[0.5, 1.0])
+        assert second.events == rebuilt.events != first.events
+        for a, b in zip(second.samples + [second.final_state], rebuilt.samples + [rebuilt.final_state]):
+            assert np.array_equal(a, b)
+
+    def test_step_jump_sees_a_matrix_changed_in_place(self, bell_rho):
+        model = LindbladModel(2, 1.0, 1.0)
+        jumps = protecting_jumps(model)
+        step_jump(bell_rho, jumps, model, 1e-3, _FixedUniform(0.0))
+        jumps[0].matrix[...] = jumps[1].matrix  # channel 0 now applies sigma_y
+        new, event = step_jump(bell_rho, jumps, model, 1e-3, _FixedUniform(0.0))
+        j = jumps[1].matrix
+        expected = j @ bell_rho @ j.conj().T
+        assert event.label == "x"
+        assert np.max(np.abs(new - expected / expected.trace().real)) < 1e-15
+
+    def test_cached_kernel_is_read_only(self):
+        model = LindbladModel(2, 1.0, 0.25)
+        kernel = _kernel(canonical_jumps(model), model, 1e-3)
+        assert kernel is _kernel(canonical_jumps(model), model, 1e-3)
+        for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op, kernel.m2_powers(10)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        for op in kernel.jumps:
+            assert not op.matrix.flags.writeable

@@ -227,8 +227,9 @@ class TestStepGrid:
          (0.3, 1.0, "t_max"), (1e-3, 0.0105, "t_max")],
     )
     def test_rejects_bad_step(self, dt, t_max, field):
-        with pytest.raises(ValueError, match=f"^{field}:"):
-            step_grid(dt, t_max)
+        for _ in range(2):  # grids are memoized, errors are not
+            with pytest.raises(ValueError, match=f"^{field}:"):
+                step_grid(dt, t_max)
 
     @pytest.mark.parametrize(
         "times, words",
@@ -240,9 +241,23 @@ class TestStepGrid:
             ([0.0, np.inf], "grid"),
             ([-1e-3], "grid"),
             ([1.001], "grid"),
+            ([], "must not be empty"),
+            (np.array([]), "must not be empty"),
         ],
-        ids=["duplicate", "descending", "off_grid", "nan", "inf", "negative", "past_t_max"],
+        ids=[
+            "duplicate", "descending", "off_grid", "nan", "inf", "negative", "past_t_max",
+            "empty_list", "empty_array",
+        ],
     )
     def test_rejects_bad_sample_times(self, times, words):
-        with pytest.raises(ValueError, match=f"^sample_times: .*{words}"):
-            step_grid(1e-3, 1.0, times)
+        for _ in range(2):  # grids are memoized, errors are not
+            with pytest.raises(ValueError, match=f"^sample_times: .*{words}"):
+                step_grid(1e-3, 1.0, times)
+
+    def test_memo_is_by_value_and_hands_out_fresh_lists(self):
+        times = np.array([0.0, 0.5])
+        n, steps = step_grid(1e-3, 1.0, times)
+        steps.append(7)
+        times[1] = 1.0  # changed in place: a new grid, not the memoized one
+        assert step_grid(1e-3, 1.0, times) == (1000, [0, 1000])
+        assert step_grid(1e-3, 1.0, [0.0, 0.5]) == (1000, [0, 500])

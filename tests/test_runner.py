@@ -55,7 +55,9 @@ class TestConfigValidation:
         "unraveling",
         ["none", "jump_canonical", "jump_protecting", "diffusive", "diffusive_protecting_unitary"],
     )
-    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1]], ids=["dup", "desc"])
+    @pytest.mark.parametrize(
+        "times", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1], []], ids=["dup", "desc", "empty"]
+    )
     def test_unordered_sample_times_rejected(self, unraveling, times):
         cfg = _config(unraveling=unraveling, n_trajectories=0, sample_times=np.array(times))
         with pytest.raises(ConfigError) as err:
@@ -358,6 +360,19 @@ class TestFigure3:
         assert a["mean_concurrence"][0] == 1.0
         assert a["mean_concurrence"][-1] < 0.7
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.05, np.nan, np.inf])
+    def test_non_positive_spacing_rejected_before_any_series(self, tmp_path, monkeypatch, spacing):
+        # spacing 0 once ended in a ZeroDivisionError, and a negative spacing
+        # reached the master oracle as an empty grid
+        import qtraj.runner as runner
+
+        def no_series(config):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(runner, "run_ensemble", no_series)
+        with pytest.raises(ValueError, match="^sample_spacing: must be finite and > 0"):
+            figure3(tmp_path, sample_spacing=spacing)
+
 
 class TestCli:
     def _run(self, *args):
@@ -422,6 +437,19 @@ class TestCli:
         res = self._run("master", "--config", str(cfg))
         assert res.returncode == 0, res.stderr
         assert len(res.stdout.splitlines()) == 1 + 2
+
+    def test_empty_sample_times_exit_code(self):
+        # once passed validate() and exited 2 with numpy's "need at least one
+        # array to stack" after a trajectory had run
+        res = self._run("jump", "--sample-times", "", "--n-traj", "2", "--t-max", "0.1")
+        assert res.returncode == 2
+        assert "sample_times: must not be empty" in res.stderr and not res.stdout
+
+    def test_figure3_zero_spacing_exit_code(self, tmp_path):
+        res = self._run("figure3", "--output-dir", str(tmp_path), "--sample-spacing", "0")
+        assert res.returncode == 2
+        assert "sample_spacing" in res.stderr and "Traceback" not in res.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
