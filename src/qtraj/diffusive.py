@@ -41,7 +41,6 @@ the exact linear bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,28 +147,6 @@ class _SMEContext:
         self.l_row = self.l.transpose(1, 0, 2).reshape(model.dim, -1)
 
 
-def _sme_context(model: LindbladModel, u=None) -> _SMEContext:
-    """The read-only context of (model, u), memoized by value.
-
-    The key holds u's shape and bytes, not its identity, so a u changed in
-    place gets a new context; an invalid u raises on every call.
-    """
-    key = None
-    if u is not None:
-        u = np.asarray(u, dtype=complex)
-        key = (u.shape, u.tobytes())
-    return _sme_context_of(model, key)
-
-
-@lru_cache(maxsize=16)
-def _sme_context_of(model: LindbladModel, u_key) -> _SMEContext:
-    u = None if u_key is None else np.frombuffer(u_key[1], dtype=complex).reshape(u_key[0])
-    ctx = _SMEContext(model, u)
-    for arr in (ctx.cc_sum, ctx.c, ctx.l, ctx.l_dag, ctx.l_row):
-        arr.flags.writeable = False
-    return ctx
-
-
 def sme_update(rho: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np.ndarray:
     """One conditioned step given the real noise increments dw ~ N(0, dt).
 
@@ -206,7 +183,7 @@ def _homodyne_means(ctx: _SMEContext, rho: np.ndarray) -> np.ndarray:
 
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
     """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
-    ctx = _sme_context(model, u)
+    ctx = _SMEContext(model, u)
     det = (ctx.c @ _homodyne_means(ctx, state)).reshape(-1, 2)[qubit]
     return complex(det[0]), complex(det[1])
 
@@ -239,7 +216,7 @@ def step_diffusive(
 ) -> tuple[np.ndarray, list[CurrentSample]]:
     """Advance one diffusive step and emit the per-qubit measurement currents."""
     check_perfect_detection(model)
-    ctx = _sme_context(model, u)
+    ctx = _SMEContext(model, u)
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
     return sme_update(state, ctx, dw, dt), _currents(ctx, state, dw, dt)
 
@@ -256,7 +233,7 @@ def run_diffusive_trajectory(
     """Integrate one diffusive trajectory of the general-u engine."""
     check_perfect_detection(model)
     n_steps, sample_steps = step_grid(dt, t_max, sample_times)
-    ctx = _sme_context(model, u)
+    ctx = _SMEContext(model, u)
     rng = _trajectory_rng(seed)
     sqdt = math.sqrt(dt)
 

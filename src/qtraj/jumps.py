@@ -24,9 +24,9 @@ J†J = |a|^2 sigma_+ sigma_- + |b|^2 sigma_- sigma_+), and the engine skips
 ahead between its clicks over the pre-drawn uniforms; at balanced rates M is
 proportional to the identity and the state waits unchanged for the next
 click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Within a no-click
-run the state scales by powers of diag(M)^2, tabulated once per kernel, and
-every sample that falls in the run is formed in one broadcast product. Other
-sets, e.g. collective jumps, take the per-step loop; both give the same
+run the state scales by powers of diag(M)^2, tabulated once per trajectory,
+and every sample that falls in the run is formed in one broadcast product.
+Other sets, e.g. collective jumps, take the per-step loop; both give the same
 clicks. Kernels are memoized by the value of (jumps, model, dt), so the
 trajectories of an ensemble share one and pay only for their own draws and
 clicks.
@@ -225,24 +225,6 @@ class _JumpKernel:
             not self.e_stack[:, off].any()
             and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
         )
-        self._m2_powers = np.empty((0, self.dim))
-
-    def m2_powers(self, n_steps: int) -> np.ndarray:
-        """Rows diag(M)**(2o) for o = 0..n_steps: the no-click population factors.
-
-        Row o is the o-fold running product, so every prefix is the table of a
-        shorter run; the longest table asked for is kept for every trajectory
-        on this kernel.
-        """
-        if len(self._m2_powers) <= n_steps:
-            m2 = self.m_op.diagonal().real ** 2
-            table = np.empty((n_steps + 1, self.dim))
-            table[0] = 1.0
-            np.multiply.accumulate(np.broadcast_to(m2, (n_steps, self.dim)), axis=0, out=table[1:])
-            table.flags.writeable = False
-            self._m2_powers = table
-        return self._m2_powers[: n_steps + 1]
-
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
         _check_step_prob(p.sum())
@@ -382,7 +364,12 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     and the click probability is constant until the next one.
     """
     n_steps = len(us)
-    table = None if kernel.m_scalar else kernel.m2_powers(n_steps)
+    if not kernel.m_scalar:
+        # row o: diag(M)**(2o), the o-fold running product; every run reads a prefix
+        table = np.empty((n_steps + 1, kernel.dim))
+        table[0] = 1.0
+        m2 = kernel.m_op.diagonal().real ** 2
+        np.multiply.accumulate(np.broadcast_to(m2, (n_steps, kernel.dim)), axis=0, out=table[1:])
     e_sum = kernel.e_stack.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # diag(sum J†J)
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []

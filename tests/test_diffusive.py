@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qtraj.diffusive import (
     PROTECTING_U,
     _SMEContext,
-    _sme_context,
     check_noise_correlation,
     combine_currents,
     current_expectations,
@@ -158,42 +157,6 @@ class TestStepDiffusive:
         assert current_expectations(bell_rho, model, np.zeros((2, 2)), 0) == current_expectations(
             bell_rho, LindbladModel(2, 1.0, 1.0), np.zeros((2, 2)), 0
         )
-
-
-class TestContextMemo:
-    def test_u_changed_in_place_is_seen(self, bell_rho):
-        model = LindbladModel(2, 1.0, 1.0)
-        u = PROTECTING_U.copy()
-        first = step_diffusive(bell_rho, model, u, np.random.default_rng(5), 1e-3)
-        u[...] = np.zeros((2, 2))  # same array, new values
-        second = step_diffusive(bell_rho, model, u, np.random.default_rng(5), 1e-3)
-        fresh = step_diffusive(bell_rho, model, np.zeros((2, 2)), np.random.default_rng(5), 1e-3)
-        assert np.array_equal(second[0], fresh[0]) and second[1] == fresh[1]
-        assert not np.array_equal(second[0], first[0])
-        assert current_expectations(bell_rho, model, u, 0) == current_expectations(
-            bell_rho, model, np.zeros((2, 2)), 0
-        )
-
-    @pytest.mark.parametrize(
-        "u", [np.array([[0.0, 2.0], [2.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(3)],
-        ids=["norm", "asymmetric", "shape"],
-    )
-    def test_invalid_u_raises_on_every_call(self, u, bell_rho):
-        model = LindbladModel(2, 1.0, 1.0)
-        for _ in range(3):
-            with pytest.raises(ValueError, match="noise correlation"):
-                step_diffusive(bell_rho, model, u, np.random.default_rng(5), 1e-3)
-            with pytest.raises(ValueError, match="noise correlation"):
-                run_diffusive_trajectory(model, u, bell_rho, 1e-3, 0.01, 1)
-            with pytest.raises(ValueError, match="noise correlation"):
-                current_expectations(bell_rho, model, u, 0)
-
-    def test_cached_context_is_read_only(self):
-        ctx = _sme_context(LindbladModel(2, 1.0, 0.5), PROTECTING_U)
-        assert ctx is _sme_context(LindbladModel(2, 1.0, 0.5), PROTECTING_U.copy())
-        for arr in (ctx.cc_sum, ctx.c, ctx.l, ctx.l_dag, ctx.l_row):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0.0
 
 
 class TestCurrentMeans:
