@@ -28,6 +28,22 @@ point along local-unitary directions for the protecting u and do not affect
 entanglement). This is what makes per-trajectory concurrence deviations shrink
 proportionally to dt; the plain first-order scheme only achieves sqrt(dt).
 
+The general engine steps the state's real Pauli coordinates r_k = tr(P_k rho)
+(its coherence vector, Hioe & Eberly, PRL 47, 838 (1981)), with P_k the
+n-qubit Pauli strings, so r_0 = tr rho and rho = sum_k r_k P_k / d. Every map
+of the scheme is then a real d²×d² matrix: A_m for rho -> L_m rho + rho L_m†
+and the drift for sum_m D[L_m]. Three exact identities remove the complex
+algebra from the step:
+
+    h_m = <L_m + L_m†> = (A_m r)_0,
+    Herm(sum_m L_m B_m) = (1/2) sum_m A_m B_m   (B_m Hermitian),
+    Re tr(sum_m L_m B_m) = 0-th coordinate of that Hermitian part.
+
+One step is a product with the stacked [A_m; drift], the 2nd-order weights
+W applied to the noise directions, and one product with the row [A_0 A_1 ...].
+Hermiticity holds by construction, and the state is formed as a matrix only
+where it is read.
+
 The measurement currents per channel are the channel image
 Y = C (<L + L†> + dw/dt) of the real records:
 
@@ -46,7 +62,14 @@ import numpy as np
 
 from .jumps import TrajectoryRecord, _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
-from .qcore import step_grid, tensor_product, validate_density_matrix
+from .qcore import (
+    from_pauli_coordinates,
+    pauli_coordinates,
+    pauli_strings,
+    step_grid,
+    tensor_product,
+    validate_density_matrix,
+)
 from .recovery import apply_frame, unitary_part
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
@@ -74,10 +97,12 @@ class CurrentSample:
 
 
 def check_noise_correlation(u: np.ndarray) -> np.ndarray:
-    """Validate symmetry and the two-norm bound; returns the array as complex."""
+    """Validate finiteness, symmetry and the two-norm bound; returns the array as complex."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"noise correlation must be 2x2 (channels -, +), got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"noise correlation must be finite, got {u.tolist()}")
     sym = np.max(np.abs(u - u.T))
     if sym > 1e-12:
         raise ValueError(f"noise correlation must be symmetric, max|u - u^T| = {sym:.3e}")
@@ -124,15 +149,17 @@ def check_perfect_detection(model: LindbladModel) -> None:
 
 
 class _SMEContext:
-    """The measured operators of one model + u, built once.
+    """The measured operators of one model + u as real superoperators, built once.
 
     L_m = sum_c sqrt(gamma_c) conj(C_cm) sigma_c, with C the noise factor
     (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
+    On the Pauli coordinates r_k = tr(P_k rho), ``a[m]`` is rho -> L_m rho + rho L_m†
+    and ``drift`` is rho -> sum_m D[L_m] rho, both real d²×d² matrices with
+    entries tr(P_j Phi(P_k)) / d.
     """
 
     def __init__(self, model: LindbladModel, u=None):
-        sig, cc = channel_operators(model.n_qubits)  # (2n, d, d)
-        self.cc_sum = np.einsum("c,cab->ab", model.rates, cc)
+        sig = channel_operators(model.n_qubits)  # (2n, d, d)
 
         # one u for every qubit: the per-qubit noise block is shared
         l = noise_factor(PROTECTING_U if u is None else u)
@@ -140,51 +167,62 @@ class _SMEContext:
         # rank-deficient correlations leave exactly-zero factor columns
         block = block[:, np.abs(block).sum(axis=0) > 0.0]
         self.c = np.kron(np.eye(model.n_qubits), block)  # (2n, n_noise)
-        self.n_noise = self.c.shape[1]
-        self.l = np.einsum("c,cm,cab->mab", np.sqrt(model.rates), self.c.conj(), sig)
-        self.l_dag = self.l.conj().transpose(0, 2, 1)
-        # [L_0 L_1 ...]: sum_m L_m A_m is one product with the stacked A_m
-        self.l_row = self.l.transpose(1, 0, 2).reshape(model.dim, -1)
+        self.n_noise = m = self.c.shape[1]
+        ops = np.einsum("c,cm,cab->mab", np.sqrt(model.rates), self.c.conj(), sig)
+
+        d, k2 = model.dim, model.dim**2
+        p_row = pauli_strings(model.n_qubits).transpose(1, 0, 2).reshape(d, -1)  # [P_0 P_1 ...]
+        l_dag = ops.conj().swapaxes(-1, -2)
+        lp = (ops.reshape(-1, d) @ p_row).reshape(m, d, k2, d)  # [m, a, k, b]: (L_m P_k)_ab
+        kp = np.tensordot(l_dag, ops, axes=([0, 2], [0, 1])) @ p_row  # (sum_m L_m† L_m) P_k
+        # the image of every P_k under L_m rho, then under sum_m (L_m rho L_m† - L_m† L_m rho):
+        # Re tr(P_j X) = Re tr(P_j X†), so their Re-tr coordinates, doubled for the
+        # first, are those of L_m rho + rho L_m† and of the drift
+        images = np.empty((m + 1, k2, d, d), dtype=complex)
+        images[:m] = lp.transpose(0, 2, 1, 3)
+        images[m] = (lp.transpose(2, 1, 0, 3).reshape(k2 * d, -1) @ l_dag.reshape(-1, d)).reshape(k2, d, d)
+        images[m] -= kp.reshape(d, k2, d).transpose(1, 0, 2)
+        coords = pauli_coordinates(images) / d  # row k of block m: Phi_m(P_k)
+        coords[:m] *= 2.0
+        # [a_0; ...; a_{M-1}; drift]: every linear map of a step is one product with r
+        self.stack = coords.transpose(0, 2, 1).reshape(-1, k2)
+        self.a = self.stack[: m * k2].reshape(m, k2, k2)
+        self.drift = self.stack[m * k2 :]
+        # [a_0 a_1 ...]: sum_m A_m B_m is one product with the stacked B_m
+        self.a_row = self.a.transpose(1, 0, 2).reshape(k2, -1)
 
 
-def sme_update(rho: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np.ndarray:
-    """One conditioned step given the real noise increments dw ~ N(0, dt).
+def sme_update(r: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np.ndarray:
+    """One conditioned step of the Pauli coordinates r given real noise increments dw ~ N(0, dt).
 
     Euler-Maruyama drift and noise over the measured operators L_m plus the
     symmetric second-order term (1/2) sum_ml (D_{b_l} b_m)(dw_m dw_l - delta_ml dt),
-    then Hermitization and trace renormalization. With the noise directions
-    b_m = L_m rho + rho L_m† - h_m rho, h_m = <L_m + L_m†>, B_m = sum_l W_ml b_l
-    and X = sum_m L_m B_m, that term is Herm(X) - (1/2) sum_m h_m B_m - Re tr(X) rho.
+    then trace renormalization. With the noise directions
+    b_m = A_m r - h_m r, h_m = <L_m + L_m†> = (A_m r)_0, B_m = sum_l W_ml b_l and
+    X = sum_m L_m B_m, that term is Herm(X) - (1/2) sum_m h_m B_m - Re tr(X) rho,
+    where Herm(X) = (1/2) sum_m A_m B_m and Re tr(X) is its 0-th coordinate.
     """
-    m, d = ctx.n_noise, rho.shape[0]
-    rl = rho @ ctx.l_dag  # (M, d, d): rho L_m†
-    lr = rl.conj().transpose(0, 2, 1)  # L_m rho
-    h = 2.0 * rl.trace(axis1=1, axis2=2).real  # <L_m + L_m†>
-    b = (lr + rl - h[:, None, None] * rho).reshape(m, d * d)  # row m: b_m
-    k = ctx.cc_sum @ rho
-    drift = ctx.l_row @ rl.reshape(m * d, d) - 0.5 * (k + k.conj().T)
-
+    m = ctx.n_noise
+    ar = (ctx.stack @ r).reshape(m + 1, -1)  # rows: A_m r, then the drift
+    h = ar[:m, 0]
+    b = ar[:m] - h[:, None] * r  # row m: b_m
     w = np.outer(dw, dw)
     w.ravel()[:: m + 1] -= dt
     bw = w @ b  # row m: B_m
-    x = ctx.l_row @ bw.reshape(m * d, d)
-    x -= 0.5 * (h @ bw).reshape(d, d) + x.trace().real * rho
-
-    new = rho + drift * dt + (dw @ b).reshape(d, d)
-    new += 0.5 * (x + x.conj().T)
-    new = 0.5 * (new + new.conj().T)
-    return new / new.trace().real
+    y = ctx.a_row @ bw.ravel()  # sum_m A_m B_m = 2 Herm(X)
+    new = r + ar[m] * dt + dw @ b + 0.5 * (y - h @ bw - y[0] * r)
+    return new / new[0]
 
 
-def _homodyne_means(ctx: _SMEContext, rho: np.ndarray) -> np.ndarray:
-    """<L_m + L_m†>: the deterministic part of each real record dw_m / dt."""
-    return 2.0 * np.einsum("mab,ba->m", ctx.l, rho).real
+def _homodyne_means(ctx: _SMEContext, r: np.ndarray) -> np.ndarray:
+    """<L_m + L_m†> = (A_m r)_0: the deterministic part of each real record dw_m / dt."""
+    return ctx.a[:, 0] @ r
 
 
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
     """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
     ctx = _SMEContext(model, u)
-    det = (ctx.c @ _homodyne_means(ctx, state)).reshape(-1, 2)[qubit]
+    det = (ctx.c @ _homodyne_means(ctx, pauli_coordinates(state))).reshape(-1, 2)[qubit]
     return complex(det[0]), complex(det[1])
 
 
@@ -198,9 +236,9 @@ def combine_currents(i12: complex, i34: complex) -> tuple[complex, complex]:
     return i12 + 1j * i34, -i12 + 1j * i34
 
 
-def _currents(ctx: _SMEContext, rho: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
+def _currents(ctx: _SMEContext, r: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
     # the channel image Y = C (<L + L†> + dw/dt) of the real homodyne records
-    ym, yp = (ctx.c @ (_homodyne_means(ctx, rho) + dw / dt)).reshape(-1, 2).T
+    ym, yp = (ctx.c @ (_homodyne_means(ctx, r) + dw / dt)).reshape(-1, 2).T
     return [
         CurrentSample(complex(a), complex(b), float(c.real), float(d.real))
         for a, b, c, d in zip(ym, yp, *homodyne_currents(ym, yp))
@@ -218,7 +256,8 @@ def step_diffusive(
     check_perfect_detection(model)
     ctx = _SMEContext(model, u)
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
-    return sme_update(state, ctx, dw, dt), _currents(ctx, state, dw, dt)
+    r = pauli_coordinates(state)
+    return from_pauli_coordinates(sme_update(r, ctx, dw, dt)), _currents(ctx, r, dw, dt)
 
 
 def run_diffusive_trajectory(
@@ -234,21 +273,22 @@ def run_diffusive_trajectory(
     check_perfect_detection(model)
     n_steps, sample_steps = step_grid(dt, t_max, sample_times)
     ctx = _SMEContext(model, u)
-    rng = _trajectory_rng(seed)
-    sqdt = math.sqrt(dt)
+    dws = _trajectory_rng(seed).standard_normal((n_steps, ctx.n_noise)) * math.sqrt(dt)
 
-    state = rho0.astype(complex).copy()
+    r = pauli_coordinates(rho0)
     samples: list[np.ndarray] = []
     wanted = set(sample_steps)
     if 0 in wanted:
-        samples.append(state.copy())
+        samples.append(rho0.astype(complex))
     for step in range(1, n_steps + 1):
-        dw = rng.standard_normal(ctx.n_noise) * sqdt
-        state = sme_update(state, ctx, dw, dt)
+        r = sme_update(r, ctx, dws[step - 1], dt)
         if step % 200 == 0:
-            validate_density_matrix(state, eig_floor=_EIG_GUARD, context=f"diffusive step {step}")
+            validate_density_matrix(
+                from_pauli_coordinates(r), eig_floor=_EIG_GUARD, context=f"diffusive step {step}"
+            )
         if step in wanted:
-            samples.append(state.copy())
+            samples.append(from_pauli_coordinates(r))
+    state = from_pauli_coordinates(r)
     validate_density_matrix(state, eig_floor=_EIG_GUARD, context="diffusive final state")
     return TrajectoryRecord(final_state=state, samples=samples)
 

@@ -98,7 +98,7 @@ def canonical_jumps(model: LindbladModel) -> list[JumpOperator]:
 
     Zero-rate channels are dropped.
     """
-    ops, _ = channel_operators(model.n_qubits)
+    ops = channel_operators(model.n_qubits)
     return [
         JumpOperator(np.sqrt(rate) * op, c // 2, CHANNEL_LABELS[c % 2])
         for c, (rate, op) in enumerate(zip(model.rates, ops))
@@ -378,7 +378,8 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     while pos < n_steps:
         horizon = n_steps - pos
         if kernel.m_scalar:
-            ptot = kernel.probabilities(state).sum()
+            p = kernel.probabilities(state)  # constant until the click: reused there
+            ptot = p.sum()
         else:
             d = state.diagonal().real
             ahead = table[:horizon]  # row o: diag(M)**(2o)
@@ -395,8 +396,8 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         states[...] = state
         if not kernel.m_scalar:
             moved = offs > 0
-            p = table[offs[moved]]
-            scaled = state * (p[:, :, None] * p[:, None, :]) ** 0.5
+            powers = table[offs[moved]]
+            scaled = state * (powers[:, :, None] * powers[:, None, :]) ** 0.5
             states[moved] = scaled / scaled.trace(axis1=1, axis2=2).real[:, None, None]
         samples.extend(states[:-1])
         si = sj
@@ -404,7 +405,9 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
             state = states[-1]
             break
         at_hit = states[-1]
-        k, detected = kernel.sample(kernel.probabilities(at_hit), us[pos + off])
+        if not kernel.m_scalar:
+            p = kernel.probabilities(at_hit)
+        k, detected = kernel.sample(p, us[pos + off])
         state = kernel.apply_jump(at_hit, k)
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
         pos += off + 1

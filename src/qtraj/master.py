@@ -87,20 +87,18 @@ class LindbladModel:
 
 
 @lru_cache(maxsize=32)
-def channel_operators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The embedded channel operators c and their c†c, as two read-only stacks.
+def channel_operators(n_qubits: int) -> np.ndarray:
+    """The embedded channel operators c as one read-only (2n, 2**n, 2**n) stack.
 
     Channel 2a is sigma_minus on qubit a and channel 2a+1 is sigma_plus
     (qubit-major, labels ``CHANNEL_LABELS``), in the order of
-    ``LindbladModel.rates``. Each stack has shape (2n, 2**n, 2**n).
+    ``LindbladModel.rates``.
     """
     ops = np.stack(
         [embed(op, alpha, n_qubits) for alpha in range(n_qubits) for op in (SIGMA_MINUS, SIGMA_PLUS)]
     )
-    cc = np.stack([c.conj().T @ c for c in ops])
     ops.flags.writeable = False
-    cc.flags.writeable = False
-    return ops, cc
+    return ops
 
 
 @dataclass
@@ -133,7 +131,7 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {model.dim}")
     out = np.zeros_like(rho, dtype=complex)
-    for rate, c in zip(model.rates, channel_operators(model.n_qubits)[0]):
+    for rate, c in zip(model.rates, channel_operators(model.n_qubits)):
         if rate != 0.0:
             out += rate * dissipator(c, rho)
     return out

@@ -7,6 +7,7 @@ de-excites, |1⟩ → |0⟩). Systems of interest are 2-4 qubits, so no sparsity
 """
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -93,6 +94,45 @@ def _step_grid(dt: float, t_max: float, sample_times) -> tuple[int, tuple[int, .
     if np.any(np.diff(k) <= 0):
         raise ValueError("sample_times: must be strictly increasing, without duplicates")
     return n_steps, tuple(k.astype(int).tolist())
+
+
+@lru_cache(maxsize=8)
+def pauli_strings(n_qubits: int) -> np.ndarray:
+    """The 4**n n-qubit Pauli strings P_k as one read-only (4**n, 2**n, 2**n) stack.
+
+    Slot 0 is leftmost and each slot runs over I, X, Y, Z, so P_0 is the
+    identity. The strings are Hermitian and tr(P_j P_k) = 2**n delta_jk.
+    """
+    paulis = np.stack([PAULI_MATRICES[label] for label in PAULI_LABELS])
+    out = tensor_product(paulis[list(product(range(4), repeat=n_qubits))])
+    out.flags.writeable = False
+    return out
+
+
+def _pauli_rows(n_qubits: int) -> np.ndarray:
+    # row k: P_k flattened as interleaved (re, im) pairs, so a real dot with the
+    # same view of a matrix X is Re tr(P_k X) (P_k is Hermitian)
+    d2 = 4**n_qubits
+    return pauli_strings(n_qubits).reshape(d2, d2).view(np.float64)
+
+
+def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates r_k = tr(P_k rho) of Hermitian matrices; r_0 = tr rho.
+
+    Maps a ``(..., d, d)`` stack to ``(..., d**2)``. For any matrix X the
+    result is Re tr(P_k X).
+    """
+    d = rho.shape[-1]
+    flat = np.ascontiguousarray(rho, dtype=complex).reshape(-1, d * d).view(np.float64)
+    return (flat @ _pauli_rows(d.bit_length() - 1).T).reshape(rho.shape[:-2] + (d * d,))
+
+
+def from_pauli_coordinates(r: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices sum_k r_k P_k / d of real coordinates; ``(..., d**2)`` to ``(..., d, d)``."""
+    n = (r.shape[-1].bit_length() - 1) // 2
+    d = 2**n
+    out = (r @ _pauli_rows(n)) / d
+    return out.view(complex).reshape(r.shape[:-1] + (d, d))
 
 
 def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -28,7 +28,10 @@ from qtraj.qcore import (
     SIGMA_PLUS,
     computational_ket,
     density,
+    dissipator,
     embed,
+    from_pauli_coordinates,
+    pauli_coordinates,
     random_density_matrix,
     random_unitary,
     tensor_product,
@@ -110,6 +113,14 @@ class TestNoiseFactor:
         with pytest.raises(ValueError, match="symmetric"):
             check_noise_correlation(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_check_rejects_non_finite(self, bad, bell_rho):
+        u = np.array([[bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            check_noise_correlation(u)
+        with pytest.raises(ValueError, match="must be finite"):
+            run_diffusive_trajectory(LindbladModel(2, 1.0, 1.0), u, bell_rho, 1e-3, 0.01, 1)
+
 
 class TestStepDiffusive:
     def test_zero_rates_state_frozen_currents_noise(self, rng, bell_rho):
@@ -138,12 +149,13 @@ class TestStepDiffusive:
         model = LindbladModel(2, 1.0, 1.0)
         ctx = _SMEContext(model, PROTECTING_U)
         dt, n = 1e-3, 40000
-        acc = np.zeros((4, 4), dtype=complex)
+        r = pauli_coordinates(bell_rho)
+        acc = np.zeros(16)
         sq = np.sqrt(dt)
         for _ in range(n):
             dw = rng.standard_normal(ctx.n_noise) * sq
-            acc += sme_update(bell_rho, ctx, dw, dt)
-        mean_step = acc / n - bell_rho
+            acc += sme_update(r, ctx, dw, dt)
+        mean_step = from_pauli_coordinates(acc / n) - bell_rho
         expected = lindblad_rhs(model, bell_rho) * dt
         assert np.max(np.abs(mean_step - expected)) < 5e-4
 
@@ -252,7 +264,72 @@ class TestSchemeReference:
         dt = 1e-3
         dw = rng.standard_normal(ctx.n_noise) * np.sqrt(dt)
         want = self._reference(rho, model, ctx, dw, dt)
-        assert np.max(np.abs(sme_update(rho, ctx, dw, dt) - want)) < 1e-12
+        got = from_pauli_coordinates(sme_update(pauli_coordinates(rho), ctx, dw, dt))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _measured_operators(model, ctx):
+    # L_m = sum_c sqrt(gamma_c) conj(C_cm) sigma_c, rebuilt from qcore.embed
+    sig = [
+        embed(op, a, model.n_qubits) for a in range(model.n_qubits) for op in (SIGMA_MINUS, SIGMA_PLUS)
+    ]
+    return [
+        sum(np.sqrt(g) * np.conj(ctx.c[c, m]) * s for c, (g, s) in enumerate(zip(model.rates, sig)))
+        for m in range(ctx.n_noise)
+    ]
+
+
+class TestCoordinateMaps:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        gm=st.lists(_rates, min_size=3, max_size=3),
+        gp=st.lists(_rates, min_size=3, max_size=3),
+        protecting=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_superoperators_match_matrix_maps(self, n, gm, gp, protecting, seed):
+        rng = np.random.default_rng(seed)
+        model = LindbladModel(n, gm[:n], gp[:n])
+        ctx = _SMEContext(model, PROTECTING_U if protecting else _admissible_u(rng))
+        d = 2**n
+        assert ctx.a.shape == (ctx.n_noise, d * d, d * d) and ctx.drift.shape == (d * d, d * d)
+        rho = random_density_matrix(d, rng)
+        r = pauli_coordinates(rho)
+        ls = _measured_operators(model, ctx)
+        for a, l in zip(ctx.a, ls):
+            want = l @ rho + rho @ l.conj().T
+            assert np.max(np.abs(from_pauli_coordinates(a @ r) - want)) < 1e-13
+        drift = from_pauli_coordinates(ctx.drift @ r)
+        assert np.max(np.abs(drift - sum(dissipator(l, rho) for l in ls))) < 1e-13
+        assert np.max(np.abs(drift - lindblad_rhs(model, rho))) < 1e-13
+
+
+class TestEnginePaths:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        protecting=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trajectory_matches_step_loop(self, n, protecting, seed):
+        # one _trajectory_rng stream: the trajectory's block draw and coordinate
+        # loop against step_diffusive's per-step draw and matrix round trip
+        rng = np.random.default_rng(seed)
+        model = LindbladModel(n, rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 2.0, n))
+        u = PROTECTING_U if protecting else _admissible_u(rng)
+        rho0 = random_density_matrix(2**n, rng)
+        dt, times = 1e-3, [0.0, 0.05, 0.13, 0.2]
+        rec = run_diffusive_trajectory(model, u, rho0, dt, 0.2, seed, sample_times=times)
+        stream = _trajectory_rng(seed)
+        state, stepped = rho0, [rho0]
+        for _ in range(200):
+            state, _ = step_diffusive(state, model, u, stream, dt)
+            stepped.append(state)
+        assert len(rec.samples) == len(times)
+        for t, sample in zip(times, rec.samples):
+            assert np.max(np.abs(sample - stepped[round(t / dt)])) < 1e-12
+        assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
 
 
 class TestCurrents:
@@ -317,7 +394,7 @@ class TestProtectingUnitary:
         diffs = []
         for dt in (1e-3, 5e-4, 2.5e-4):
             dw = z * np.sqrt(dt)
-            sme_state = sme_update(bell_rho, ctx, dw, dt)
+            sme_state = from_pauli_coordinates(sme_update(pauli_coordinates(bell_rho), ctx, dw, dt))
             # the context's own factor: dxi_- = (dW1 + i dW2)/sqrt(2) per qubit
             dxi_minus = (ctx.c @ dw)[0::2]
             us = protecting_unitary(

@@ -24,6 +24,8 @@ from qtraj.qcore import (
     computational_ket,
     density,
     embed,
+    from_pauli_coordinates,
+    pauli_coordinates,
     random_density_matrix,
     validate_density_matrix,
 )
@@ -231,7 +233,6 @@ class TestChannelListProperties:
         k_canonical = sum(
             (j.matrix.conj().T @ j.matrix for j in canonical_jumps(model)), np.zeros((dim, dim))
         )
-        k_sme = _SMEContext(model).cc_sum
         # lindblad_rhs(1) = sum_c gamma_c (c c† - c†c); the c c† part is
         # rebuilt here from qcore.embed, independently of the channel list
         jump_term = sum(
@@ -243,6 +244,9 @@ class TestChannelListProperties:
             np.zeros((dim, dim)),
         )
         k_rhs = jump_term - lindblad_rhs(model, np.eye(dim, dtype=complex))
+        # the SME's drift superoperator, applied to 1, gives the same jump_term - K
+        drift_one = from_pauli_coordinates(_SMEContext(model).drift @ pauli_coordinates(np.eye(dim)))
+        k_sme = jump_term - drift_one
         assert np.max(np.abs(k_sme - k_canonical)) <= 1e-12
         assert np.max(np.abs(k_rhs - k_canonical)) <= 1e-12
         if model.balanced and min(model.gamma_minus) > 0.0:

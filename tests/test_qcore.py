@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.qcore import (
     PAULI_BITS,
@@ -16,7 +18,10 @@ from qtraj.qcore import (
     density,
     dissipator,
     embed,
+    from_pauli_coordinates,
     hermitian_eigenvalues,
+    pauli_coordinates,
+    pauli_strings,
     pauli_matrix,
     random_density_matrix,
     random_unitary,
@@ -261,3 +266,35 @@ class TestStepGrid:
         times[1] = 1.0  # changed in place: a new grid, not the memoized one
         assert step_grid(1e-3, 1.0, times) == (1000, [0, 1000])
         assert step_grid(1e-3, 1.0, [0.0, 0.5]) == (1000, [0, 500])
+
+
+class TestPauliCoordinates:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_strings_are_an_orthogonal_hermitian_basis(self, n):
+        p = pauli_strings(n)
+        d = 2**n
+        assert p.shape == (d * d, d, d) and not p.flags.writeable
+        assert np.array_equal(p[0], np.eye(d))
+        assert np.array_equal(p, p.conj().transpose(0, 2, 1))
+        gram = np.einsum("jab,kba->jk", p, p)
+        assert np.array_equal(gram, d * np.eye(d * d))
+        # slot 0 leftmost, I X Y Z per slot
+        assert np.array_equal(p[-1], tensor_product([SIGMA_Z] * n))
+        if n > 1:
+            assert np.array_equal(p[4 ** (n - 1)], embed(SIGMA_X, 0, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 10.0))
+    def test_round_trip_is_identity(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        rho = scale * random_density_matrix(2**n, rng)
+        r = pauli_coordinates(rho)
+        assert r.shape == (4**n,) and r.dtype == np.float64
+        assert abs(r[0] - rho.trace().real) <= 1e-15 * scale
+        assert np.max(np.abs(from_pauli_coordinates(r) - rho)) <= 1e-15 * scale
+        # a stack maps row by row
+        stack = np.stack([rho, np.eye(2**n) / 2**n])
+        coords = pauli_coordinates(stack)
+        assert np.max(np.abs(coords[0] - r)) <= 1e-15 * scale
+        assert np.array_equal(coords[1], np.eye(4**n)[0])
+        assert np.max(np.abs(from_pauli_coordinates(coords) - stack)) <= 1e-15 * scale

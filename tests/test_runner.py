@@ -90,6 +90,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="u: .*symmetric"):
             _config(unraveling="diffusive", u=np.array([[0.0, -1.0], [0.0, 0.0]])).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_noise_correlation_listed(self, bad):
+        # [[inf, 0], [0, 0]] once passed (inf - inf is NaN, and NaN compares
+        # false), and the ensemble then reported C = 1 at every sample time
+        cfg = _config(unraveling="diffusive", u=np.array([[bad, 0.0], [0.0, 0.0]]), n_trajectories=0)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        msg = str(err.value)
+        assert "u: noise correlation must be finite" in msg and "n_trajectories" in msg
+
     @pytest.mark.parametrize(
         "unraveling", ["none", "jump_canonical", "jump_protecting", "diffusive_protecting_unitary"]
     )
