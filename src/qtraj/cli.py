@@ -132,7 +132,6 @@ def _build_config(args: argparse.Namespace, unraveling: str, cfg: dict) -> Exper
         initial_state=_merged(args, "initial_state", cfg, "initial_state", str, "bell"),
         sample_times=_merged(args, "sample_times", cfg, "sample_times", _parse_times),
         u=u,
-        output=_merged(args, "output", cfg, "output", str),
         workers=_merged(args, "workers", cfg, "workers", int),
     )
 
@@ -165,10 +164,11 @@ def _run_and_emit(args: argparse.Namespace, unraveling: str) -> None:
     view = _merged(args, "view", cfg, "view", str, "trajectory")
     if view not in _VIEWS:
         raise ConfigError(f"config: view: unknown {view!r}, expected one of {_VIEWS}")
+    output = _merged(args, "output", cfg, "output", str)
     stats = run_ensemble(config)
-    if config.output:
-        emit_csv(stats, config.output, view=view)
-        print(f"wrote {config.output}")
+    if output:
+        emit_csv(stats, output, view=view)
+        print(f"wrote {output}")
     else:
         sys.stdout.write(csv_text(stats, view=view))
 

@@ -210,7 +210,7 @@ def analytic_concurrence(kind: str, gamma: float, eta: float | None, t):
     return float(c) if c.ndim == 0 else c
 
 
-def analytic_bell_state(kind: str, gamma: float, t: float, eta: float | None = None) -> np.ndarray:
+def analytic_bell_state(kind: str, gamma: float, t: float) -> np.ndarray:
     """Closed-form two-qubit state rho(t) for a Bell input under the model.
 
     X-state forms obtained by solving the population/coherence equations by
@@ -218,10 +218,6 @@ def analytic_bell_state(kind: str, gamma: float, t: float, eta: float | None = N
     the sum of the single-qubit coherence rates). Cross-checked against
     ``integrate_master`` in the test suite.
     """
-    if kind == "monitored":
-        if eta is None or not 0.0 <= eta <= 1.0:
-            raise ValueError(f"monitored state needs eta in [0, 1], got {eta}")
-        return analytic_bell_state("infinite_T", gamma * (1.0 - eta), t)
     rho = np.zeros((4, 4), dtype=complex)
     if kind == "zero_T":
         e = math.exp(-gamma * t)

@@ -1,11 +1,13 @@
 """Ensemble orchestration, reproducible seeding, statistics and CSV output.
 
 Trajectories are partitioned into fixed-size index chunks (256, independent of
-the worker count); each chunk is reduced sequentially in index order and chunk
-partials are merged in chunk order, so ensemble output is bitwise identical
-for a given configuration at any parallelism degree. Per-trajectory random
-streams are counter-based Philox keyed by (master_seed, trajectory_index), so
-results do not depend on scheduling either.
+the worker count). Each chunk returns its trajectories' concurrences and its
+state sums, and ``run_ensemble`` reduces them in chunk order: the mean, the
+two-pass stderr and the minimum over all concurrences at once, and the state
+sums added chunk by chunk. Ensemble output is therefore bitwise identical for a given
+configuration at any parallelism degree. Per-trajectory random streams are
+counter-based Philox keyed by (master_seed, trajectory_index), so results do
+not depend on scheduling either.
 
 Every ensemble reports two distinct concurrence series: the mean of
 per-trajectory concurrences (the per-trajectory protection claim) and the
@@ -97,7 +99,6 @@ class ExperimentConfig:
     initial_state: str | np.ndarray = "bell"
     sample_times: np.ndarray | None = None
     u: np.ndarray | None = None
-    output: str | None = None
     workers: int | None = None
 
     def validate(self) -> None:
@@ -117,7 +118,8 @@ class ExperimentConfig:
             errors.append(f"n_trajectories: must be >= 1, got {self.n_trajectories}")
         if self.workers is not None and self.workers < 1:
             errors.append(f"workers: must be >= 1, got {self.workers}")
-        if self.dt > 0:
+        # the closed-form master has no step; its dt only places the default samples
+        if self.dt > 0 and self.unraveling != "none":
             check("dt", check_rate_step, self.model, self.dt)
         check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
         # the engines' own preconditions, checked here so that no worker starts
@@ -166,12 +168,14 @@ def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
 class EnsembleStatistics:
     """Per-sample-time ensemble summaries.
 
-    ``mean_concurrence``/``stderr`` are over per-trajectory concurrences;
-    ``recovered_concurrence`` is the concurrence of the recovered-then-averaged
-    state with a chunk-blocked stderr estimate (NaN with a single chunk, like
-    ``stderr`` with a single trajectory). Trace distances compare the raw
-    mean against the full-rate master solution and the recovered mean against
-    the master run at rates (1-eta)*gamma.
+    ``mean_concurrence``, ``stderr`` and ``min_concurrence`` come from one
+    two-pass over all per-trajectory concurrences, in chunk order (NaN beyond
+    two qubits); ``recovered_concurrence`` is the concurrence of the
+    recovered-then-averaged state with a chunk-blocked stderr estimate (NaN
+    with a single chunk, like ``stderr`` with a single trajectory). Trace
+    distances compare the raw mean against the full-rate master solution and
+    the recovered mean against the master run at rates (1-eta)*gamma; a
+    master-only run without a closed form has no oracle and reports NaN there.
     """
 
     times: np.ndarray
@@ -209,26 +213,20 @@ def _sample_clock(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _ChunkPartial:
-    conc_sum: np.ndarray
-    conc_m2: np.ndarray  # sum of squared deviations from the chunk mean
-    conc_min: np.ndarray
+    conc: np.ndarray  # (trajectories, samples); NaN beyond two qubits
     raw_sum: np.ndarray
     rec_sum: np.ndarray
-    count: int
 
 
-def _run_chunk(config: ExperimentConfig, grid: np.ndarray, lo: int, hi: int) -> _ChunkPartial:
+def _run_chunk(
+    config: ExperimentConfig, rho0: np.ndarray, grid: np.ndarray, lo: int, hi: int
+) -> _ChunkPartial:
     model = config.model
     n = model.n_qubits
-    rho0, _ = resolve_initial_state(config.initial_state, n)
     nt = len(grid)
-    dim = model.dim
-    two_qubit = n == 2
-
-    conc_sum = np.zeros(nt)
-    conc = np.zeros((hi - lo, nt))
-    raw_sum = np.zeros((nt, dim, dim), dtype=complex)
-    rec_sum = np.zeros((nt, dim, dim), dtype=complex)
+    conc = np.full((hi - lo, nt), np.nan)
+    raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
+    rec_sum = np.zeros_like(raw_sum)
 
     kind = config.unraveling
     if kind == "diffusive":
@@ -254,22 +252,14 @@ def _run_chunk(config: ExperimentConfig, grid: np.ndarray, lo: int, hi: int) -> 
 
         raw_sum += states
         rec_sum += recovered
-        if two_qubit:
-            c = concurrence(states)
-            conc_sum += c
-            conc[idx - lo] = c
-
-    # two passes: deviations from the chunk mean, not conc² - N·mean², which
-    # cancels when the concurrences are nearly equal
-    m2 = ((conc - conc_sum / (hi - lo)) ** 2).sum(axis=0)
-    return _ChunkPartial(conc_sum, m2, conc.min(axis=0), raw_sum, rec_sum, hi - lo)
+        if n == 2:
+            conc[idx - lo] = concurrence(states)
+    return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
 def _master_statistics(
-    config: ExperimentConfig, times: np.ndarray, grid: np.ndarray
+    model: LindbladModel, rho0: np.ndarray, is_bell: bool, times: np.ndarray, grid: np.ndarray
 ) -> EnsembleStatistics:
-    model = config.model
-    rho0, is_bell = resolve_initial_state(config.initial_state, model.n_qubits)
     series = integrate_master(model, rho0, grid)
     states = np.stack([series.at(t) for t in grid])
     conc = concurrence(states) if model.n_qubits == 2 else np.full(len(times), np.nan)
@@ -282,7 +272,8 @@ def _master_statistics(
             ]
         )
     else:
-        dist = np.zeros(len(times))
+        # no closed form to compare against: NaN, never a 0 that reads as exact
+        dist = np.full(len(times), np.nan)
     zero = np.zeros(len(times))
     return EnsembleStatistics(
         times=times,
@@ -301,77 +292,55 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     """Run the configured ensemble and reduce it deterministically."""
     config.validate()
     times, grid = _sample_clock(config)
-    if config.unraveling == "none":
-        return _master_statistics(config, times, grid)
-
     model = config.model
+    rho0, is_bell = resolve_initial_state(config.initial_state, model.n_qubits)
+    if config.unraveling == "none":
+        return _master_statistics(model, rho0, is_bell, times, grid)
+
     n_traj = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     workers = config.workers if config.workers is not None else default_workers()
 
     if workers == 1 or len(bounds) == 1:
-        partials = [_run_chunk(config, grid, lo, hi) for lo, hi in bounds]
+        partials = [_run_chunk(config, rho0, grid, lo, hi) for lo, hi in bounds]
     else:
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds)), mp_context=ctx) as pool:
-            futures = [pool.submit(_run_chunk, config, grid, lo, hi) for lo, hi in bounds]
+            futures = [pool.submit(_run_chunk, config, rho0, grid, lo, hi) for lo, hi in bounds]
             partials = [f.result() for f in futures]
 
+    # one two-pass over every trajectory in chunk order; NaN concurrences
+    # (beyond two qubits) carry through mean, std and min. An error bar that
+    # cannot be estimated (one trajectory, one chunk, or no concurrence) is
+    # NaN, never a 0 that reads as exact
     nt = len(grid)
-    conc_sum = np.zeros(nt)
-    count, chan_mean, m2 = 0, np.zeros(nt), np.zeros(nt)
-    conc_min = np.full(nt, np.inf)
-    raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
-    rec_sum = np.zeros_like(raw_sum)
-    for part in partials:  # chunk order fixed by construction
-        conc_sum += part.conc_sum
-        # Chan, Golub & LeVeque: merge the chunk's mean and M2 into the running pair
-        delta = part.conc_sum / part.count - chan_mean
-        total = count + part.count
-        chan_mean += delta * (part.count / total)
-        m2 += part.conc_m2 + delta**2 * (count * part.count / total)
-        count = total
-        conc_min = np.minimum(conc_min, part.conc_min)
-        raw_sum += part.raw_sum
-        rec_sum += part.rec_sum
-
-    # an error bar that cannot be estimated (one trajectory, one chunk, or no
-    # concurrence beyond two qubits) is NaN, never a 0 that reads as exact
+    conc = np.concatenate([p.conc for p in partials])
+    stderr = conc.std(axis=0, ddof=1) / np.sqrt(n_traj) if n_traj > 1 else np.full(nt, np.nan)
+    raw_mean = sum(p.raw_sum for p in partials) / n_traj
+    rec_mean = sum(p.rec_sum for p in partials) / n_traj
     two_qubit = model.n_qubits == 2
-    mean_c = conc_sum / n_traj if two_qubit else np.full(nt, np.nan)
-    if two_qubit and n_traj > 1:
-        stderr = np.sqrt(m2 / (n_traj - 1) / n_traj)
-    else:
-        stderr = np.full(nt, np.nan)
-    raw_mean = raw_sum / n_traj
-    rec_mean = rec_sum / n_traj
     rec_conc = concurrence(rec_mean) if two_qubit else np.full(nt, np.nan)
-
     if two_qubit and len(partials) > 1:
-        block = np.stack([concurrence(p.rec_sum / p.count) for p in partials], axis=1)
+        block = np.stack([concurrence(p.rec_sum / len(p.conc)) for p in partials], axis=1)
         rec_stderr = block.std(axis=1, ddof=1) / np.sqrt(len(partials))
     else:
         rec_stderr = np.full(nt, np.nan)
 
-    rho0 = resolve_initial_state(config.initial_state, model.n_qubits)[0]
     oracle = integrate_master(model, rho0, grid)
     eta_oracle = integrate_master(model.scaled(1.0 - model.eta), rho0, grid)
     dist = np.array([trace_distance(raw_mean[i], oracle.at(t)) for i, t in enumerate(grid)])
     rec_dist = np.array(
         [trace_distance(rec_mean[i], eta_oracle.at(t)) for i, t in enumerate(grid)]
     )
-    if not two_qubit:
-        conc_min = np.full(nt, np.nan)
-
     return EnsembleStatistics(
         times=times,
-        mean_concurrence=mean_c,
+        mean_concurrence=conc.mean(axis=0),
         stderr=stderr,
         recovered_concurrence=rec_conc,
         recovered_stderr=rec_stderr,
         trace_dist_master=dist,
         recovered_trace_dist=rec_dist,
-        min_concurrence=conc_min,
+        min_concurrence=conc.min(axis=0),
         n=np.full(nt, n_traj, dtype=int),
     )
 

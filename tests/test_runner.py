@@ -112,6 +112,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="gamma_max"):
             _config(model=LindbladModel(2, 100.0, 100.0)).validate()
 
+    def test_master_takes_any_dt(self):
+        # the closed-form master has no step, so the jump engine's
+        # gamma*dt <= 0.01 rule does not apply to it
+        cfg = _config(unraveling="none", dt=0.05, sample_times=None)
+        stats = run_ensemble(cfg)
+        assert np.allclose(stats.times, 0.05 * np.arange(11))
+        expected = analytic_concurrence("infinite_T", 1.0, None, stats.times)
+        assert np.max(np.abs(stats.mean_concurrence - expected)) < 1e-6
+
     def test_initial_state_names(self):
         rho, is_bell = resolve_initial_state("bell", 2)
         assert is_bell and abs(rho[1, 2] - 0.5) < 1e-15
@@ -156,6 +165,28 @@ class TestRunEnsemble:
         assert np.max(np.abs(stats.mean_concurrence - expected)) < 1e-6
         # oracle column holds the distance to the closed-form state
         assert np.max(stats.trace_dist_master) < 1e-9
+
+    @pytest.mark.parametrize(
+        "model, state, oracle",
+        [
+            (LindbladModel(2, 1.0, 0.0), "bell", True),
+            (LindbladModel(2, 1.0, 0.3), "bell", False),
+            (LindbladModel(2, 1.0, 1.0), "ground", False),
+        ],
+        ids=["zero_T", "no_closed_form", "not_bell"],
+    )
+    def test_master_oracle_column(self, model, state, oracle):
+        # without a closed form no oracle is computed, so the column is NaN
+        # and may not read as an exact 0
+        stats = run_ensemble(_config(model=model, unraveling="none", initial_state=state))
+        assert np.all(np.isfinite(stats.mean_concurrence))
+        if oracle:
+            assert np.max(stats.trace_dist_master) < 1e-9
+            return
+        assert np.all(np.isnan(stats.trace_dist_master))
+        assert np.all(np.isnan(stats.recovered_trace_dist))
+        for view in ("trajectory", "recovered"):
+            assert ",nan," in csv_text(stats, view)
 
     def test_protecting_eta1_statistics(self):
         stats = run_ensemble(_config(n_trajectories=50))
@@ -242,25 +273,53 @@ class TestRunEnsemble:
         from qtraj.jumps import protecting_jumps, run_jump_trajectory, trajectory_seed
 
         model = LindbladModel(2, 1.0, 1.0)
-        cfg = _config(model=model, t_max=1.0, n_trajectories=300, master_seed=4, sample_times=None)
-        stats = run_ensemble(cfg)  # two chunks: 256 + 44
         rho0, _ = resolve_initial_state("bell", 2)
-        c = np.array(
-            [
-                concurrence(
-                    np.stack(
-                        run_jump_trajectory(
-                            model, protecting_jumps(model), rho0, 1e-3, 1.0,
-                            trajectory_seed(4, i), sample_times=stats.times,
-                        ).samples
+        for n_traj in (300, 600):  # two and three chunks
+            cfg = _config(
+                model=model, t_max=1.0, n_trajectories=n_traj, master_seed=4, sample_times=None
+            )
+            stats = run_ensemble(cfg)
+            c = np.array(
+                [
+                    concurrence(
+                        np.stack(
+                            run_jump_trajectory(
+                                model, protecting_jumps(model), rho0, 1e-3, 1.0,
+                                trajectory_seed(4, i), sample_times=stats.times,
+                            ).samples
+                        )
                     )
+                    for i in range(n_traj)
+                ]
+            )
+            assert stats.stderr[0] < 1e-15
+            expected = np.std(c, axis=0, ddof=1) / np.sqrt(n_traj)
+            assert np.max(np.abs(stats.stderr - expected)) <= 1e-15
+            assert np.max(np.abs(stats.mean_concurrence - c.mean(axis=0))) <= 1e-15
+            assert np.max(np.abs(stats.min_concurrence - c.min(axis=0))) <= 1e-15
+
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_concurrence_beyond_two_qubits_is_nan(self, n_qubits):
+        # two chunks of canonical clicks with no concurrence to reduce; NaN
+        # must pass through the reduction without a warning (warnings are
+        # errors in this suite), at any worker count
+        model = LindbladModel(n_qubits, 1.0, 0.5)
+        texts = []
+        for workers in (1, 3):
+            stats = run_ensemble(
+                _config(
+                    model=model, unraveling="jump_canonical", initial_state="excited",
+                    t_max=0.2, sample_times=np.array([0.0, 0.1, 0.2]),
+                    n_trajectories=300, workers=workers,
                 )
-                for i in range(300)
-            ]
-        )
-        assert stats.stderr[0] < 1e-15
-        expected = np.std(c, axis=0, ddof=1) / np.sqrt(300)
-        assert np.max(np.abs(stats.stderr - expected)) <= 1e-15
+            )
+            for series in (stats.mean_concurrence, stats.stderr, stats.min_concurrence,
+                           stats.recovered_concurrence, stats.recovered_stderr):
+                assert np.all(np.isnan(series))
+            assert np.all(np.isfinite(stats.trace_dist_master))
+            assert np.all(np.isfinite(stats.recovered_trace_dist))
+            texts.append(tuple(csv_text(stats, view) for view in ("trajectory", "recovered")))
+        assert texts[0] == texts[1]
 
     def test_worker_count_does_not_change_bytes(self):
         cfg1 = _config(n_trajectories=600, workers=1)
@@ -441,6 +500,13 @@ class TestCli:
             assert res.returncode == 2, argv
             assert "u: only the diffusive" in res.stderr and not res.stdout
 
+    def test_master_coarse_dt_exit_code(self):
+        # dt only places the master's default samples; it once exited 2
+        # with "gamma_max*dt = 0.05 exceeds 0.01"
+        res = self._run("master", "--dt", "0.05")
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.splitlines()) == 1 + 21
+
     def test_master_config_with_time_below_grid(self, tmp_path):
         cfg = tmp_path / "master.ini"
         cfg.write_text("[run]\ndt = 0.001\nt_max = 2\nsample_times = 0.5 1.9999999985\n")
@@ -495,6 +561,16 @@ class TestCli:
         assert csv("--config", ini, "--view", "trajectory") == csv_text(stats, "trajectory")
         assert main(["jump", "--config", self._ini(tmp_path, "view = raw\n")]) == 2
         assert "view" in capsys.readouterr().err
+
+    def test_config_output_key_and_flag_wins(self, tmp_path, capsys):
+        from qtraj.cli import main
+
+        ini = self._ini(tmp_path, f"output = {tmp_path / 'ini.csv'}\n")
+        assert main(["jump", "--config", ini]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'ini.csv'}\n"
+        assert parse_csv(tmp_path / "ini.csv")["n"][0] == 10
+        assert main(["jump", "--config", ini, "--output", str(tmp_path / "flag.csv")]) == 0
+        assert (tmp_path / "flag.csv").read_text() == (tmp_path / "ini.csv").read_text()
 
     @pytest.mark.parametrize(
         "argv, key, ok",
