@@ -22,6 +22,12 @@ purity and entanglement are exactly preserved and the accumulated unitary can
 be undone at the end. That exact path is ``step_protecting_unitary``; the
 general engine handles any admissible u.
 
+On the exact path rho(t) = F(t) rho0 F(t)†, with F(t) = U_t ... U_1 a tensor
+product of per-qubit SU(2) steps. ``run_protecting_unitary_trajectory`` forms
+F only at the sample steps and the end, as a log-depth associative product
+(a parallel prefix; Hillis & Steele, CACM 29, 1170 (1986)) whose rounding
+grows like log n_steps, so the frames need no periodic re-projection.
+
 The general stepper adds the symmetric second-order noise correction to the
 Euler-Maruyama update (a Milstein-type scheme; the omitted Levy-area terms
 point along local-unitary directions for the protecting u and do not affect
@@ -77,8 +83,6 @@ PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 # the stochastic scheme transiently produces eigenvalues of order -(gamma dt);
 # this guard only catches genuine blow-ups
 _EIG_GUARD = -0.05
-
-_REUNITARIZE_EVERY = 1000
 
 
 @dataclass(frozen=True)
@@ -340,6 +344,43 @@ def step_protecting_unitary(
     return full @ state @ full.conj().T, us @ frame
 
 
+def _su2_product(a1, b1, a2, b2):
+    """Cayley-Klein pair of [[a1, -b1*], [b1, a1*]] @ [[a2, -b2*], [b2, a2*]], elementwise."""
+    return a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
+
+
+def _prefix_frames(locals_u: np.ndarray, steps) -> np.ndarray:
+    """The frames U_s ... U_1 (later steps on the left) at each step s of ``steps``.
+
+    ``locals_u`` is the ``(n_steps, n, 2, 2)`` stack of per-qubit SU(2) steps,
+    each carried as its Cayley-Klein pair (a, b) = (U_00, U_10), so products
+    are elementwise. Level k of a pairwise product tree holds the products
+    over the aligned blocks [j 2^k, (j+1) 2^k) of steps. The first s steps are
+    one such block per set bit of s, met from the latest to the earliest when
+    the bits are read from low to high, so every frame takes at most one
+    factor on its right per level while the tree is built. Only the current
+    level is held: memory is O(n_steps) for any set of steps.
+    """
+    s = np.asarray(steps, dtype=np.int64)
+    a, b = locals_u[..., 0, 0], locals_u[..., 1, 0]
+    acc_a = np.ones((len(s),) + a.shape[1:], dtype=complex)
+    acc_b = np.zeros_like(acc_a)
+    for k in range(int(s.max(initial=0)).bit_length()):
+        if k:
+            m = len(a) // 2
+            a, b = _su2_product(a[1 : 2 * m : 2], b[1 : 2 * m : 2], a[: 2 * m : 2], b[: 2 * m : 2])
+        q = s >> k
+        hit = np.flatnonzero(q & 1)
+        block = q[hit] - 1
+        acc_a[hit], acc_b[hit] = _su2_product(acc_a[hit], acc_b[hit], a[block], b[block])
+    frames = np.empty(acc_a.shape + (2, 2), dtype=complex)
+    frames[..., 0, 0] = acc_a
+    frames[..., 0, 1] = -acc_b.conj()
+    frames[..., 1, 0] = acc_b
+    frames[..., 1, 1] = acc_a.conj()
+    return frames
+
+
 def run_protecting_unitary_trajectory(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -365,20 +406,11 @@ def run_protecting_unitary_trajectory(
     locals_u = protecting_unitary(np.asarray(model.gamma_minus), dws[..., 0], dws[..., 1])
 
     # every step is local, so rho(t) = F(t) rho0 F(t)^dagger with F the tensor
-    # product of the per-qubit frames: only the (n, 2, 2) frames are stepped,
-    # and states are formed at the sample steps alone
-    frames = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    sample_frames = np.empty((len(sample_steps), n, 2, 2), dtype=complex)
-    row = {step: j for j, step in enumerate(sample_steps)}
-    if 0 in row:
-        sample_frames[row[0]] = frames
-    for step in range(1, n_steps + 1):
-        frames = locals_u[step - 1] @ frames
-        if step % _REUNITARIZE_EVERY == 0:
-            frames = unitary_part(frames)
-        if step in row:
-            sample_frames[row[step]] = frames
-    frame = unitary_part(frames)
+    # product of the per-qubit frames: only the frames at the sample steps and
+    # at the end are formed, and states at those steps alone
+    frames = _prefix_frames(locals_u, sample_steps + [n_steps])
+    sample_frames = frames[:-1]
+    frame = unitary_part(frames[-1])
     samples = list(apply_frame(rho0, sample_frames))
     state = apply_frame(rho0, frame)
     validate_density_matrix(state, context="protecting-unitary final state")

@@ -239,7 +239,11 @@ def _run_chunk(
 
     for idx in range(lo, hi):
         seed = trajectory_seed(config.master_seed, idx)
-        record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
+        try:
+            record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
+        except InvariantViolation as exc:
+            # name the trajectory, so that it can be replayed on its own
+            raise InvariantViolation(f"trajectory {idx} (seed {seed}): {exc}") from exc
         states = np.stack(record.samples)
         if kind == "jump_protecting":
             # the frame at t folds the clicks at or before t

@@ -1,5 +1,7 @@
 """Diffusive engine: noise correlations, stepping, currents, exact-unitary path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,24 @@ class TestCurrents:
             assert abs(i12.imag) < 1e-12 and abs(i34.imag) < 1e-12
 
 
+@st.composite
+def _sample_patterns(draw):
+    """A step count and its sample steps: none, the start, the end, every step,
+    or a dense head followed by one long tail."""
+    n_steps = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(["none", "start", "end", "every", "head_tail"]))
+    if kind == "none":
+        return n_steps, None
+    if kind == "start":
+        return n_steps, [0]
+    if kind == "end":
+        return n_steps, [n_steps]
+    if kind == "every":
+        return n_steps, list(range(n_steps + 1))
+    head = draw(st.integers(1, min(n_steps, 100)))
+    return n_steps, list(range(head)) + [n_steps]
+
+
 class TestProtectingUnitary:
     def test_zero_noise_identity(self):
         assert np.array_equal(protecting_unitary(1.0, 0.0, 0.0), np.eye(2))
@@ -416,7 +436,7 @@ class TestProtectingUnitary:
     def test_frame_path_matches_stepwise_conjugation(self, bell_rho):
         # the trajectory forms its sample states from the frames alone; the
         # per-step conjugation of step_protecting_unitary on the same draws
-        # is the reference (t_max crosses one reunitarization)
+        # is the reference (1500 steps: the frames are tree products of them)
         model = LindbladModel(2, 1.0, 1.0)
         dt, seed, times = 1e-3, 33, [0.0, 0.25, 1.0, 1.5]
         rec = run_protecting_unitary_trajectory(
@@ -435,6 +455,57 @@ class TestProtectingUnitary:
             assert np.max(np.abs(sample - stepped[round(t / dt)])) < 1e-12
         assert unitarity_defect(rec.frame) <= 1e-12
         assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(pattern=_sample_patterns(), n=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_frames_match_sequential_products(self, pattern, n, seed):
+        # the log-depth frame products against the left-multiplying loop of
+        # step_protecting_unitary on the same Philox draws
+        n_steps, steps = pattern
+        rng = np.random.default_rng(seed)
+        gammas = rng.uniform(0.1, 3.0, n)
+        ket = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        rho0 = density(ket / np.linalg.norm(ket))
+        dt = 1e-3
+        times = None if steps is None else np.array(steps) * dt
+        rec = run_protecting_unitary_trajectory(
+            LindbladModel(n, gammas, gammas), rho0, dt, n_steps * dt, seed, sample_times=times
+        )
+        stream = _trajectory_rng(seed)
+        state, frame = rho0, np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+        frames = [frame]
+        for _ in range(n_steps):
+            state, frame = step_protecting_unitary(state, gammas, stream, dt, frame)
+            frames.append(frame)
+        wanted = steps or []
+        assert rec.sample_frames.shape == (len(wanted), n, 2, 2)
+        assert len(rec.samples) == len(wanted)
+        for fr, step in zip(rec.sample_frames, wanted):
+            assert np.max(np.abs(fr - frames[step])) <= 1e-13
+        assert unitarity_defect(rec.sample_frames) <= 1e-12
+        assert unitarity_defect(rec.frame) <= 1e-12
+        assert np.max(np.abs(rec.frame - frames[-1])) <= 1e-13
+        assert np.max(np.abs(rec.final_state - state)) <= 1e-12
+
+    def test_memory_is_linear_in_steps_for_packed_samples(self):
+        # 101 sample steps at the start leave one segment of 99 900 steps: a
+        # design that pads every segment to the longest needs ~100x the draw
+        # array; the draws, protecting_unitary's temporaries and the first
+        # tree level take about 3x
+        model = LindbladModel(1, 1.0, 1.0)
+        n_steps, dt = 10**5, 1e-5
+        rho0 = density(computational_ket("0"))
+        tracemalloc.start()
+        try:
+            rec = run_protecting_unitary_trajectory(
+                model, rho0, dt, 1.0, seed=5, sample_times=np.arange(101) * dt
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.sample_frames.shape == (101, 1, 2, 2)
+        draws = n_steps * model.n_qubits * 4 * np.dtype(complex).itemsize  # (n_steps, n, 2, 2)
+        assert peak <= 5 * draws
 
     def test_requires_balanced_rates(self, bell_rho):
         with pytest.raises(ValueError, match="balanced|gamma"):

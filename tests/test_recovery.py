@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtraj.jumps import JumpEvent
+from qtraj.diffusive import run_protecting_unitary_trajectory
+from qtraj.jumps import JumpEvent, protecting_jumps, run_jump_trajectory
+from qtraj.master import LindbladModel
 from qtraj.qcore import (
     SIGMA_X,
     SIGMA_Y,
+    density,
     dissipator,
     pauli_matrix,
     random_density_matrix,
@@ -179,6 +182,31 @@ class TestFoldAndBatch:
         frames[bad, data.draw(st.integers(0, n - 1))] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="unitary"):
             recover_unitary(states, frames)
+
+
+class TestRecoveredFidelity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_perfectly_detected_protecting_records_restore_rho0(self, seed):
+        # both protecting unravelings at eta = 1: the observer's frame undoes
+        # the trajectory exactly, at every sample time
+        rng = np.random.default_rng(seed)
+        ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho0 = density(ket / np.linalg.norm(ket))
+        gammas = rng.uniform(0.2, 3.0, 2)
+        model = LindbladModel(2, gammas, gammas)
+        dt = 1e-3
+        grid = dt * np.arange(0, 1001, 50)  # the runner's grid times dt * step
+
+        rec = run_jump_trajectory(model, protecting_jumps(model), rho0, dt, 1.0, seed, grid)
+        assert all(e.detected for e in rec.events)
+        rows = np.searchsorted([e.time for e in rec.events], grid, side="right")
+        restored = recover(np.stack(rec.samples), frame_from_events(rec.events, 2)[rows])
+        assert np.max(np.abs(restored - rho0)) <= 1e-12
+
+        rec = run_protecting_unitary_trajectory(model, rho0, dt, 1.0, seed, grid)
+        restored = recover_unitary(np.stack(rec.samples), rec.sample_frames)
+        assert np.max(np.abs(restored - rho0)) <= 1e-12
 
 
 class TestCommutationLemma:

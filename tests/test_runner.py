@@ -372,6 +372,36 @@ class TestRunEnsemble:
         assert np.allclose(stats.mean_concurrence, 1.0, atol=1e-10)
         assert np.max(stats.recovered_trace_dist) < 1e-8
 
+    def test_invariant_violation_names_its_trajectory(self, monkeypatch, capsys):
+        # an engine failure at index 3 of 5 must carry (index, seed), so the
+        # trajectory can be replayed on its own
+        import qtraj.runner as runner
+        from qtraj.cli import main
+        from qtraj.jumps import trajectory_seed
+        from qtraj.qcore import InvariantViolation
+
+        master = 11
+        bad = trajectory_seed(master, 3)
+        engine = runner.run_jump_trajectory
+        seen = []
+
+        def failing(*args):
+            seen.append(args[5])
+            if args[5] == bad:
+                raise InvariantViolation("injected: trace 2 deviates from 1")
+            return engine(*args)
+
+        monkeypatch.setattr(runner, "run_jump_trajectory", failing)
+        cfg = _config(n_trajectories=5, master_seed=master, t_max=0.1, sample_times=None)
+        with pytest.raises(InvariantViolation, match=rf"^trajectory 3 \(seed {bad}\): injected"):
+            run_ensemble(cfg)
+        assert seen == [trajectory_seed(master, i) for i in range(4)]
+
+        argv = ["jump", "--n-traj", "5", "--seed", str(master), "--t-max", "0.1", "--workers", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert f"trajectory 3 (seed {bad}): injected" in captured.err and not captured.out
+
 
 class TestCsv:
     def test_header_and_t0_row(self, tmp_path):
