@@ -4,8 +4,10 @@ Subcommands: ``master`` (exact unconditioned solution), ``jump`` and ``diffusive
 (trajectory ensembles), ``figure3`` (the five concurrence-vs-time CSV series)
 and ``params`` (engineered-reservoir rate helper). Options can come from an
 INI config file ([model] and [run] sections, see the README schema); explicit
-flags win over the file. Unknown config keys are errors, and so is an
-``unraveling`` key that disagrees with the subcommand and its flags.
+flags win over the file. One ``ConfigError`` lists every bad option before
+any work starts: unknown sections and keys, values that do not convert, a bad
+view, an ``unraveling`` key that disagrees with the subcommand and its flags,
+and the model's own checks.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -15,6 +17,7 @@ import argparse
 import configparser
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,22 +40,6 @@ from .runner import (
 )
 
 _VIEWS = ("trajectory", "recovered")
-_MODEL_KEYS = {"n_qubits", "gamma_minus", "gamma_plus", "eta"}
-_RUN_KEYS = {
-    "unraveling",
-    "initial_state",
-    "dt",
-    "t_max",
-    "n_trajectories",
-    "master_seed",
-    "sample_times",
-    "output",
-    "workers",
-    "u11",
-    "u12",
-    "u22",
-    "view",
-}
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -64,107 +51,91 @@ def _parse_rates(text: str):
     return vals[0] if len(vals) == 1 else vals
 
 
-def load_config_file(path: str) -> dict:
-    """Read the [model]/[run] INI schema; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise OSError(f"cannot read config file {path}")
-    out: dict = {}
-    for section in parser.sections():
-        if section == "model":
-            allowed = _MODEL_KEYS
-        elif section == "run":
-            allowed = _RUN_KEYS
-        else:
-            raise ConfigError(f"config: unknown section [{section}]")
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"config: unknown key {key!r} in [{section}]")
-            out[key] = value
-    return out
+# Every run option once: INI key (also the argparse dest) -> INI section,
+# conversion, default, flag and help. Flag values take the same conversion as
+# file values, so that a bad flag is listed with every other bad field.
+_OPTIONS = {
+    "n_qubits": ("model", int, 2, "--n-qubits", None),
+    "gamma_minus": ("model", _parse_rates, 1.0, "--gamma-minus",
+                    "decay rate(s), one value or per-qubit list"),
+    "gamma_plus": ("model", _parse_rates, 1.0, "--gamma-plus",
+                   "pump rate(s), one value or per-qubit list"),
+    "eta": ("model", float, 1.0, "--eta", "detection efficiency in [0, 1]"),
+    "unraveling": ("run", str, None, None, None),  # the subcommand's flags choose it
+    "dt": ("run", float, 1e-3, "--dt", None),
+    "t_max": ("run", float, 1.0, "--t-max", None),
+    "n_trajectories": ("run", int, 1000, "--n-traj", None),
+    "master_seed": ("run", int, 0, "--seed", None),
+    "initial_state": ("run", str, "bell", "--initial-state", "bell, ground or excited"),
+    "sample_times": ("run", _parse_times, None, "--sample-times",
+                     "comma/space separated times on the dt grid"),
+    "workers": ("run", int, None, "--workers", None),
+    "output": ("run", str, None, "--output", "CSV output path (default: stdout)"),
+    "view": ("run", str, "trajectory", "--view",
+             "which concurrence series the CSV carries: trajectory or recovered"),
+    "u11": ("run", complex, 0.0, "--u11", "noise correlation u[--]"),
+    "u12": ("run", complex, -1.0, "--u12", "noise correlation u[-+] (default -1)"),
+    "u22": ("run", complex, 0.0, "--u22", "noise correlation u[++]"),
+}
+_U_KEYS = ("u11", "u12", "u22")
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"unraveling"}
 
 
-def _merged(args: argparse.Namespace, flag: str, cfg: dict, key: str, convert, default=None):
-    flag_val = getattr(args, flag, None)
-    if flag_val is not None:
-        return flag_val
-    if key in cfg:
+def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfig, str, str | None]:
+    """Merge flag > INI file > default; every bad field goes into one ConfigError."""
+    errors, given = [], {}
+    if args.config:
+        ini = configparser.ConfigParser()
         try:
-            return convert(cfg[key])
+            if not ini.read(args.config):
+                raise OSError(f"cannot read config file {args.config}")
+        except configparser.Error as exc:
+            raise ConfigError(f"config: {exc}") from None
+        for section in ini.sections():
+            if section not in ("model", "run"):
+                errors.append(f"unknown section [{section}]")
+                continue
+            for key, text in ini.items(section):
+                if key in _OPTIONS and _OPTIONS[key][0] == section:
+                    given[key] = text
+                else:
+                    errors.append(f"unknown key {key!r} in [{section}]")
+    given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
+
+    values = {}
+    for key, (_, convert, default, _, _) in _OPTIONS.items():
+        try:
+            values[key] = convert(given[key]) if key in given else default
         except ValueError as exc:
-            raise ConfigError(f"config: {key}: {exc}") from None
-    return default
-
-
-def _build_config(args: argparse.Namespace, unraveling: str, cfg: dict) -> ExperimentConfig:
-    if cfg.get("unraveling", unraveling) != unraveling:
-        raise ConfigError(
-            f"config: unraveling = {cfg['unraveling']} disagrees with the command line ({unraveling})"
+            errors.append(f"{key}: {exc}")
+    if values["view"] not in _VIEWS:
+        errors.append(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
+    if values["unraveling"] not in (None, unraveling):
+        errors.append(
+            f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"
         )
-    n_qubits = _merged(args, "n_qubits", cfg, "n_qubits", int, 2)
-    gamma_minus = _merged(args, "gamma_minus", cfg, "gamma_minus", _parse_rates, 1.0)
-    gamma_plus = _merged(args, "gamma_plus", cfg, "gamma_plus", _parse_rates, 1.0)
-    eta = _merged(args, "eta", cfg, "eta", float, 1.0)
-    try:
-        model = LindbladModel(n_qubits, gamma_minus, gamma_plus, eta)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    model_keys = [k for k, spec in _OPTIONS.items() if spec[0] == "model"]
+    if all(k in values for k in model_keys):
+        try:
+            model = LindbladModel(**{k: values[k] for k in model_keys})
+        except ValueError as exc:
+            errors.append(f"model: {exc}")
+    if errors:
+        raise ConfigError("; ".join(errors))
 
     # any u key reaches validate(), which rejects it outside the general SME;
     # plain diffusive defaults to the protecting u
     u = None
-    if unraveling == "diffusive" or any(
-        getattr(args, key, None) is not None or key in cfg for key in ("u11", "u12", "u22")
-    ):
-        u11 = _merged(args, "u11", cfg, "u11", complex, 0.0)
-        u12 = _merged(args, "u12", cfg, "u12", complex, -1.0)
-        u22 = _merged(args, "u22", cfg, "u22", complex, 0.0)
+    if unraveling == "diffusive" or any(k in given for k in _U_KEYS):
+        u11, u12, u22 = (values[k] for k in _U_KEYS)
         u = np.array([[u11, u12], [u12, u22]], dtype=complex)
-
-    return ExperimentConfig(
-        model=model,
-        unraveling=unraveling,
-        dt=_merged(args, "dt", cfg, "dt", float, 1e-3),
-        t_max=_merged(args, "t_max", cfg, "t_max", float, 1.0),
-        n_trajectories=_merged(args, "n_traj", cfg, "n_trajectories", int, 1000),
-        master_seed=_merged(args, "seed", cfg, "master_seed", int, 0),
-        initial_state=_merged(args, "initial_state", cfg, "initial_state", str, "bell"),
-        sample_times=_merged(args, "sample_times", cfg, "sample_times", _parse_times),
-        u=u,
-        workers=_merged(args, "workers", cfg, "workers", int),
-    )
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file ([model]/[run] sections)")
-    sub.add_argument("--n-qubits", type=int, dest="n_qubits")
-    sub.add_argument("--gamma-minus", type=_parse_rates, dest="gamma_minus",
-                     help="decay rate(s), one value or per-qubit list")
-    sub.add_argument("--gamma-plus", type=_parse_rates, dest="gamma_plus",
-                     help="pump rate(s), one value or per-qubit list")
-    sub.add_argument("--eta", type=float, help="detection efficiency in [0, 1]")
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--t-max", type=float, dest="t_max")
-    sub.add_argument("--n-traj", type=int, dest="n_traj")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--initial-state", dest="initial_state",
-                     help="bell, ground or excited")
-    sub.add_argument("--sample-times", type=_parse_times, dest="sample_times",
-                     help="comma/space separated times on the dt grid")
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--output", help="CSV output path (default: stdout)")
-    sub.add_argument("--view", choices=_VIEWS,
-                     help="which concurrence series the CSV carries")
+    run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
+    config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
+    return config, values["view"], values["output"]
 
 
 def _run_and_emit(args: argparse.Namespace, unraveling: str) -> None:
-    cfg = load_config_file(args.config) if args.config else {}
-    config = _build_config(args, unraveling, cfg)
-    view = _merged(args, "view", cfg, "view", str, "trajectory")
-    if view not in _VIEWS:
-        raise ConfigError(f"config: view: unknown {view!r}, expected one of {_VIEWS}")
-    output = _merged(args, "output", cfg, "output", str)
+    config, view, output = _resolve(args, unraveling)
     stats = run_ensemble(config)
     if output:
         emit_csv(stats, output, view=view)
@@ -179,33 +150,38 @@ def main(argv=None) -> int:
         description="Stochastic trajectory simulator for locally monitored qubit reservoirs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_master = subs.add_parser("master", help="solve the unconditioned master equation")
-    _add_common(p_master)
-
-    p_jump = subs.add_parser("jump", help="quantum-jump trajectory ensemble")
-    _add_common(p_jump)
-    p_jump.add_argument(
+    runs = {
+        name: subs.add_parser(name, help=text)
+        for name, text in (
+            ("master", "solve the unconditioned master equation"),
+            ("jump", "quantum-jump trajectory ensemble"),
+            ("diffusive", "diffusive (homodyne-like) ensemble"),
+        )
+    }
+    for name, sub in runs.items():
+        sub.add_argument("--config", help="INI config file ([model]/[run] sections)")
+        for key, (_, _, _, flag, help_text) in _OPTIONS.items():
+            if flag and (name == "diffusive" or key not in _U_KEYS):
+                sub.add_argument(flag, dest=key, help=help_text)
+    # the dest is not "unraveling", which is the INI key
+    runs["jump"].add_argument(
         "--unraveling", choices=("canonical", "protecting"), default="protecting",
+        dest="jump_set",
         help="bare decay/pump clicks, or the entanglement-preserving Pauli mix",
     )
+    runs["diffusive"].add_argument("--exact-unitary", action="store_true",
+                                   help="use the exact local-unitary protecting path")
 
-    p_diff = subs.add_parser("diffusive", help="diffusive (homodyne-like) ensemble")
-    _add_common(p_diff)
-    p_diff.add_argument("--exact-unitary", action="store_true",
-                        help="use the exact local-unitary protecting path")
-    p_diff.add_argument("--u11", type=complex, help="noise correlation u[--]")
-    p_diff.add_argument("--u12", type=complex, help="noise correlation u[-+] (default -1)")
-    p_diff.add_argument("--u22", type=complex, help="noise correlation u[++]")
-
-    p_fig = subs.add_parser("figure3", help="emit the five concurrence-vs-time CSV series")
+    # only the flags given reach figure3, whose signature holds the defaults
+    p_fig = subs.add_parser("figure3", help="emit the five concurrence-vs-time CSV series",
+                            argument_default=argparse.SUPPRESS)
     p_fig.add_argument("--output-dir", required=True)
-    p_fig.add_argument("--gamma", type=float, default=1.0)
-    p_fig.add_argument("--n-traj", type=int, default=2000, dest="n_traj")
-    p_fig.add_argument("--dt", type=float, default=1e-3)
-    p_fig.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    p_fig.add_argument("--sample-spacing", type=float, default=0.05)
-    p_fig.add_argument("--seed", type=int, default=1905)
+    p_fig.add_argument("--gamma", type=float)
+    p_fig.add_argument("--n-traj", type=int, dest="n_trajectories")
+    p_fig.add_argument("--dt", type=float)
+    p_fig.add_argument("--t-max", type=float, dest="t_max")
+    p_fig.add_argument("--sample-spacing", type=float)
+    p_fig.add_argument("--seed", type=int, dest="master_seed")
     p_fig.add_argument("--workers", type=int)
 
     p_par = subs.add_parser("params", help="engineered-reservoir rate calculator")
@@ -220,22 +196,13 @@ def main(argv=None) -> int:
         if args.command == "master":
             _run_and_emit(args, "none")
         elif args.command == "jump":
-            kind = "jump_canonical" if args.unraveling == "canonical" else "jump_protecting"
+            kind = "jump_canonical" if args.jump_set == "canonical" else "jump_protecting"
             _run_and_emit(args, kind)
         elif args.command == "diffusive":
             kind = "diffusive_protecting_unitary" if args.exact_unitary else "diffusive"
             _run_and_emit(args, kind)
         elif args.command == "figure3":
-            paths = figure3(
-                args.output_dir,
-                gamma=args.gamma,
-                n_trajectories=args.n_traj,
-                dt=args.dt,
-                t_max=args.t_max,
-                sample_spacing=args.sample_spacing,
-                master_seed=args.seed,
-                workers=args.workers,
-            )
+            paths = figure3(**{k: v for k, v in vars(args).items() if k != "command"})
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "params":

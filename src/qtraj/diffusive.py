@@ -76,7 +76,7 @@ from .qcore import (
     tensor_product,
     validate_density_matrix,
 )
-from .recovery import apply_frame, unitary_part
+from .recovery import apply_frame
 
 PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -297,6 +297,27 @@ def run_diffusive_trajectory(
     return TrajectoryRecord(final_state=state, samples=samples)
 
 
+def _protecting_pair(gamma, dw1, dw2):
+    """Cayley-Klein pair (a, b) = (U_00, U_10) of each ``protecting_unitary`` step."""
+    half = np.sqrt(np.asarray(gamma, dtype=float) / 2.0)
+    ax = half * dw2
+    ay = -half * dw1
+    theta = np.hypot(ax, ay)
+    safe = np.where(theta > 0.0, theta, 1.0)
+    nx, ny = ax / safe, ay / safe
+    return np.cos(theta), -1j * np.sin(theta) * (nx + 1j * ny)
+
+
+def _su2_matrix(a, b) -> np.ndarray:
+    """The matrices [[a, -b*], [b, a*]] of Cayley-Klein pairs, shape (..., 2, 2)."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = -np.conj(b)
+    out[..., 1, 0] = b
+    out[..., 1, 1] = np.conj(a)
+    return out
+
+
 def protecting_unitary(gamma, dw1, dw2) -> np.ndarray:
     """exp(-i H) for the local stochastic Hamiltonian of the protecting choice.
 
@@ -305,19 +326,7 @@ def protecting_unitary(gamma, dw1, dw2) -> np.ndarray:
     in the |0>=ground convention. Broadcasts over arrays of rates and
     increments: the result has shape (..., 2, 2).
     """
-    half = np.sqrt(np.asarray(gamma, dtype=float) / 2.0)
-    ax = half * dw2
-    ay = -half * dw1
-    theta = np.hypot(ax, ay)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    nx, ny = ax / safe, ay / safe
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
-    out[..., 0, 0] = cos_t
-    out[..., 1, 1] = cos_t
-    out[..., 0, 1] = -1j * sin_t * (nx - 1j * ny)
-    out[..., 1, 0] = -1j * sin_t * (nx + 1j * ny)
-    return out
+    return _su2_matrix(*_protecting_pair(gamma, dw1, dw2))
 
 
 def step_protecting_unitary(
@@ -349,12 +358,12 @@ def _su2_product(a1, b1, a2, b2):
     return a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
 
 
-def _prefix_frames(locals_u: np.ndarray, steps) -> np.ndarray:
+def _prefix_frames(a: np.ndarray, b: np.ndarray, steps) -> np.ndarray:
     """The frames U_s ... U_1 (later steps on the left) at each step s of ``steps``.
 
-    ``locals_u`` is the ``(n_steps, n, 2, 2)`` stack of per-qubit SU(2) steps,
-    each carried as its Cayley-Klein pair (a, b) = (U_00, U_10), so products
-    are elementwise. Level k of a pairwise product tree holds the products
+    ``a`` and ``b`` are the ``(n_steps, n)`` Cayley-Klein pairs
+    (a, b) = (U_00, U_10) of the per-qubit SU(2) steps, so products are
+    elementwise. Level k of a pairwise product tree holds the products
     over the aligned blocks [j 2^k, (j+1) 2^k) of steps. The first s steps are
     one such block per set bit of s, met from the latest to the earliest when
     the bits are read from low to high, so every frame takes at most one
@@ -362,7 +371,6 @@ def _prefix_frames(locals_u: np.ndarray, steps) -> np.ndarray:
     level is held: memory is O(n_steps) for any set of steps.
     """
     s = np.asarray(steps, dtype=np.int64)
-    a, b = locals_u[..., 0, 0], locals_u[..., 1, 0]
     acc_a = np.ones((len(s),) + a.shape[1:], dtype=complex)
     acc_b = np.zeros_like(acc_a)
     for k in range(int(s.max(initial=0)).bit_length()):
@@ -373,12 +381,7 @@ def _prefix_frames(locals_u: np.ndarray, steps) -> np.ndarray:
         hit = np.flatnonzero(q & 1)
         block = q[hit] - 1
         acc_a[hit], acc_b[hit] = _su2_product(acc_a[hit], acc_b[hit], a[block], b[block])
-    frames = np.empty(acc_a.shape + (2, 2), dtype=complex)
-    frames[..., 0, 0] = acc_a
-    frames[..., 0, 1] = -acc_b.conj()
-    frames[..., 1, 0] = acc_b
-    frames[..., 1, 1] = acc_a.conj()
-    return frames
+    return _su2_matrix(acc_a, acc_b)
 
 
 def run_protecting_unitary_trajectory(
@@ -403,14 +406,13 @@ def run_protecting_unitary_trajectory(
     rng = _trajectory_rng(seed)
     dws = rng.standard_normal((n_steps, n, 2)) * math.sqrt(dt)
 
-    locals_u = protecting_unitary(np.asarray(model.gamma_minus), dws[..., 0], dws[..., 1])
+    a, b = _protecting_pair(np.asarray(model.gamma_minus), dws[..., 0], dws[..., 1])
 
     # every step is local, so rho(t) = F(t) rho0 F(t)^dagger with F the tensor
     # product of the per-qubit frames: only the frames at the sample steps and
     # at the end are formed, and states at those steps alone
-    frames = _prefix_frames(locals_u, sample_steps + [n_steps])
-    sample_frames = frames[:-1]
-    frame = unitary_part(frames[-1])
+    frames = _prefix_frames(a, b, sample_steps + [n_steps])
+    sample_frames, frame = frames[:-1], frames[-1]
     samples = list(apply_frame(rho0, sample_frames))
     state = apply_frame(rho0, frame)
     validate_density_matrix(state, context="protecting-unitary final state")

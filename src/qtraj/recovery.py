@@ -65,12 +65,6 @@ def recover(rho_c: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return p.conj().swapaxes(-1, -2) @ rho_c @ p
 
 
-def unitary_part(matrices: np.ndarray) -> np.ndarray:
-    """Polar projection of each matrix in a ``(..., k, k)`` stack onto U(k)."""
-    w, _, vh = np.linalg.svd(matrices)
-    return w @ vh
-
-
 def unitarity_defect(frame: np.ndarray) -> float:
     """Largest entry of |F†F - 1| over every 2x2 of a frame stack."""
     gram = frame.conj().swapaxes(-1, -2) @ frame

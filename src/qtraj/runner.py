@@ -16,6 +16,7 @@ closed form is about the latter). Conflating them is the classic mistake; the
 CSV writer picks one via its ``view`` argument.
 """
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -114,10 +115,13 @@ class ExperimentConfig:
         if self.unraveling not in UNRAVELINGS:
             errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
         check(None, step_grid, self.dt, self.t_max, self.sample_times)
-        if self.n_trajectories < 1:
-            errors.append(f"n_trajectories: must be >= 1, got {self.n_trajectories}")
-        if self.workers is not None and self.workers < 1:
-            errors.append(f"workers: must be >= 1, got {self.workers}")
+        for field, value, low in (
+            ("n_trajectories", self.n_trajectories, 1),
+            ("workers", 1 if self.workers is None else self.workers, 1),
+            ("master_seed", self.master_seed, 0),
+        ):
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                errors.append(f"{field}: must be an integer >= {low}, got {value}")
         # the closed-form master has no step; its dt only places the default samples
         if self.dt > 0 and self.unraveling != "none":
             check("dt", check_rate_step, self.model, self.dt)
@@ -407,34 +411,40 @@ def figure3(
     """
     if not (np.isfinite(sample_spacing) and sample_spacing > 0):
         raise ValueError(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
-    outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
 
-    paths = []
-    masters = [
-        ("a_infinite_T_master", LindbladModel(2, gamma, gamma)),
-        ("b_zero_T_master", LindbladModel(2, gamma, 0.0)),
-    ]
-    for name, model in masters:
-        cfg = ExperimentConfig(
-            model=model, unraveling="none", dt=dt, t_max=t_max, sample_times=times,
-        )
-        stats = run_ensemble(cfg)
-        paths.append(emit_csv(stats, outdir / f"fig3_{name}.csv"))
-
-    for k, eta in enumerate((0.8, 0.9, 1.0)):
-        cfg = ExperimentConfig(
+    def monitored(eta, seed):
+        return ExperimentConfig(
             model=LindbladModel(2, gamma, gamma, eta=eta),
             unraveling="jump_protecting",
             dt=dt,
             t_max=t_max,
             n_trajectories=n_trajectories,
-            master_seed=trajectory_seed(master_seed, k + 2),
+            master_seed=seed,
             sample_times=times,
             workers=workers,
         )
-        stats = run_ensemble(cfg)
+
+    # the series seeds derive from master_seed, so it is checked as given first
+    monitored(1.0, master_seed).validate()
+    masters = [
+        ("a_infinite_T_master", LindbladModel(2, gamma, gamma)),
+        ("b_zero_T_master", LindbladModel(2, gamma, 0.0)),
+    ]
+    series = [
+        (name, "trajectory",
+         ExperimentConfig(model=model, unraveling="none", dt=dt, t_max=t_max, sample_times=times))
+        for name, model in masters
+    ]
+    for k, eta in enumerate((0.8, 0.9, 1.0)):
         tag = f"{'cde'[k]}_monitored_eta{int(round(eta * 100)):03d}"
-        paths.append(emit_csv(stats, outdir / f"fig3_{tag}.csv", view="recovered"))
-    return paths
+        series.append((tag, "recovered", monitored(eta, trajectory_seed(master_seed, k + 2))))
+    for _, _, cfg in series:
+        cfg.validate()
+
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return [
+        emit_csv(run_ensemble(cfg), outdir / f"fig3_{name}.csv", view=view)
+        for name, view, cfg in series
+    ]

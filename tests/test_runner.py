@@ -155,6 +155,23 @@ class TestConfigValidation:
             run_ensemble(_config(initial_state=state))
 
 
+    def test_integer_fields_listed_before_any_chunk(self, monkeypatch):
+        # master_seed = -1 once passed validate() and failed in the first chunk
+        # with numpy's unnamed "expected non-negative integer"
+        import qtraj.runner as runner
+
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(runner, "_run_chunk", no_chunk)
+        cfg = _config(n_trajectories=2.5, workers=0, master_seed=-1)
+        for call in (cfg.validate, lambda: run_ensemble(cfg)):
+            with pytest.raises(ConfigError) as err:
+                call()
+            msg = str(err.value)
+            assert "n_trajectories" in msg and "workers" in msg and "master_seed" in msg
+
+
 class TestRunEnsemble:
     def test_master_statistics(self):
         cfg = _config(unraveling="none")
@@ -473,6 +490,16 @@ class TestFigure3:
             figure3(tmp_path, sample_spacing=spacing)
 
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_trajectories", 0), ("workers", 0), ("master_seed", -1)]
+    )
+    def test_bad_run_field_rejected_before_any_file(self, tmp_path, field, value):
+        # these once failed only after the two master series were written
+        with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
+            figure3(tmp_path, t_max=0.1, sample_spacing=0.1, **{field: value})
+        assert not list(tmp_path.iterdir())
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -621,6 +648,95 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == (0 if ok else 2)
         assert ok or "unraveling" in err
+
+    @pytest.mark.parametrize(
+        "ini, words",
+        [
+            ("[model]\neta = x\n[run]\ndt = y\nfoo = 1\n", ("foo", "eta", "dt")),
+            ("[run]\ndt = y\nt_max = z\n", ("dt", "t_max")),
+        ],
+        ids=["three_fields", "two_run_fields"],
+    )
+    def test_every_bad_field_in_one_error(self, tmp_path, capsys, ini, words):
+        # each of these once reported only its first bad field
+        from qtraj.cli import main
+
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert main(["jump", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert all(word in err for word in words), err
+
+    @pytest.mark.parametrize(
+        "ini", ["dt = 0.001\n", "[run]\ndt = 0.001\ndt = 0.002\n"], ids=["no_section", "duplicate"]
+    )
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys, ini):
+        # configparser's own errors once ended in a traceback and exit code 1
+        from qtraj.cli import main
+
+        cfg = tmp_path / "malformed.ini"
+        cfg.write_text(ini)
+        assert main(["jump", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: ")
+
+    def test_unraveling_and_model_errors_together(self, tmp_path, capsys):
+        from qtraj.cli import main
+
+        cfg = tmp_path / "diffusive.ini"
+        cfg.write_text("[run]\nunraveling = diffusive\n")
+        assert main(["jump", "--eta", "2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unraveling:" in err and "model: eta" in err
+
+    def test_negative_seed_exit_code(self, capsys):
+        from qtraj.cli import main
+
+        assert main(["jump", "--seed", "-1", "--n-traj", "2", "--t-max", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert "master_seed" in err and not out
+
+    def test_figure3_passes_only_given_flags(self, monkeypatch, capsys):
+        # figure3's signature holds its defaults; the parser adds none
+        import inspect
+
+        import qtraj.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "figure3", lambda **kw: seen.append(kw) or [])
+        assert cli.main(["figure3", "--output-dir", "d"]) == 0
+        every = [
+            "--output-dir", "d", "--gamma", "2", "--n-traj", "5", "--dt", "0.01",
+            "--t-max", "0.5", "--sample-spacing", "0.1", "--seed", "3", "--workers", "1",
+        ]
+        assert cli.main(["figure3", *every]) == 0
+        assert seen[0] == {"output_dir": "d"}
+        assert set(seen[1]) == set(inspect.signature(figure3).parameters)
+
+    _RUN_FLAGS = [
+        "--help", "--config", "--n-qubits", "--gamma-minus", "--gamma-plus", "--eta", "--dt",
+        "--t-max", "--n-traj", "--seed", "--initial-state", "--sample-times", "--workers",
+        "--output", "--view",
+    ]
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("master", _RUN_FLAGS),
+            ("jump", _RUN_FLAGS + ["--unraveling"]),
+            ("diffusive", _RUN_FLAGS + ["--exact-unitary", "--u11", "--u12", "--u22"]),
+            ("figure3", ["--help", "--output-dir", "--gamma", "--n-traj", "--dt", "--t-max",
+                         "--sample-spacing", "--seed", "--workers"]),
+        ],
+    )
+    def test_command_flags(self, capsys, command, flags):
+        import re
+
+        from qtraj.cli import main
+
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert set(re.findall(r"--[a-z0-9][a-z0-9-]*", capsys.readouterr().out)) == set(flags)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
