@@ -38,17 +38,33 @@ The general engine steps the state's real Pauli coordinates r_k = tr(P_k rho)
 (its coherence vector, Hioe & Eberly, PRL 47, 838 (1981)), with P_k the
 n-qubit Pauli strings, so r_0 = tr rho and rho = sum_k r_k P_k / d. Every map
 of the scheme is then a real d²×d² matrix: A_m for rho -> L_m rho + rho L_m†
-and the drift for sum_m D[L_m]. Three exact identities remove the complex
-algebra from the step:
+and the drift for sum_m D[L_m]. With h_m = <L_m + L_m†>, the noise
+directions b_m = A_m r - h_m r, W = dw dwᵀ - dt 1 and B_m = sum_l W_ml b_l,
+Herm(sum_m L_m B_m) = (1/2) sum_m A_m B_m for Hermitian B_m, and the step is
 
-    h_m = <L_m + L_m†> = (A_m r)_0,
-    Herm(sum_m L_m B_m) = (1/2) sum_m A_m B_m   (B_m Hermitian),
-    Re tr(sum_m L_m B_m) = 0-th coordinate of that Hermitian part.
+    new = r + dt drift r + sum_m dw_m b_m
+          + (1/2) [sum_m A_m B_m - sum_m h_m B_m - (sum_m A_m B_m)_0 r].
 
-One step is a product with the stacked [A_m; drift], the 2nd-order weights
-W applied to the noise directions, and one product with the row [A_0 A_1 ...].
-Hermiticity holds by construction, and the state is formed as a matrix only
-where it is read.
+Two exact identities,
+
+    (A_m r)_0 = h_m,        (drift r)_0 = 0   (the drift keeps the trace),
+
+split it into a map fixed by the draws and a correction that needs only h.
+Expanding b_m and B_m gives, with (W h)·(A r) = sum_m (W h)_m A_m r,
+
+    new = P_s r - (W h)·(A r) + (hᵀ W h - dw·h - (1/2) sum_ml W_ml (A_m A_l r)_0) r,
+    P_s = 1 + dt drift + sum_l dw_l A_l + (1/2) sum_ml W_ml A_m A_l,
+
+and the two identities make the 0-th coordinate of P_s r equal to
+r_0 + dw·h + (1/2) sum_ml W_ml (A_m A_l r)_0, so that
+
+    new = P_s r - (W h)·(A r) + (hᵀ W h - (P_s r)_0 + r_0) r,    r <- new / new_0.
+
+P_s depends on the draws alone: the maps of a block of steps come from one
+product of their coefficient rows with fixed rows built from 1, the drift,
+the A_l and the A_m A_l. Each step is then one product v = [P_s; A] r, which
+holds h = (A r)_0, plus the scalar correction. Hermiticity holds by
+construction, and the state is formed as a matrix only where it is read.
 
 The measurement currents per channel are the channel image
 Y = C (<L + L†> + dw/dt) of the real records:
@@ -83,6 +99,10 @@ PROTECTING_U = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 # the stochastic scheme transiently produces eigenvalues of order -(gamma dt);
 # this guard only catches genuine blow-ups
 _EIG_GUARD = -0.05
+
+# the stacked per-step maps of one block of SME steps: small enough to stay in
+# cache, large enough that the product forming them is one call per many steps
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,7 +179,9 @@ class _SMEContext:
     (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
     On the Pauli coordinates r_k = tr(P_k rho), ``a[m]`` is rho -> L_m rho + rho L_m†
     and ``drift`` is rho -> sum_m D[L_m] rho, both real d²×d² matrices with
-    entries tr(P_j Phi(P_k)) / d.
+    entries tr(P_j Phi(P_k)) / d. ``basis`` holds the flattened rows from which
+    each step's draw-only map P_s is combined, and ``block_steps`` is the number
+    of steps whose maps are formed together.
     """
 
     def __init__(self, model: LindbladModel, u=None):
@@ -188,12 +210,63 @@ class _SMEContext:
         images[m] -= kp.reshape(d, k2, d).transpose(1, 0, 2)
         coords = pauli_coordinates(images) / d  # row k of block m: Phi_m(P_k)
         coords[:m] *= 2.0
-        # [a_0; ...; a_{M-1}; drift]: every linear map of a step is one product with r
-        self.stack = coords.transpose(0, 2, 1).reshape(-1, k2)
-        self.a = self.stack[: m * k2].reshape(m, k2, k2)
-        self.drift = self.stack[m * k2 :]
-        # [a_0 a_1 ...]: sum_m A_m B_m is one product with the stacked B_m
-        self.a_row = self.a.transpose(1, 0, 2).reshape(k2, -1)
+        maps = np.ascontiguousarray(coords.transpose(0, 2, 1))
+        self.a, self.drift = maps[:m], maps[m]
+        # every A_m A_l from one product of the stacked [A_0; A_1; ...] with [A_0 A_1 ...]
+        prods = self.a.reshape(-1, k2) @ self.a.transpose(1, 0, 2).reshape(k2, -1)
+        prods = prods.reshape(m, k2, m, k2)  # [m, :, l, :] = A_m A_l
+        # W is symmetric: (1/2) sum_ml W_ml A_m A_l = sum_{m<=l} W_ml S_ml with
+        # S_ml = (A_m A_l + A_l A_m) / 4 on the diagonal and / 2 off it
+        self.pairs = i, j = np.triu_indices(m)
+        sym = (prods[i, :, j] + prods[j, :, i]) * np.where(i == j, 0.25, 0.5)[:, None, None]
+        # the draw-only map P_s of a step is one row of coefficients
+        # [1, dt, dw_l, W_ml (m <= l)] against the flattened rows [1; drift; A_l; S_ml]
+        self.basis = np.concatenate([
+            np.eye(k2).reshape(1, -1),
+            self.drift.reshape(1, -1),
+            self.a.reshape(m, -1),
+            sym.reshape(len(sym), -1),
+        ])
+        self.block_steps = max(1, _BLOCK_BYTES // (self.basis.itemsize * (m + 1) * k2 * k2))
+
+
+def _step_maps(ctx: _SMEContext, dws: np.ndarray, dt: float):
+    """Yield the maps [P_s; A_0; ...] and the weights W_s of each block of steps of ``dws``.
+
+    ``dws`` holds one row of real increments per step. P_s and W_s depend on
+    the draws alone, so a block of them is formed at once: W_s = dw dwᵀ - dt 1
+    and P_s = 1 + dt drift + sum_l dw_l A_l + (1/2) sum_ml W_ml A_m A_l, the
+    latter from one product of the block's coefficient rows with
+    ``ctx.basis``. One buffer is reused for every block, with its A_m written
+    once, so a yielded block is valid until the next one is taken.
+    """
+    n, m = dws.shape
+    k2 = ctx.drift.shape[0]
+    size = min(n, ctx.block_steps)
+    maps = np.empty((size, m + 1, k2, k2))
+    maps[:, 1:] = ctx.a
+    p_rows = maps[:, 0].reshape(size, -1)  # a view: P_s is written in place
+    coef = np.empty((size, len(ctx.basis)))
+    coef[:, 0] = 1.0
+    coef[:, 1] = dt
+    for start in range(0, n, size):
+        dw = dws[start : start + size]
+        b = len(dw)
+        w = dw[:, :, None] * dw[:, None, :]
+        w.reshape(b, -1)[:, :: m + 1] -= dt
+        coef[:b, 2 : 2 + m] = dw
+        coef[:b, 2 + m :] = w[:, ctx.pairs[0], ctx.pairs[1]]
+        np.matmul(coef[:b], ctx.basis, out=p_rows[:b])
+        yield maps[:b], w
+
+
+def _sme_step(r: np.ndarray, maps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One step of r from its maps [P_s; A_0; ...] and weights W (see the module docstring)."""
+    v = maps @ r  # rows: P_s r, then A_m r
+    ar = v[1:]
+    x = ar[:, 0] @ (w @ ar)  # (W h) . (A r), whose 0-th entry is h W h
+    new = v[0] - x + (x[0] - v[0, 0] + r[0]) * r
+    return new / new[0]
 
 
 def sme_update(r: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np.ndarray:
@@ -201,21 +274,11 @@ def sme_update(r: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np
 
     Euler-Maruyama drift and noise over the measured operators L_m plus the
     symmetric second-order term (1/2) sum_ml (D_{b_l} b_m)(dw_m dw_l - delta_ml dt),
-    then trace renormalization. With the noise directions
-    b_m = A_m r - h_m r, h_m = <L_m + L_m†> = (A_m r)_0, B_m = sum_l W_ml b_l and
-    X = sum_m L_m B_m, that term is Herm(X) - (1/2) sum_m h_m B_m - Re tr(X) rho,
-    where Herm(X) = (1/2) sum_m A_m B_m and Re tr(X) is its 0-th coordinate.
+    then trace renormalization. This is the trajectory loop's step, on a block
+    of one step.
     """
-    m = ctx.n_noise
-    ar = (ctx.stack @ r).reshape(m + 1, -1)  # rows: A_m r, then the drift
-    h = ar[:m, 0]
-    b = ar[:m] - h[:, None] * r  # row m: b_m
-    w = np.outer(dw, dw)
-    w.ravel()[:: m + 1] -= dt
-    bw = w @ b  # row m: B_m
-    y = ctx.a_row @ bw.ravel()  # sum_m A_m B_m = 2 Herm(X)
-    new = r + ar[m] * dt + dw @ b + 0.5 * (y - h @ bw - y[0] * r)
-    return new / new[0]
+    maps, w = next(_step_maps(ctx, np.reshape(dw, (1, -1)), dt))
+    return _sme_step(r, maps[0], w[0])
 
 
 def _homodyne_means(ctx: _SMEContext, r: np.ndarray) -> np.ndarray:
@@ -284,14 +347,17 @@ def run_diffusive_trajectory(
     wanted = set(sample_steps)
     if 0 in wanted:
         samples.append(rho0.astype(complex))
-    for step in range(1, n_steps + 1):
-        r = sme_update(r, ctx, dws[step - 1], dt)
-        if step % 200 == 0:
-            validate_density_matrix(
-                from_pauli_coordinates(r), eig_floor=_EIG_GUARD, context=f"diffusive step {step}"
-            )
-        if step in wanted:
-            samples.append(from_pauli_coordinates(r))
+    step = 0
+    for maps, w in _step_maps(ctx, dws, dt):
+        for maps_s, w_s in zip(maps, w):
+            r = _sme_step(r, maps_s, w_s)
+            step += 1
+            if step % 200 == 0:
+                validate_density_matrix(
+                    from_pauli_coordinates(r), eig_floor=_EIG_GUARD, context=f"diffusive step {step}"
+                )
+            if step in wanted:
+                samples.append(from_pauli_coordinates(r))
     state = from_pauli_coordinates(r)
     validate_density_matrix(state, eig_floor=_EIG_GUARD, context="diffusive final state")
     return TrajectoryRecord(final_state=state, samples=samples)

@@ -29,14 +29,14 @@ CHANNEL_LABELS = ("minus", "plus")
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
+    """One finite rate >= 0 per qubit; a scalar applies to every qubit."""
+    rates = tuple(float(v) for v in np.atleast_1d(value))
+    if not all(math.isfinite(r) and r >= 0 for r in rates):
+        raise ValueError(f"{name}: rates must be finite and >= 0, got {rates}")
     if np.isscalar(value):
-        rates = (float(value),) * n_qubits
-    else:
-        rates = tuple(float(v) for v in value)
+        return rates * n_qubits
     if len(rates) != n_qubits:
         raise ValueError(f"{name}: expected {n_qubits} rates, got {len(rates)}")
-    if any(r < 0 for r in rates):
-        raise ValueError(f"{name}: rates must be >= 0, got {rates}")
     return rates
 
 
@@ -50,13 +50,23 @@ class LindbladModel:
     eta: float = 1.0
 
     def __init__(self, n_qubits, gamma_minus, gamma_plus, eta=1.0):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        object.__setattr__(self, "n_qubits", int(n_qubits))
-        object.__setattr__(self, "gamma_minus", _as_rates(gamma_minus, n_qubits, "gamma_minus"))
-        object.__setattr__(self, "gamma_plus", _as_rates(gamma_plus, n_qubits, "gamma_plus"))
+        """Raise one ValueError that lists every bad argument."""
+        errors = []
+        if not n_qubits >= 1:
+            errors.append(f"n_qubits must be >= 1, got {n_qubits}")
+        rates = {}
+        for name, value in (("gamma_minus", gamma_minus), ("gamma_plus", gamma_plus)):
+            try:
+                rates[name] = _as_rates(value, n_qubits, name)
+            except ValueError as exc:
+                errors.append(str(exc))
         if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+            errors.append(f"eta must lie in [0, 1], got {eta}")
+        if errors:
+            raise ValueError("; ".join(errors))
+        object.__setattr__(self, "n_qubits", int(n_qubits))
+        object.__setattr__(self, "gamma_minus", rates["gamma_minus"])
+        object.__setattr__(self, "gamma_plus", rates["gamma_plus"])
         object.__setattr__(self, "eta", float(eta))
 
     @property

@@ -409,8 +409,14 @@ def figure3(
     state in the oracle column; monitored series report the recovered-average
     statistics. Output is byte-identical at any worker count.
     """
+    # the sample times are built from these two before any config exists
+    errors = []
     if not (np.isfinite(sample_spacing) and sample_spacing > 0):
-        raise ValueError(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
+        errors.append(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
+    if not np.isfinite(t_max):
+        errors.append(f"t_max: must be finite, got {t_max}")
+    if errors:
+        raise ConfigError("; ".join(errors))
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
 
     def monitored(eta, seed):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtraj import diffusive
 from qtraj.diffusive import (
     PROTECTING_U,
     _SMEContext,
@@ -332,6 +333,87 @@ class TestEnginePaths:
         for t, sample in zip(times, rec.samples):
             assert np.max(np.abs(sample - stepped[round(t / dt)])) < 1e-12
         assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
+
+
+def _rank_deficient_u(s):
+    # the real covariance of diag(1, s) has an exactly-zero eigenvalue, so
+    # each qubit carries three noise channels, not four
+    return np.diag([1.0, s]).astype(complex)
+
+
+def _edge_steps(block, n_steps):
+    # every step on, just before and just after a block edge, and step 0
+    edges = range(block, n_steps + 1, block)
+    return sorted({0} | {s + k for s in edges for k in (-1, 0, 1) if 0 <= s + k <= n_steps})
+
+
+class TestBlockedSteps:
+    """The trajectory loop forms its per-step maps a block at a time; one step does one."""
+
+    @staticmethod
+    def _check_against_step_loop(model, u, rho0, dt, n_steps, steps, seed):
+        rec = run_diffusive_trajectory(model, u, rho0, dt, n_steps * dt, seed, sample_times=np.array(steps) * dt)
+        stream = _trajectory_rng(seed)
+        state, stepped = rho0, [rho0]
+        for _ in range(n_steps):
+            state, _ = step_diffusive(state, model, u, stream, dt)
+            stepped.append(state)
+        assert len(rec.samples) == len(steps)
+        for step, sample in zip(steps, rec.samples):
+            assert np.max(np.abs(sample - stepped[step])) < 1e-12
+        assert np.max(np.abs(rec.final_state - stepped[-1])) < 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        protecting=st.booleans(),
+        block=st.integers(2, 6),
+        full_blocks=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trajectory_matches_step_loop_across_block_edges(
+        self, n, protecting, block, full_blocks, data, seed
+    ):
+        # the byte budget is shrunk so that block edges fall within a few
+        # steps; the loop over blocks does not depend on their size
+        rng = np.random.default_rng(seed)
+        model = LindbladModel(n, rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 2.0, n))
+        u = PROTECTING_U if protecting else _rank_deficient_u(rng.uniform(0.0, 1.0))
+        ctx = _SMEContext(model, u)
+        assert ctx.n_noise == (2 if protecting else 3) * n
+        n_steps = full_blocks * block + data.draw(st.integers(1, block - 1), label="tail")
+        rho0 = random_density_matrix(2**n, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffusive, "_BLOCK_BYTES", block * ctx.basis.itemsize * (ctx.n_noise + 1) * 16**n)
+            assert _SMEContext(model, u).block_steps == block
+            self._check_against_step_loop(model, u, rho0, 1e-3, n_steps, _edge_steps(block, n_steps), seed)
+
+    def test_bench_configuration_across_block_edges(self, bell_rho):
+        # the blocks at their own size: Bell pair, protecting u, balanced rates
+        model = LindbladModel(2, 1.0, 1.0)
+        block = _SMEContext(model, PROTECTING_U).block_steps
+        assert 1 < block < 1000
+        n_steps = 2 * block + block // 2
+        self._check_against_step_loop(
+            model, PROTECTING_U, bell_rho, 1e-3, n_steps, _edge_steps(block, n_steps), seed=11
+        )
+
+    def test_memory_does_not_grow_with_steps_beyond_the_draws(self, bell_rho):
+        # the maps of one block take a fixed 1 MiB, 3.3x the (n_steps, M) draws
+        # here; holding every step's W would add 4x the draws, and every step's
+        # P_s 64x
+        model = LindbladModel(2, 1.0, 1.0)
+        n_steps = 10**4
+        tracemalloc.start()
+        try:
+            rec = run_diffusive_trajectory(model, PROTECTING_U, bell_rho, 1.0 / n_steps, 1.0, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec.samples) == 0
+        draws = n_steps * _SMEContext(model, PROTECTING_U).n_noise * np.dtype(float).itemsize
+        assert peak <= 6 * draws
 
 
 class TestCurrents:

@@ -56,6 +56,19 @@ class TestModel:
         with pytest.raises(ValueError):
             LindbladModel(2, (1.0,), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (1.0, np.nan)])
+    def test_rejects_non_finite_rates(self, bad):
+        # a NaN rate once built a model whose master state was NaN at t = 0
+        with pytest.raises(ValueError, match=r"^gamma_plus: rates must be finite and >= 0"):
+            LindbladModel(2, 1.0, bad)
+
+    def test_every_bad_argument_in_one_error(self):
+        with pytest.raises(ValueError) as exc:
+            LindbladModel(0, (1.0, 2.0), np.nan, eta=2.0)
+        message = str(exc.value)
+        for field in ("n_qubits", "gamma_minus", "gamma_plus", "eta"):
+            assert field in message
+
 
 class TestRhs:
     def test_zero_rates_zero_rhs(self, rng):

@@ -499,6 +499,14 @@ class TestFigure3:
             figure3(tmp_path, t_max=0.1, sample_spacing=0.1, **{field: value})
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_non_finite_t_max_named_before_any_file(self, tmp_path, t_max):
+        # np.arange over the sample times once failed first, naming no field
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError, match="^t_max: must be finite"):
+            figure3(out, t_max=t_max)
+        assert not out.exists()
+
 
 class TestCli:
     def _run(self, *args):
@@ -688,6 +696,36 @@ class TestCli:
         assert main(["jump", "--eta", "2", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "unraveling:" in err and "model: eta" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["master", "--gamma-minus", "nan"],
+            ["jump", "--unraveling", "canonical", "--gamma-minus", "nan", "--n-traj", "2"],
+            ["diffusive", "--gamma-plus", "inf", "--n-traj", "2"],
+        ],
+    )
+    def test_non_finite_rate_exit_code(self, capsys, argv):
+        # NaN rates once reached the engines and exited 3 on trajectory 0
+        from qtraj.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: model: gamma_") and "finite" in err and not out
+
+    def test_every_bad_model_field_named(self, capsys):
+        from qtraj.cli import main
+
+        assert main(["master", "--n-qubits", "0", "--gamma-minus", "1 2"]) == 2
+        err = capsys.readouterr().err
+        assert "n_qubits" in err and "gamma_minus" in err
+
+    def test_figure3_non_finite_t_max_exit_code(self, tmp_path):
+        out = tmp_path / "fig3"
+        res = self._run("figure3", "--output-dir", str(out), "--t-max", "nan")
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: t_max: must be finite")
+        assert not out.exists()
 
     def test_negative_seed_exit_code(self, capsys):
         from qtraj.cli import main
