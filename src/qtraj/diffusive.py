@@ -137,18 +137,15 @@ def check_noise_correlation(u: np.ndarray) -> np.ndarray:
 
 
 def _real_covariance(u: np.ndarray) -> np.ndarray:
-    """Covariance (unit dt) of (Re dxi_-, Im dxi_-, Re dxi_+, Im dxi_+)."""
-    c = np.zeros((4, 4))
-    for i in range(2):
-        a, b = 2 * i, 2 * i + 1
-        c[a, a] = 0.5 * (1.0 + u[i, i].real)
-        c[b, b] = 0.5 * (1.0 - u[i, i].real)
-        c[a, b] = c[b, a] = 0.5 * u[i, i].imag
-    c[0, 2] = c[2, 0] = 0.5 * u[0, 1].real
-    c[1, 3] = c[3, 1] = -0.5 * u[0, 1].real
-    c[0, 3] = c[3, 0] = 0.5 * u[0, 1].imag
-    c[1, 2] = c[2, 1] = 0.5 * u[0, 1].imag
-    return c
+    """Covariance (unit dt) of (Re dxi_-, Im dxi_-, Re dxi_+, Im dxi_+).
+
+    With dxi = C dw, C C† = 1 and C Cᵀ = u, the parts (Re dxi, Im dxi) have
+    covariance (1/2) [[1 + Re u, Im u], [Im u, 1 - Re u]], here interleaved.
+    Only the upper triangle of u is read, so the covariance is exactly symmetric.
+    """
+    one, u = np.eye(2), np.array([[u[0, 0], u[0, 1]], [u[0, 1], u[1, 1]]])
+    c = 0.5 * np.array([[one + u.real, u.imag], [u.imag, one - u.real]])  # [part, part, channel, channel]
+    return c.transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def noise_factor(u: np.ndarray) -> np.ndarray:
@@ -160,7 +157,9 @@ def noise_factor(u: np.ndarray) -> np.ndarray:
     when ||u||_2 <= 1, which ``check_noise_correlation`` enforces.
     """
     w, v = np.linalg.eigh(_real_covariance(check_noise_correlation(u)))
-    return v @ np.diag(np.sqrt(np.maximum(w, 0.0)))
+    # the null eigenvalues of a rank-deficient u come back as rounding noise: make them exact
+    w[w <= 1e-12 * w[-1]] = 0.0
+    return v @ np.diag(np.sqrt(w))
 
 
 def check_perfect_detection(model: LindbladModel) -> None:
@@ -179,9 +178,8 @@ class _SMEContext:
     (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
     On the Pauli coordinates r_k = tr(P_k rho), ``a[m]`` is rho -> L_m rho + rho L_m†
     and ``drift`` is rho -> sum_m D[L_m] rho, both real d²×d² matrices with
-    entries tr(P_j Phi(P_k)) / d. ``basis`` holds the flattened rows from which
-    each step's draw-only map P_s is combined, and ``block_steps`` is the number
-    of steps whose maps are formed together.
+    entries tr(P_j Phi(P_k)) / d. The currents read only ``c`` and ``a``; the
+    rows of the stepping maps are formed from ``a`` and ``drift`` by ``_step_maps``.
     """
 
     def __init__(self, model: LindbladModel, u=None):
@@ -212,22 +210,6 @@ class _SMEContext:
         coords[:m] *= 2.0
         maps = np.ascontiguousarray(coords.transpose(0, 2, 1))
         self.a, self.drift = maps[:m], maps[m]
-        # every A_m A_l from one product of the stacked [A_0; A_1; ...] with [A_0 A_1 ...]
-        prods = self.a.reshape(-1, k2) @ self.a.transpose(1, 0, 2).reshape(k2, -1)
-        prods = prods.reshape(m, k2, m, k2)  # [m, :, l, :] = A_m A_l
-        # W is symmetric: (1/2) sum_ml W_ml A_m A_l = sum_{m<=l} W_ml S_ml with
-        # S_ml = (A_m A_l + A_l A_m) / 4 on the diagonal and / 2 off it
-        self.pairs = i, j = np.triu_indices(m)
-        sym = (prods[i, :, j] + prods[j, :, i]) * np.where(i == j, 0.25, 0.5)[:, None, None]
-        # the draw-only map P_s of a step is one row of coefficients
-        # [1, dt, dw_l, W_ml (m <= l)] against the flattened rows [1; drift; A_l; S_ml]
-        self.basis = np.concatenate([
-            np.eye(k2).reshape(1, -1),
-            self.drift.reshape(1, -1),
-            self.a.reshape(m, -1),
-            sym.reshape(len(sym), -1),
-        ])
-        self.block_steps = max(1, _BLOCK_BYTES // (self.basis.itemsize * (m + 1) * k2 * k2))
 
 
 def _step_maps(ctx: _SMEContext, dws: np.ndarray, dt: float):
@@ -236,27 +218,37 @@ def _step_maps(ctx: _SMEContext, dws: np.ndarray, dt: float):
     ``dws`` holds one row of real increments per step. P_s and W_s depend on
     the draws alone, so a block of them is formed at once: W_s = dw dwᵀ - dt 1
     and P_s = 1 + dt drift + sum_l dw_l A_l + (1/2) sum_ml W_ml A_m A_l, the
-    latter from one product of the block's coefficient rows with
-    ``ctx.basis``. One buffer is reused for every block, with its A_m written
-    once, so a yielded block is valid until the next one is taken.
+    latter from one product of the block's coefficient rows with rows built
+    once per call. A block holds the steps that fit in ``_BLOCK_BYTES``, in one
+    buffer reused for every block with its A_m written once, so a yielded
+    block is valid until the next one is taken.
     """
     n, m = dws.shape
     k2 = ctx.drift.shape[0]
-    size = min(n, ctx.block_steps)
+    # every A_m A_l from one product of the stacked [A_0; A_1; ...] with [A_0 A_1 ...]
+    prods = ctx.a.reshape(-1, k2) @ ctx.a.transpose(1, 0, 2).reshape(k2, -1)
+    prods = prods.reshape(m, k2, m, k2)  # [m, :, l, :] = A_m A_l
+    # W is symmetric: (1/2) sum_ml W_ml A_m A_l = sum_{m<=l} W_ml S_ml with
+    # S_ml = (A_m A_l + A_l A_m) / 4 on the diagonal and / 2 off it
+    i, j = np.nonzero(np.tri(m, dtype=bool).T)  # the pairs m <= l: np.triu_indices(m) at a third of its cost
+    sym = (prods[i, :, j] + prods[j, :, i]) * np.where(i == j, 0.25, 0.5)[:, None, None]
+    # the draw-only map P_s of a step is one row of coefficients
+    # [1, dt, dw_l, W_ml (m <= l)] against the flattened rows [1; drift; A_l; S_ml]
+    basis = np.concatenate([np.eye(k2)[None], ctx.drift[None], ctx.a, sym]).reshape(-1, k2 * k2)
+    size = min(n, max(1, _BLOCK_BYTES // (basis.itemsize * (m + 1) * k2 * k2)))
     maps = np.empty((size, m + 1, k2, k2))
     maps[:, 1:] = ctx.a
     p_rows = maps[:, 0].reshape(size, -1)  # a view: P_s is written in place
-    coef = np.empty((size, len(ctx.basis)))
-    coef[:, 0] = 1.0
-    coef[:, 1] = dt
+    coef = np.empty((size, len(basis)))
+    coef[:, :2] = 1.0, dt
     for start in range(0, n, size):
         dw = dws[start : start + size]
         b = len(dw)
         w = dw[:, :, None] * dw[:, None, :]
         w.reshape(b, -1)[:, :: m + 1] -= dt
         coef[:b, 2 : 2 + m] = dw
-        coef[:b, 2 + m :] = w[:, ctx.pairs[0], ctx.pairs[1]]
-        np.matmul(coef[:b], ctx.basis, out=p_rows[:b])
+        coef[:b, 2 + m :] = w[:, i, j]
+        np.matmul(coef[:b], basis, out=p_rows[:b])
         yield maps[:b], w
 
 

@@ -409,12 +409,15 @@ def figure3(
     state in the oracle column; monitored series report the recovered-average
     statistics. Output is byte-identical at any worker count.
     """
-    # the sample times are built from these two before any config exists
+    # before any config: the sample times need the first two, and the models
+    # would report a bad gamma as gamma_minus and gamma_plus
     errors = []
     if not (np.isfinite(sample_spacing) and sample_spacing > 0):
         errors.append(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
     if not np.isfinite(t_max):
         errors.append(f"t_max: must be finite, got {t_max}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        errors.append(f"gamma: must be finite and > 0, got {gamma}")
     if errors:
         raise ConfigError("; ".join(errors))
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)

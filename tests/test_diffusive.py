@@ -80,8 +80,9 @@ class TestNoiseFactor:
         assert np.allclose(cov, expected, atol=1e-12)
 
     def test_factor_reproduces_covariance_for_random_u(self, rng):
-        for _ in range(25):
-            u = _random_symmetric_u(rng, norm=rng.uniform(0.1, 1.0))
+        us = [_random_symmetric_u(rng, norm=rng.uniform(0.1, 1.0)) for _ in range(25)]
+        v = random_unitary(2, rng)
+        for u in us + [v @ np.diag([1.0, 0.5]) @ v.T]:  # the last: rank-deficient, rotated
             l = noise_factor(u)
             cov = l @ l.T
             # reconstruct the complex correlations from the real covariance
@@ -107,6 +108,17 @@ class TestNoiseFactor:
         assert abs((dxi[0] * np.conj(dxi[0])).mean() - dt) < tol
         assert abs((dxi[0] * dxi[0]).mean()) < tol
         assert abs((dxi[0] * np.conj(dxi[1])).mean()) < tol
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rotated_rank_deficient_u_drops_its_null_channel(self, n):
+        # the covariance of V diag(1, 0.5) V^T has one null eigenvalue, which
+        # eigh once returned as +6e-18 to +2e-16: a fourth channel per qubit
+        # of noise amplitude ~1e-8 was kept
+        rng = np.random.default_rng(0)
+        model = LindbladModel(n, 1.0, 0.5)
+        for _ in range(20):
+            v = random_unitary(2, rng)
+            assert _SMEContext(model, v @ np.diag([1.0, 0.5]) @ v.T).n_noise == 3 * n
 
     def test_norm_violation_is_psd_failure(self):
         with pytest.raises(ValueError, match="two-norm"):
@@ -341,6 +353,12 @@ def _rank_deficient_u(s):
     return np.diag([1.0, s]).astype(complex)
 
 
+def _block_steps(ctx):
+    # the number of steps whose maps _step_maps forms together, read from its first block
+    maps, _ = next(diffusive._step_maps(ctx, np.zeros((10**4, ctx.n_noise)), 1e-3))
+    return len(maps)
+
+
 def _edge_steps(block, n_steps):
     # every step on, just before and just after a block edge, and step 0
     edges = range(block, n_steps + 1, block)
@@ -385,14 +403,14 @@ class TestBlockedSteps:
         n_steps = full_blocks * block + data.draw(st.integers(1, block - 1), label="tail")
         rho0 = random_density_matrix(2**n, rng)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diffusive, "_BLOCK_BYTES", block * ctx.basis.itemsize * (ctx.n_noise + 1) * 16**n)
-            assert _SMEContext(model, u).block_steps == block
+            mp.setattr(diffusive, "_BLOCK_BYTES", block * ctx.a.itemsize * (ctx.n_noise + 1) * 16**n)
+            assert _block_steps(ctx) == block
             self._check_against_step_loop(model, u, rho0, 1e-3, n_steps, _edge_steps(block, n_steps), seed)
 
     def test_bench_configuration_across_block_edges(self, bell_rho):
         # the blocks at their own size: Bell pair, protecting u, balanced rates
         model = LindbladModel(2, 1.0, 1.0)
-        block = _SMEContext(model, PROTECTING_U).block_steps
+        block = _block_steps(_SMEContext(model, PROTECTING_U))
         assert 1 < block < 1000
         n_steps = 2 * block + block // 2
         self._check_against_step_loop(

@@ -507,6 +507,14 @@ class TestFigure3:
             figure3(out, t_max=t_max)
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_gamma_named_before_any_file(self, tmp_path, gamma):
+        # a NaN gamma was once reported under the models' gamma_minus and gamma_plus
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError, match="^gamma: must be finite and > 0"):
+            figure3(out, gamma=gamma)
+        assert not out.exists()
+
 
 class TestCli:
     def _run(self, *args):
@@ -725,6 +733,15 @@ class TestCli:
         res = self._run("figure3", "--output-dir", str(out), "--t-max", "nan")
         assert res.returncode == 2
         assert res.stderr.startswith("config error: t_max: must be finite")
+        assert not out.exists()
+
+    def test_figure3_bad_gamma_and_spacing_in_one_line(self, tmp_path):
+        out = tmp_path / "fig3"
+        res = self._run("figure3", "--output-dir", str(out), "--gamma", "nan", "--sample-spacing", "0")
+        assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and "sample_spacing:" in lines[0] and "gamma:" in lines[0]
+        assert "gamma_minus" not in res.stderr
         assert not out.exists()
 
     def test_negative_seed_exit_code(self, capsys):
