@@ -7,7 +7,7 @@ INI config file ([model] and [run] sections, see the README schema); explicit
 flags win over the file. One ``ConfigError`` lists every bad option before
 any work starts: unknown sections and keys, values that do not convert, a bad
 view, an ``unraveling`` key that disagrees with the subcommand and its flags,
-and the model's own checks.
+and the model's and the run's own checks (the latter once every value converts).
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -115,22 +115,27 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"
         )
     model_keys = [k for k, spec in _OPTIONS.items() if spec[0] == "model"]
+    model = config = None
     if all(k in values for k in model_keys):
         try:
             model = LindbladModel(**{k: values[k] for k in model_keys})
         except ValueError as exc:
             errors.append(f"model: {exc}")
+    if len(values) == len(_OPTIONS):
+        # any u key reaches validate(), which rejects it outside the general SME;
+        # plain diffusive defaults to the protecting u
+        u = None
+        if unraveling == "diffusive" or any(k in given for k in _U_KEYS):
+            u11, u12, u22 = (values[k] for k in _U_KEYS)
+            u = np.array([[u11, u12], [u12, u22]], dtype=complex)
+        run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
+        config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
+        try:  # every option converted, so the run's fields are listed too, with or without a model
+            config.validate()
+        except ConfigError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError("; ".join(errors))
-
-    # any u key reaches validate(), which rejects it outside the general SME;
-    # plain diffusive defaults to the protecting u
-    u = None
-    if unraveling == "diffusive" or any(k in given for k in _U_KEYS):
-        u11, u12, u22 = (values[k] for k in _U_KEYS)
-        u = np.array([[u11, u12], [u12, u22]], dtype=complex)
-    run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
-    config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
     return config, values["view"], values["output"]
 
 
@@ -177,12 +182,10 @@ def main(argv=None) -> int:
                             argument_default=argparse.SUPPRESS)
     p_fig.add_argument("--output-dir", required=True)
     p_fig.add_argument("--gamma", type=float)
-    p_fig.add_argument("--n-traj", type=int, dest="n_trajectories")
-    p_fig.add_argument("--dt", type=float)
-    p_fig.add_argument("--t-max", type=float, dest="t_max")
     p_fig.add_argument("--sample-spacing", type=float)
-    p_fig.add_argument("--seed", type=int, dest="master_seed")
-    p_fig.add_argument("--workers", type=int)
+    for key in ("n_trajectories", "dt", "t_max", "master_seed", "workers"):
+        _, convert, _, flag, help_text = _OPTIONS[key]
+        p_fig.add_argument(flag, type=convert, dest=key, help=help_text)
 
     p_par = subs.add_parser("params", help="engineered-reservoir rate calculator")
     p_par.add_argument("--omega", type=float, required=True, help="classical drive strength")

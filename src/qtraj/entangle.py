@@ -56,11 +56,11 @@ def concurrence_signed(rho: np.ndarray):
     return _per_state(_difference(rho))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """Half the trace norm of rho - sigma: a float per pair, or per pair of two ``(..., d, d)`` stacks."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return 0.5 * float(np.sum(np.abs(hermitian_eigenvalues(rho - sigma, tol=1e-8))))
+    return _per_state(0.5 * np.sum(np.abs(hermitian_eigenvalues(rho - sigma, tol=1e-8)), axis=-1))
 
 
 def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -220,26 +220,26 @@ def analytic_concurrence(kind: str, gamma: float, eta: float | None, t):
     return float(c) if c.ndim == 0 else c
 
 
-def analytic_bell_state(kind: str, gamma: float, t: float) -> np.ndarray:
+def analytic_bell_state(kind: str, gamma: float, t) -> np.ndarray:
     """Closed-form two-qubit state rho(t) for a Bell input under the model.
 
     X-state forms obtained by solving the population/coherence equations by
     hand (each qubit relaxes independently; the |01><10| coherence decays at
     the sum of the single-qubit coherence rates). Cross-checked against
-    ``integrate_master`` in the test suite.
+    ``integrate_master`` in the test suite. An array of times gives a stack.
     """
-    rho = np.zeros((4, 4), dtype=complex)
+    t = np.asarray(t, dtype=float)
+    rho = np.zeros(t.shape + (4, 4), dtype=complex)
     if kind == "zero_T":
-        e = math.exp(-gamma * t)
-        rho[0, 0] = 1.0 - e
-        rho[1, 1] = rho[2, 2] = 0.5 * e
-        rho[1, 2] = rho[2, 1] = 0.5 * e
+        e = np.exp(-gamma * t)
+        rho[..., 0, 0] = 1.0 - e
+        rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * e
     elif kind == "infinite_T":
-        e2 = math.exp(-2.0 * gamma * t)
-        e4 = math.exp(-4.0 * gamma * t)
-        rho[0, 0] = rho[3, 3] = 0.25 * (1.0 - e4)
-        rho[1, 1] = rho[2, 2] = 0.25 * (1.0 + e4)
-        rho[1, 2] = rho[2, 1] = 0.5 * e2
+        e2 = np.exp(-2.0 * gamma * t)
+        e4 = np.exp(-4.0 * gamma * t)
+        rho[..., 0, 0] = rho[..., 3, 3] = 0.25 * (1.0 - e4)
+        rho[..., 1, 1] = rho[..., 2, 2] = 0.25 * (1.0 + e4)
+        rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * e2
     else:
         raise ValueError(f"unknown state kind: {kind!r}")
     return rho

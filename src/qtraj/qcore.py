@@ -144,11 +144,11 @@ def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
-    dev = np.max(np.abs(m - m.conj().T))
+    """Real eigenvalues of a Hermitian matrix, or of each in a ``(..., d, d)`` stack, sorted descending."""
+    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def pauli_matrix(label: str) -> np.ndarray:

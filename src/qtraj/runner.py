@@ -122,15 +122,16 @@ class ExperimentConfig:
         ):
             if not (isinstance(value, numbers.Integral) and value >= low):
                 errors.append(f"{field}: must be an integer >= {low}, got {value}")
-        # the closed-form master has no step; its dt only places the default samples
-        if self.dt > 0 and self.unraveling != "none":
-            check("dt", check_rate_step, self.model, self.dt)
-        check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
-        # the engines' own preconditions, checked here so that no worker starts
-        if self.unraveling in ("jump_protecting", "diffusive_protecting_unitary"):
-            check("model", check_protecting_rates, self.model)
-        if self.unraveling in ("diffusive", "diffusive_protecting_unitary"):
-            check("eta", check_perfect_detection, self.model)
+        if self.model is not None:  # None while a caller lists the model's own errors
+            # the closed-form master has no step; its dt only places the default samples
+            if self.dt > 0 and self.unraveling != "none":
+                check("dt", check_rate_step, self.model, self.dt)
+            check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
+            # the engines' own preconditions, checked here so that no worker starts
+            if self.unraveling in ("jump_protecting", "diffusive_protecting_unitary"):
+                check("model", check_protecting_rates, self.model)
+            if self.unraveling in ("diffusive", "diffusive_protecting_unitary"):
+                check("eta", check_perfect_detection, self.model)
         if self.u is not None:
             if self.unraveling == "diffusive":
                 check("u", check_noise_correlation, self.u)
@@ -215,6 +216,11 @@ def _sample_clock(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_1d(np.asarray(config.sample_times, dtype=float)), config.dt * np.array(steps)
 
 
+def _concurrence(states: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in a ``(..., d, d)`` stack; NaN unless d = 4, where it is undefined."""
+    return concurrence(states) if states.shape[-1] == 4 else np.full(states.shape[:-2], np.nan)
+
+
 @dataclass
 class _ChunkPartial:
     conc: np.ndarray  # (trajectories, samples); NaN beyond two qubits
@@ -228,7 +234,7 @@ def _run_chunk(
     model = config.model
     n = model.n_qubits
     nt = len(grid)
-    conc = np.full((hi - lo, nt), np.nan)
+    conc = np.empty((hi - lo, nt))
     raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
     rec_sum = np.zeros_like(raw_sum)
 
@@ -260,8 +266,7 @@ def _run_chunk(
 
         raw_sum += states
         rec_sum += recovered
-        if n == 2:
-            conc[idx - lo] = concurrence(states)
+        conc[idx - lo] = _concurrence(states)
     return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
@@ -270,18 +275,11 @@ def _master_statistics(
 ) -> EnsembleStatistics:
     series = integrate_master(model, rho0, grid)
     states = np.stack([series.at(t) for t in grid])
-    conc = concurrence(states) if model.n_qubits == 2 else np.full(len(times), np.nan)
+    conc = _concurrence(states)
     kind = oracle_kind(model) if is_bell else None
+    dist = np.full(len(times), np.nan)  # without a closed form: NaN, never a 0 that reads as exact
     if kind is not None:
-        dist = np.array(
-            [
-                trace_distance(s, analytic_bell_state(kind, model.gamma_minus[0], t))
-                for t, s in zip(grid, states)
-            ]
-        )
-    else:
-        # no closed form to compare against: NaN, never a 0 that reads as exact
-        dist = np.full(len(times), np.nan)
+        dist = trace_distance(states, analytic_bell_state(kind, model.gamma_minus[0], grid))
     zero = np.zeros(len(times))
     return EnsembleStatistics(
         times=times,
@@ -326,20 +324,17 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     stderr = conc.std(axis=0, ddof=1) / np.sqrt(n_traj) if n_traj > 1 else np.full(nt, np.nan)
     raw_mean = sum(p.raw_sum for p in partials) / n_traj
     rec_mean = sum(p.rec_sum for p in partials) / n_traj
-    two_qubit = model.n_qubits == 2
-    rec_conc = concurrence(rec_mean) if two_qubit else np.full(nt, np.nan)
-    if two_qubit and len(partials) > 1:
-        block = np.stack([concurrence(p.rec_sum / len(p.conc)) for p in partials], axis=1)
+    rec_conc = _concurrence(rec_mean)
+    if len(partials) > 1:
+        block = _concurrence(np.stack([p.rec_sum / len(p.conc) for p in partials], axis=1))
         rec_stderr = block.std(axis=1, ddof=1) / np.sqrt(len(partials))
     else:
         rec_stderr = np.full(nt, np.nan)
 
     oracle = integrate_master(model, rho0, grid)
     eta_oracle = integrate_master(model.scaled(1.0 - model.eta), rho0, grid)
-    dist = np.array([trace_distance(raw_mean[i], oracle.at(t)) for i, t in enumerate(grid)])
-    rec_dist = np.array(
-        [trace_distance(rec_mean[i], eta_oracle.at(t)) for i, t in enumerate(grid)]
-    )
+    dist = trace_distance(raw_mean, np.stack([oracle.at(t) for t in grid]))
+    rec_dist = trace_distance(rec_mean, np.stack([eta_oracle.at(t) for t in grid]))
     return EnsembleStatistics(
         times=times,
         mean_concurrence=conc.mean(axis=0),

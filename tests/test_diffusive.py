@@ -161,15 +161,16 @@ class TestStepDiffusive:
     def test_mean_increment_matches_rhs(self, rng, bell_rho):
         # noise and second-order terms are mean-zero by construction; the
         # brute-force sample average over fixed rho must reproduce L[rho] dt
+        # (the same fixed r goes through every step of one block-built map stream)
         model = LindbladModel(2, 1.0, 1.0)
         ctx = _SMEContext(model, PROTECTING_U)
         dt, n = 1e-3, 40000
         r = pauli_coordinates(bell_rho)
         acc = np.zeros(16)
-        sq = np.sqrt(dt)
-        for _ in range(n):
-            dw = rng.standard_normal(ctx.n_noise) * sq
-            acc += sme_update(r, ctx, dw, dt)
+        dws = rng.standard_normal((n, ctx.n_noise)) * np.sqrt(dt)
+        for maps, w in diffusive._step_maps(ctx, dws, dt):
+            for maps_s, w_s in zip(maps, w):
+                acc += diffusive._sme_step(r, maps_s, w_s)
         mean_step = from_pauli_coordinates(acc / n) - bell_rho
         expected = lindblad_rhs(model, bell_rho) * dt
         assert np.max(np.abs(mean_step - expected)) < 5e-4

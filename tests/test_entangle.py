@@ -101,3 +101,36 @@ class TestDistances:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+
+    @staticmethod
+    def _states(rng, bell_rho):
+        states = [random_density_matrix(4, rng) for _ in range(10)]
+        for _ in range(10):
+            psi = random_unitary(4, rng)[:, 0]
+            states.append(np.outer(psi, psi.conj()))
+        for la in PAULI_LABELS:
+            for lb in PAULI_LABELS:
+                p = np.kron(pauli_matrix(la), pauli_matrix(lb))
+                states.append(p @ bell_rho @ p.conj().T)
+        return np.stack(states)
+
+    def test_stacked_equals_per_pair_calls(self, rng, bell_rho):
+        # mixed, pure and Pauli-frame Bell states, each against another of the set
+        rho = self._states(rng, bell_rho)
+        sigma = rho[rng.permutation(len(rho))]
+        one_by_one = np.array([trace_distance(a, b) for a, b in zip(rho, sigma)])
+        assert all(isinstance(trace_distance(a, b), float) for a, b in zip(rho[:3], sigma[:3]))
+        assert np.array_equal(trace_distance(rho, sigma), one_by_one)
+        halves = trace_distance(rho.reshape(2, -1, 4, 4), sigma.reshape(2, -1, 4, 4))
+        assert np.array_equal(halves, one_by_one.reshape(2, -1))
+
+    def test_stack_rejects_mismatch_and_non_hermitian(self, rng, bell_rho):
+        rho = self._states(rng, bell_rho)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            trace_distance(rho, rho[0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            trace_distance(rho, rho[:-1])
+        bad = rho.copy()
+        bad[7, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(bad, rho)

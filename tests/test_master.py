@@ -142,6 +142,16 @@ class TestIntegrateMaster:
             for t in (0.2, 0.5, 0.8):
                 assert trace_distance(series.at(t), analytic_bell_state(kind, 1.0, t)) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["zero_T", "infinite_T"])
+    def test_analytic_states_on_a_time_array(self, kind):
+        # one stack for every time equals the per-time calls, in any leading shape
+        times = np.linspace(0.0, 2.0, 40)
+        stack = analytic_bell_state(kind, 0.7, times)
+        assert stack.shape == (40, 4, 4)
+        assert analytic_bell_state(kind, 0.7, 0.3).shape == (4, 4)
+        assert np.array_equal(stack, np.stack([analytic_bell_state(kind, 0.7, t) for t in times.tolist()]))
+        assert np.array_equal(analytic_bell_state(kind, 0.7, times.reshape(4, 10)), stack.reshape(4, 10, 4, 4))
+
     def test_preserves_trace_and_hermiticity(self, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
         series = integrate_master(model, bell_rho, _grid(1e-3, 0.3))

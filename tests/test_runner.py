@@ -338,6 +338,19 @@ class TestRunEnsemble:
             texts.append(tuple(csv_text(stats, view) for view in ("trajectory", "recovered")))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_master_concurrence_beyond_two_qubits_is_nan(self, n_qubits):
+        # a master-only run has concurrence only for a pair, and no closed form
+        # for anything but a Bell pair
+        model = LindbladModel(n_qubits, 1.0, 0.5)
+        stats = run_ensemble(_config(model=model, unraveling="none", initial_state="excited"))
+        for series in (stats.mean_concurrence, stats.recovered_concurrence, stats.min_concurrence,
+                       stats.trace_dist_master, stats.recovered_trace_dist):
+            assert np.all(np.isnan(series))
+        assert np.all(stats.stderr == 0.0) and np.all(stats.recovered_stderr == 0.0)
+        for view in ("trajectory", "recovered"):
+            assert csv_text(stats, view).splitlines()[1] == "0.000000000000,nan,0.000000000000,nan,1"
+
     def test_worker_count_does_not_change_bytes(self):
         cfg1 = _config(n_trajectories=600, workers=1)
         cfg3 = _config(n_trajectories=600, workers=3)
@@ -727,6 +740,22 @@ class TestCli:
         assert main(["master", "--n-qubits", "0", "--gamma-minus", "1 2"]) == 2
         err = capsys.readouterr().err
         assert "n_qubits" in err and "gamma_minus" in err
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["jump", "--eta", "2", "--dt", "-1"], ("model: eta", "dt: must be > 0")),
+            (["master", "--n-qubits", "0", "--dt", "-1"], ("model: n_qubits", "dt: must be > 0")),
+        ],
+    )
+    def test_model_and_run_errors_in_one_line(self, capsys, argv, words):
+        # the run's fields were once checked only after the model had built
+        from qtraj.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert all(word in err for word in words), err
 
     def test_figure3_non_finite_t_max_exit_code(self, tmp_path):
         out = tmp_path / "fig3"
