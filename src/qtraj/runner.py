@@ -14,6 +14,16 @@ per-trajectory concurrences (the per-trajectory protection claim) and the
 concurrence of the recovered-then-averaged state (the detection-inefficiency
 closed form is about the latter). Conflating them is the classic mistake; the
 CSV writer picks one via its ``view`` argument.
+
+Per-trajectory concurrences take the pure-state closed form
+(``entangle.pure_concurrence``) when ``run_ensemble`` finds, once per run, that
+every sample is a pure pair state: 4x4 states, a rank-one initial state and
+an engine that keeps a pure state pure (``PURE_UNRAVELINGS``). Each
+trajectory's samples must then pass a purity check, and one that fails raises
+``InvariantViolation`` naming the trajectory and its seed. Every other
+concurrence takes Wootters' form: the general-u SME, a mixed initial state,
+the recovered-then-averaged state, its chunk-blocked stderr and the
+master-only series.
 """
 
 import numbers
@@ -31,7 +41,7 @@ from .diffusive import (
     run_diffusive_trajectory,
     run_protecting_unitary_trajectory,
 )
-from .entangle import concurrence, trace_distance
+from .entangle import concurrence, pure_concurrence, trace_distance
 from .jumps import (
     canonical_jumps,
     check_protecting_rates,
@@ -68,6 +78,13 @@ UNRAVELINGS = (
 )
 
 CSV_HEADER = "time,mean_concurrence,stderr,mean_trace_dist_oracle,n"
+
+# the engines that map a pure state to pure states: jumps of any set, and the
+# exact protecting unitary (the general-u SME is pure only to its step error)
+PURE_UNRAVELINGS = ("jump_canonical", "jump_protecting", "diffusive_protecting_unitary")
+# rho0 has rank one when its largest eigenvalue is within this of 1, and a
+# sample is pure when |1 - tr(rho^2)| is
+PURITY_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -221,24 +238,37 @@ def _concurrence(states: np.ndarray) -> np.ndarray:
     return concurrence(states) if states.shape[-1] == 4 else np.full(states.shape[:-2], np.nan)
 
 
+def _checked_pure_concurrence(states: np.ndarray) -> np.ndarray:
+    """Pure-state concurrence of a trajectory's samples, once each has passed a purity check."""
+    impurity = np.abs(1.0 - np.einsum("sij,sij->s", states, states.conj()).real)
+    worst = int(np.argmax(impurity))
+    if not impurity[worst] <= PURITY_TOL:  # NaN fails too
+        raise InvariantViolation(
+            f"sample {worst} is not pure: |1 - tr(rho^2)| = {impurity[worst]:.2e} > {PURITY_TOL:g}"
+        )
+    return pure_concurrence(states)
+
+
 @dataclass
 class _ChunkPartial:
     conc: np.ndarray  # (trajectories, samples); NaN beyond two qubits
     raw_sum: np.ndarray
-    rec_sum: np.ndarray
+    rec_sum: np.ndarray  # raw_sum itself for the unravelings without a frame
 
 
 def _run_chunk(
-    config: ExperimentConfig, rho0: np.ndarray, grid: np.ndarray, lo: int, hi: int
+    config: ExperimentConfig, rho0: np.ndarray, grid: np.ndarray, lo: int, hi: int, pure: bool
 ) -> _ChunkPartial:
     model = config.model
     n = model.n_qubits
     nt = len(grid)
     conc = np.empty((hi - lo, nt))
     raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
-    rec_sum = np.zeros_like(raw_sum)
+    measure = _checked_pure_concurrence if pure else _concurrence
 
     kind = config.unraveling
+    # without a frame the recovered states are the raw ones: one sum serves both
+    rec_sum = raw_sum if kind in ("jump_canonical", "diffusive") else np.zeros_like(raw_sum)
     if kind == "diffusive":
         engine, lead = run_diffusive_trajectory, (model, config.u)
     elif kind == "diffusive_protecting_unitary":
@@ -251,22 +281,18 @@ def _run_chunk(
         seed = trajectory_seed(config.master_seed, idx)
         try:
             record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
+            states = np.stack(record.samples)
+            conc[idx - lo] = measure(states)
         except InvariantViolation as exc:
             # name the trajectory, so that it can be replayed on its own
             raise InvariantViolation(f"trajectory {idx} (seed {seed}): {exc}") from exc
-        states = np.stack(record.samples)
+        raw_sum += states
         if kind == "jump_protecting":
             # the frame at t folds the clicks at or before t
             rows = np.searchsorted([e.time for e in record.events], grid, side="right")
-            recovered = recover(states, frame_from_events(record.events, n)[rows])
+            rec_sum += recover(states, frame_from_events(record.events, n)[rows])
         elif kind == "diffusive_protecting_unitary":
-            recovered = recover_unitary(states, record.sample_frames)
-        else:
-            recovered = states
-
-        raw_sum += states
-        rec_sum += recovered
-        conc[idx - lo] = _concurrence(states)
+            rec_sum += recover_unitary(states, record.sample_frames)
     return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
@@ -306,13 +332,21 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     n_traj = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     workers = config.workers if config.workers is not None else default_workers()
+    # every sample is a pure pair state: a rank-one rho0 on an engine that keeps it pure
+    pure = (
+        rho0.shape == (4, 4)
+        and config.unraveling in PURE_UNRAVELINGS
+        and np.linalg.eigvalsh(rho0)[-1] >= 1.0 - PURITY_TOL
+    )
 
     if workers == 1 or len(bounds) == 1:
-        partials = [_run_chunk(config, rho0, grid, lo, hi) for lo, hi in bounds]
+        partials = [_run_chunk(config, rho0, grid, lo, hi, pure) for lo, hi in bounds]
     else:
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds)), mp_context=ctx) as pool:
-            futures = [pool.submit(_run_chunk, config, rho0, grid, lo, hi) for lo, hi in bounds]
+            futures = [
+                pool.submit(_run_chunk, config, rho0, grid, lo, hi, pure) for lo, hi in bounds
+            ]
             partials = [f.result() for f in futures]
 
     # one two-pass over every trajectory in chunk order; NaN concurrences

@@ -1,9 +1,19 @@
 """Concurrence, trace distance and fidelity."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtraj.entangle import concurrence, concurrence_signed, fidelity_to_pure, trace_distance
+from qtraj.entangle import (
+    concurrence,
+    concurrence_signed,
+    fidelity_to_pure,
+    pure_concurrence,
+    trace_distance,
+)
 from qtraj.master import LindbladModel, integrate_master
 from qtraj.qcore import (
     PAULI_LABELS,
@@ -79,6 +89,73 @@ class TestConcurrence:
             assert all(isinstance(fn(s), float) for s in states[:3])
             assert np.array_equal(fn(stack), one_by_one)
             assert np.array_equal(fn(stack.reshape(2, -1, 4, 4)), one_by_one.reshape(2, -1))
+
+
+def _schmidt_kets(angles, rng):
+    """(U ⊗ V)(cos a |00> + sin a |11>) with Haar U, V and a random phase: C = sin 2a.
+
+    Every pure pair state has this form for some a in [0, pi/4].
+    """
+    kets = []
+    for a in angles:
+        local = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        phase = np.exp(2j * np.pi * rng.uniform())
+        kets.append(phase * local @ np.array([np.cos(a), 0.0, 0.0, np.sin(a)]))
+    return np.array(kets)
+
+
+def _pure(kets):
+    return np.einsum("...i,...j->...ij", kets, kets.conj())
+
+
+# Wootters' form reads C from the root of the spin-flipped spectrum, so its
+# rounding error grows like eps / C; from C = sin(2 * 0.05) ~ 0.1 on it stays
+# below 1e-14 (1e5 Haar kets: 1.3e-13 at C = 0.0035, under 1e-14 above 0.02)
+_SCHMIDT_ANGLES = st.lists(st.floats(0.05, np.pi / 4), min_size=1, max_size=21)
+
+
+class TestPureConcurrence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, np.pi / 4), min_size=1, max_size=21),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_schmidt_form(self, angles, seed):
+        # down to product states, where Wootters' clamp and conditioning fail
+        rho = _pure(_schmidt_kets(angles, np.random.default_rng(seed)))
+        assert np.max(np.abs(pure_concurrence(rho) - np.sin(2 * np.array(angles)))) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles=_SCHMIDT_ANGLES, seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_wootters(self, angles, seed):
+        rho = _pure(_schmidt_kets(angles, np.random.default_rng(seed)))
+        per_state = [pure_concurrence(r) for r in rho]
+        assert all(isinstance(c, float) for c in per_state)
+        assert np.max(np.abs(np.array(per_state) - [concurrence(r) for r in rho])) <= 1e-14
+        assert np.max(np.abs(pure_concurrence(rho) - concurrence(rho))) <= 1e-14
+        assert np.array_equal(pure_concurrence(rho), per_state)
+        pair = np.stack([rho, rho])
+        assert np.array_equal(pure_concurrence(pair), np.stack([per_state, per_state]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles=_SCHMIDT_ANGLES, seed=st.integers(0, 2**32 - 1))
+    def test_wootters_invariant_under_local_unitaries(self, angles, seed):
+        rng = np.random.default_rng(seed)
+        rho = _pure(_schmidt_kets(angles, rng))
+        local = np.array([np.kron(random_unitary(2, rng), random_unitary(2, rng)) for _ in rho])
+        moved = local @ rho @ local.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(concurrence(moved) - concurrence(rho))) <= 1e-13
+
+    def test_bell_and_product_states(self, bell_rho):
+        assert abs(pure_concurrence(bell_rho) - 1.0) <= 1e-15
+        assert pure_concurrence(density(computational_ket("01"))) == 0.0
+
+    def test_rejects_what_concurrence_rejects(self):
+        for bad in (np.eye(2, dtype=complex) / 2, np.zeros((3, 2, 2), dtype=complex)):
+            with pytest.raises(ValueError) as wootters:
+                concurrence(bad)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(wootters.value))}$"):
+                pure_concurrence(bad)
 
 
 class TestDistances:

@@ -433,6 +433,93 @@ class TestRunEnsemble:
         assert f"trajectory 3 (seed {bad}): injected" in captured.err and not captured.out
 
 
+class TestPureConcurrence:
+    """Per-trajectory concurrence in the pure-state form where a run stays pure."""
+
+    # an explicit ket with C ~ 0.81, so the protecting runs stay off C = 1
+    KET = np.array([0.8, 0.3j, -0.1, 0.5])
+    ENGINES = {
+        "jump_canonical": "run_jump_trajectory",
+        "jump_protecting": "run_jump_trajectory",
+        "diffusive_protecting_unitary": "run_protecting_unitary_trajectory",
+    }
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Rebind a runner name to a wrapper that keeps what each call returns."""
+        import qtraj.runner as runner
+
+        fn = getattr(runner, name)
+        kept = []
+
+        def spy(*args):
+            kept.append(fn(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(runner, name, spy)
+        return kept
+
+    @pytest.mark.parametrize("unraveling", sorted(ENGINES))
+    @pytest.mark.parametrize("initial_state", ["bell", "ket"])
+    def test_equals_wootters_on_the_engine_samples(self, monkeypatch, unraveling, initial_state):
+        from qtraj.entangle import concurrence
+
+        records = self._spy(monkeypatch, self.ENGINES[unraveling])
+        pure_calls = self._spy(monkeypatch, "pure_concurrence")
+        model = LindbladModel(2, 1.0, 1.0 if unraveling != "jump_canonical" else 0.4)
+        state = self.KET if initial_state == "ket" else "bell"
+        stats = run_ensemble(
+            _config(model=model, unraveling=unraveling, initial_state=state, n_trajectories=30,
+                    t_max=0.4, sample_times=None)
+        )
+        assert len(pure_calls) == len(records) == 30
+        c = concurrence(np.stack([np.stack(r.samples) for r in records]))
+        assert np.max(np.abs(stats.mean_concurrence - c.mean(axis=0))) <= 1e-14
+        assert np.max(np.abs(stats.min_concurrence - c.min(axis=0))) <= 1e-14
+
+    def test_mixed_initial_state_takes_wootters(self, monkeypatch):
+        from qtraj.entangle import concurrence
+
+        bell, _ = resolve_initial_state("bell", 2)
+        mixed = 0.9 * bell + 0.1 * np.eye(4) / 4
+        records = self._spy(monkeypatch, "run_jump_trajectory")
+        pure_calls = self._spy(monkeypatch, "pure_concurrence")
+        stats = run_ensemble(_config(initial_state=mixed, n_trajectories=20, sample_times=None))
+        assert not pure_calls
+        c = concurrence(np.stack([np.stack(r.samples) for r in records]))
+        assert np.array_equal(stats.mean_concurrence, c.mean(axis=0))
+        assert np.array_equal(stats.min_concurrence, c.min(axis=0))
+
+    def test_general_sme_takes_wootters(self, monkeypatch):
+        # its states are pure only to the step error
+        pure_calls = self._spy(monkeypatch, "pure_concurrence")
+        run_ensemble(_config(unraveling="diffusive", n_trajectories=2, t_max=0.05, sample_times=None))
+        assert not pure_calls
+
+    def test_impure_sample_names_its_trajectory(self, monkeypatch):
+        import qtraj.runner as runner
+        from qtraj.jumps import trajectory_seed
+        from qtraj.qcore import InvariantViolation
+
+        master = 11
+        bad = trajectory_seed(master, 2)
+        engine = runner.run_jump_trajectory
+
+        def mixing(*args):
+            record = engine(*args)
+            if args[5] == bad:
+                # 1 - tr(rho^2) = 1.5e-12, just past the guard
+                record.samples[1] = (1 - 1e-12) * record.samples[1] + 1e-12 * np.eye(4) / 4
+            return record
+
+        monkeypatch.setattr(runner, "run_jump_trajectory", mixing)
+        cfg = _config(n_trajectories=5, master_seed=master)
+        with pytest.raises(
+            InvariantViolation, match=rf"^trajectory 2 \(seed {bad}\): sample 1 is not pure"
+        ):
+            run_ensemble(cfg)
+
+
 class TestCsv:
     def test_header_and_t0_row(self, tmp_path):
         stats = run_ensemble(_config(n_trajectories=10))
