@@ -6,8 +6,9 @@ and ``params`` (engineered-reservoir rate helper). Options can come from an
 INI config file ([model] and [run] sections, see the README schema); explicit
 flags win over the file. One ``ConfigError`` lists every bad option before
 any work starts: unknown sections and keys, values that do not convert, a bad
-view, an ``unraveling`` key that disagrees with the subcommand and its flags,
-and the model's and the run's own checks (the latter once every value converts).
+view (``recovered`` needs an unraveling with a frame to undo), an
+``unraveling`` key that disagrees with the subcommand and its flags, and the
+model's and the run's own checks (the latter once every value converts).
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -31,6 +32,7 @@ from .reservoir import (
     thermal_occupation,
 )
 from .runner import (
+    UNRAVELING_TABLE,
     ConfigError,
     ExperimentConfig,
     csv_text,
@@ -110,6 +112,10 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             errors.append(f"{key}: {exc}")
     if values["view"] not in _VIEWS:
         errors.append(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
+    _, engine, recovery, _ = UNRAVELING_TABLE[unraveling]
+    if values["view"] == "recovered" and engine is not None and recovery is None:
+        # its recovered columns would be the raw average against the (1-eta) gamma master
+        errors.append(f"view: {unraveling} has no frame to recover, so only trajectory applies")
     if values["unraveling"] not in (None, unraveling):
         errors.append(
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"
@@ -123,9 +129,9 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             errors.append(f"model: {exc}")
     if len(values) == len(_OPTIONS):
         # any u key reaches validate(), which rejects it outside the general SME;
-        # plain diffusive defaults to the protecting u
+        # without one, the general SME takes the protecting u
         u = None
-        if unraveling == "diffusive" or any(k in given for k in _U_KEYS):
+        if any(k in given for k in _U_KEYS):
             u11, u12, u22 = (values[k] for k in _U_KEYS)
             u = np.array([[u11, u12], [u12, u22]], dtype=complex)
         run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
@@ -199,8 +205,7 @@ def main(argv=None) -> int:
         if args.command == "master":
             _run_and_emit(args, "none")
         elif args.command == "jump":
-            kind = "jump_canonical" if args.jump_set == "canonical" else "jump_protecting"
-            _run_and_emit(args, kind)
+            _run_and_emit(args, f"jump_{args.jump_set}")
         elif args.command == "diffusive":
             kind = "diffusive_protecting_unitary" if args.exact_unitary else "diffusive"
             _run_and_emit(args, kind)

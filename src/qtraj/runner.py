@@ -17,9 +17,9 @@ CSV writer picks one via its ``view`` argument.
 
 Per-trajectory concurrences take the pure-state closed form
 (``entangle.pure_concurrence``) when ``run_ensemble`` finds, once per run, that
-every sample is a pure pair state: 4x4 states, a rank-one initial state and
-an engine that keeps a pure state pure (``PURE_UNRAVELINGS``). Each
-trajectory's samples must then pass a purity check, and one that fails raises
+every sample is a pure pair state: 4x4 states, a rank-one initial state and an
+engine that keeps a pure state pure (the ``pure`` column of ``UNRAVELING_TABLE``).
+Each trajectory's samples must then pass a purity check, and one that fails raises
 ``InvariantViolation`` naming the trajectory and its seed. Every other
 concurrence takes Wootters' form: the general-u SME, a mixed initial state,
 the recovered-then-averaged state, its chunk-blocked stderr and the
@@ -69,19 +69,8 @@ from .recovery import frame_from_events, recover, recover_unitary
 WORKERS_ENV = "QTRAJ_WORKERS"
 CHUNK = 256  # fixed reduction granularity; must not depend on the worker count
 
-UNRAVELINGS = (
-    "none",
-    "jump_canonical",
-    "jump_protecting",
-    "diffusive",
-    "diffusive_protecting_unitary",
-)
-
 CSV_HEADER = "time,mean_concurrence,stderr,mean_trace_dist_oracle,n"
 
-# the engines that map a pure state to pure states: jumps of any set, and the
-# exact protecting unitary (the general-u SME is pure only to its step error)
-PURE_UNRAVELINGS = ("jump_canonical", "jump_protecting", "diffusive_protecting_unitary")
 # rho0 has rank one when its largest eigenvalue is within this of 1, and a
 # sample is pure when |1 - tr(rho^2)| is
 PURITY_TOL = 1e-12
@@ -89,6 +78,34 @@ PURITY_TOL = 1e-12
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message enumerates offending fields."""
+
+
+def _undo_clicks(record, states, grid, n):
+    # the frame at t folds the clicks at or before t
+    rows = np.searchsorted([e.time for e in record.events], grid, side="right")
+    return recover(states, frame_from_events(record.events, n)[rows])
+
+
+# unraveling -> (checks, engine, recovery, pure): the engine's preconditions as
+# (field, check(model)) pairs; (model, u) -> (engine, its leading arguments), None
+# for the master alone; (record, states, grid, n_qubits) -> the recovered states,
+# None without a frame; whether the engine keeps a pure state pure (the SME only to
+# its step error). Rows read this module's names when called, so rebinding one works.
+_BALANCED, _PERFECT = ("model", check_protecting_rates), ("eta", check_perfect_detection)
+UNRAVELING_TABLE = {
+    "none": ((), None, None, False),
+    "jump_canonical": ((), lambda m, u: (run_jump_trajectory, (m, canonical_jumps(m))), None, True),
+    "jump_protecting": (
+        (_BALANCED,), lambda m, u: (run_jump_trajectory, (m, protecting_jumps(m))),
+        _undo_clicks, True,
+    ),
+    "diffusive": ((_PERFECT,), lambda m, u: (run_diffusive_trajectory, (m, u)), None, False),
+    "diffusive_protecting_unitary": (
+        (_BALANCED, _PERFECT), lambda m, u: (run_protecting_unitary_trajectory, (m,)),
+        lambda record, states, grid, n: recover_unitary(states, record.sample_frames), True,
+    ),
+}
+UNRAVELINGS = tuple(UNRAVELING_TABLE)
 
 
 def default_workers() -> int:
@@ -129,7 +146,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 errors.append(f"{field}: {exc}" if field else str(exc))
 
-        if self.unraveling not in UNRAVELINGS:
+        known = self.unraveling in UNRAVELINGS  # a tuple test: a list cannot key the table
+        checks, engine = UNRAVELING_TABLE[self.unraveling][:2] if known else ((), None)
+        if not known:
             errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
         check(None, step_grid, self.dt, self.t_max, self.sample_times)
         for field, value, low in (
@@ -139,16 +158,16 @@ class ExperimentConfig:
         ):
             if not (isinstance(value, numbers.Integral) and value >= low):
                 errors.append(f"{field}: must be an integer >= {low}, got {value}")
+        if self.workers is None and engine is not None:  # the count comes from the environment
+            check(None, default_workers)
         if self.model is not None:  # None while a caller lists the model's own errors
             # the closed-form master has no step; its dt only places the default samples
-            if self.dt > 0 and self.unraveling != "none":
+            if engine is not None:
                 check("dt", check_rate_step, self.model, self.dt)
             check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
             # the engines' own preconditions, checked here so that no worker starts
-            if self.unraveling in ("jump_protecting", "diffusive_protecting_unitary"):
-                check("model", check_protecting_rates, self.model)
-            if self.unraveling in ("diffusive", "diffusive_protecting_unitary"):
-                check("eta", check_perfect_detection, self.model)
+            for field, fn in checks:
+                check(field, fn, self.model)
         if self.u is not None:
             if self.unraveling == "diffusive":
                 check("u", check_noise_correlation, self.u)
@@ -266,16 +285,10 @@ def _run_chunk(
     raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
     measure = _checked_pure_concurrence if pure else _concurrence
 
-    kind = config.unraveling
+    _, pick, recovery, _ = UNRAVELING_TABLE[config.unraveling]
     # without a frame the recovered states are the raw ones: one sum serves both
-    rec_sum = raw_sum if kind in ("jump_canonical", "diffusive") else np.zeros_like(raw_sum)
-    if kind == "diffusive":
-        engine, lead = run_diffusive_trajectory, (model, config.u)
-    elif kind == "diffusive_protecting_unitary":
-        engine, lead = run_protecting_unitary_trajectory, (model,)
-    else:
-        jumps = protecting_jumps(model) if kind == "jump_protecting" else canonical_jumps(model)
-        engine, lead = run_jump_trajectory, (model, jumps)
+    rec_sum = raw_sum if recovery is None else np.zeros_like(raw_sum)
+    engine, lead = pick(model, config.u)
 
     for idx in range(lo, hi):
         seed = trajectory_seed(config.master_seed, idx)
@@ -287,12 +300,8 @@ def _run_chunk(
             # name the trajectory, so that it can be replayed on its own
             raise InvariantViolation(f"trajectory {idx} (seed {seed}): {exc}") from exc
         raw_sum += states
-        if kind == "jump_protecting":
-            # the frame at t folds the clicks at or before t
-            rows = np.searchsorted([e.time for e in record.events], grid, side="right")
-            rec_sum += recover(states, frame_from_events(record.events, n)[rows])
-        elif kind == "diffusive_protecting_unitary":
-            rec_sum += recover_unitary(states, record.sample_frames)
+        if recovery is not None:
+            rec_sum += recovery(record, states, grid, n)
     return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
@@ -326,7 +335,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     times, grid = _sample_clock(config)
     model = config.model
     rho0, is_bell = resolve_initial_state(config.initial_state, model.n_qubits)
-    if config.unraveling == "none":
+    _, engine, _, keeps_pure = UNRAVELING_TABLE[config.unraveling]
+    if engine is None:
         return _master_statistics(model, rho0, is_bell, times, grid)
 
     n_traj = config.n_trajectories
@@ -335,7 +345,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     # every sample is a pure pair state: a rank-one rho0 on an engine that keeps it pure
     pure = (
         rho0.shape == (4, 4)
-        and config.unraveling in PURE_UNRAVELINGS
+        and keeps_pure
         and np.linalg.eigvalsh(rho0)[-1] >= 1.0 - PURITY_TOL
     )
 

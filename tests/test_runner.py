@@ -36,6 +36,28 @@ def _config(**kw):
     return ExperimentConfig(**base)
 
 
+# one config that breaks every engine precondition at once (unbalanced rates,
+# eta < 1, gamma*dt > 0.01 and a u given), and the message of each breach
+def _breaks_every_precondition(unraveling):
+    return _config(
+        model=LindbladModel(2, 20.0, 10.0, eta=0.5),
+        unraveling=unraveling,
+        u=np.array([[0.0, -1.0], [-1.0, 0.0]]),
+    )
+
+
+_RATE = "dt: gamma_max*dt = 0.02 exceeds 0.01"
+_BALANCE = "model: protecting unravelings require gamma_minus == gamma_plus on every qubit"
+_ETA = (
+    "eta: the diffusive engines model perfect detection (eta = 1), got eta = 0.5; "
+    "inefficiency curves come from the jump engine"
+)
+
+
+def _u_only(name):
+    return f"u: only the diffusive unraveling reads u, not {name!r}"
+
+
 class TestConfigValidation:
     def test_valid_passes(self):
         _config().validate()
@@ -107,6 +129,45 @@ class TestConfigValidation:
         cfg = _config(unraveling=unraveling, u=np.zeros((2, 2)))
         with pytest.raises(ConfigError, match="u: only the diffusive"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "unraveling, parts",
+        [
+            ("none", [_u_only("none")]),
+            ("jump_canonical", [_RATE, _u_only("jump_canonical")]),
+            ("jump_protecting", [_RATE, _BALANCE, _u_only("jump_protecting")]),
+            ("diffusive", [_RATE, _ETA]),
+            (
+                "diffusive_protecting_unitary",
+                [_RATE, _BALANCE, _ETA, _u_only("diffusive_protecting_unitary")],
+            ),
+        ],
+    )
+    def test_every_precondition_message_per_unraveling(self, unraveling, parts):
+        cfg = _breaks_every_precondition(unraveling)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == "; ".join(parts)
+
+    def test_unhashable_unraveling_is_a_config_error(self):
+        cfg = _breaks_every_precondition(["jump_protecting"])
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        msg = str(err.value)
+        assert msg.startswith("unraveling: unknown ['jump_protecting'], expected one of (")
+        assert msg.endswith("; " + _u_only(["jump_protecting"]))
+
+    def test_bad_workers_env_listed_with_the_other_fields(self, monkeypatch):
+        from qtraj.runner import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "zero")
+        with pytest.raises(ConfigError) as err:
+            _config(workers=None, n_trajectories=0).validate()
+        assert str(err.value) == (
+            "n_trajectories: must be an integer >= 1, got 0; QTRAJ_WORKERS: not an integer: 'zero'"
+        )
+        _config(workers=2).validate()  # an explicit count never reads the variable
+        _config(unraveling="none", workers=None).validate()  # nor does the master alone
 
     def test_rate_step_product_guard(self):
         with pytest.raises(ConfigError, match="gamma_max"):
@@ -520,6 +581,35 @@ class TestPureConcurrence:
             run_ensemble(cfg)
 
 
+class TestRecoveryLookup:
+    """The runner finds its recovery functions in its own namespace at call time."""
+
+    CALLS = {
+        "jump_canonical": {},
+        "jump_protecting": {"frame_from_events": 1, "recover": 1},
+        "diffusive": {},
+        "diffusive_protecting_unitary": {"recover_unitary": 1},
+    }
+
+    @pytest.mark.parametrize("unraveling", sorted(CALLS))
+    def test_recovery_calls_per_trajectory(self, monkeypatch, unraveling):
+        import qtraj.runner as runner
+
+        counts = {}
+        for name in ("frame_from_events", "recover", "recover_unitary"):
+            fn = getattr(runner, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(runner, name, counted)
+        n_traj = 6
+        run_ensemble(_config(unraveling=unraveling, n_trajectories=n_traj, t_max=0.05,
+                             sample_times=None))
+        assert counts == {name: k * n_traj for name, k in self.CALLS[unraveling].items()}
+
+
 class TestCsv:
     def test_header_and_t0_row(self, tmp_path):
         stats = run_ensemble(_config(n_trajectories=10))
@@ -597,6 +687,16 @@ class TestFigure3:
         # these once failed only after the two master series were written
         with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
             figure3(tmp_path, t_max=0.1, sample_spacing=0.1, **{field: value})
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_workers_env_rejected_before_any_file(self, tmp_path, monkeypatch):
+        # the variable was once read inside the first ensemble, after the two
+        # master series were written
+        from qtraj.runner import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "zero")
+        with pytest.raises(ConfigError, match="QTRAJ_WORKERS: not an integer: 'zero'"):
+            figure3(tmp_path, n_trajectories=10)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t_max", [np.nan, np.inf])
@@ -820,6 +920,34 @@ class TestCli:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err.startswith("config error: model: gamma_") and "finite" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diffusive", "--n-traj", "20", "--view", "recovered", "--sample-times", "0 0.5 1"],
+            ["jump", "--unraveling", "canonical", "--gamma-plus", "0", "--eta", "0.5",
+             "--n-traj", "300", "--view", "recovered", "--sample-times", "0 0.5 1"],
+        ],
+        ids=["diffusive", "jump_canonical"],
+    )
+    def test_recovered_view_without_a_frame_exit_code(self, capsys, argv):
+        # both once exited 0, printing the raw average against the (1-eta) gamma master
+        from qtraj.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: view: ") and "no frame to recover" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["master"], ["jump", "--n-traj", "20"], ["diffusive", "--exact-unitary", "--n-traj", "4"]],
+        ids=["master", "jump_protecting", "diffusive_protecting_unitary"],
+    )
+    def test_recovered_view_with_a_frame_runs(self, capsys, argv):
+        from qtraj.cli import main
+
+        assert main([*argv, "--view", "recovered", "--t-max", "0.1", "--sample-times", "0 0.1"]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
 
     def test_every_bad_model_field_named(self, capsys):
         from qtraj.cli import main
