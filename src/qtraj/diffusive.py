@@ -66,11 +66,11 @@ the A_l and the A_m A_l. Each step is then one product v = [P_s; A] r, which
 holds h = (A r)_0, plus the scalar correction. Hermiticity holds by
 construction, and the state is formed as a matrix only where it is read.
 
-The measurement currents per channel are the channel image
-Y = C (<L + L†> + dw/dt) of the real records:
+The measurement currents per channel are
 
-    Y_i dt = [sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>] dt + dxi_i
+    Y_i dt = [sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>] dt + dxi_i,
 
+with dxi = C dw: the channel image Y = C (<L + L†> + dw/dt) of the real records.
 For the protecting u at balanced rates the deterministic part cancels
 identically (sqrt(gamma) <sigma_- - sigma_+†> = 0): the records are pure
 noise. The two real photocurrent differences relate to the complex pair by
@@ -89,7 +89,6 @@ from .qcore import (
     pauli_coordinates,
     pauli_strings,
     step_grid,
-    tensor_product,
     validate_density_matrix,
 )
 from .recovery import apply_frame
@@ -178,8 +177,8 @@ class _SMEContext:
     (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
     On the Pauli coordinates r_k = tr(P_k rho), ``a[m]`` is rho -> L_m rho + rho L_m†
     and ``drift`` is rho -> sum_m D[L_m] rho, both real d²×d² matrices with
-    entries tr(P_j Phi(P_k)) / d. The currents read only ``c`` and ``a``; the
-    rows of the stepping maps are formed from ``a`` and ``drift`` by ``_step_maps``.
+    entries tr(P_j Phi(P_k)) / d. The currents read only ``c``; the rows of
+    the stepping maps are formed from ``a`` and ``drift`` by ``_step_maps``.
     """
 
     def __init__(self, model: LindbladModel, u=None):
@@ -273,15 +272,17 @@ def sme_update(r: np.ndarray, ctx: _SMEContext, dw: np.ndarray, dt: float) -> np
     return _sme_step(r, maps[0], w[0])
 
 
-def _homodyne_means(ctx: _SMEContext, r: np.ndarray) -> np.ndarray:
-    """<L_m + L_m†> = (A_m r)_0: the deterministic part of each real record dw_m / dt."""
-    return ctx.a[:, 0] @ r
+def _current_means(state: np.ndarray, model: LindbladModel, u) -> np.ndarray:
+    """Both currents' means on every qubit, shape (n, 2), for a ``u`` already checked."""
+    sig = channel_operators(model.n_qubits)
+    e = (np.sqrt(model.rates) * (sig.reshape(len(sig), -1) @ state.T.ravel())).reshape(-1, 2)
+    return e + e.conj() @ np.transpose(u)  # <sigma†> = <sigma>* for a Hermitian state
 
 
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
     """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
-    ctx = _SMEContext(model, u)
-    det = (ctx.c @ _homodyne_means(ctx, pauli_coordinates(state))).reshape(-1, 2)[qubit]
+    u = check_noise_correlation(PROTECTING_U if u is None else u)
+    det = _current_means(state, model, u)[qubit]
     return complex(det[0]), complex(det[1])
 
 
@@ -295,9 +296,9 @@ def combine_currents(i12: complex, i34: complex) -> tuple[complex, complex]:
     return i12 + 1j * i34, -i12 + 1j * i34
 
 
-def _currents(ctx: _SMEContext, r: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
-    # the channel image Y = C (<L + L†> + dw/dt) of the real homodyne records
-    ym, yp = (ctx.c @ (_homodyne_means(ctx, r) + dw / dt)).reshape(-1, 2).T
+def _currents(ctx: _SMEContext, means: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
+    # the means plus the channel image dxi / dt = C dw / dt of the real increments
+    ym, yp = (means + (ctx.c @ dw / dt).reshape(-1, 2)).T
     return [
         CurrentSample(complex(a), complex(b), float(c.real), float(d.real))
         for a, b, c, d in zip(ym, yp, *homodyne_currents(ym, yp))
@@ -313,10 +314,10 @@ def step_diffusive(
 ) -> tuple[np.ndarray, list[CurrentSample]]:
     """Advance one diffusive step and emit the per-qubit measurement currents."""
     check_perfect_detection(model)
-    ctx = _SMEContext(model, u)
+    ctx = _SMEContext(model, u)  # checks u
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
-    r = pauli_coordinates(state)
-    return from_pauli_coordinates(sme_update(r, ctx, dw, dt)), _currents(ctx, r, dw, dt)
+    currents = _currents(ctx, _current_means(state, model, PROTECTING_U if u is None else u), dw, dt)
+    return from_pauli_coordinates(sme_update(pauli_coordinates(state), ctx, dw, dt)), currents
 
 
 def run_diffusive_trajectory(
@@ -407,8 +408,7 @@ def step_protecting_unitary(
         raise ValueError(f"need one rate per qubit, got {gammas.size} for {n}")
     dws = rng.standard_normal((n, 2)) * math.sqrt(dt)
     us = protecting_unitary(gammas, dws[:, 0], dws[:, 1])
-    full = tensor_product(us)
-    return full @ state @ full.conj().T, us @ frame
+    return apply_frame(state, us), us @ frame
 
 
 def _su2_product(a1, b1, a2, b2):

@@ -27,9 +27,9 @@ click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Within a no-click
 run the state scales by powers of diag(M)^2, tabulated once per trajectory,
 and every sample that falls in the run is formed in one broadcast product.
 Other sets, e.g. collective jumps, take the per-step loop; both give the same
-clicks. Kernels are memoized by the value of (jumps, model, dt), so the
-trajectories of an ensemble share one and pay only for their own draws and
-clicks.
+clicks: the walk decides whether a step clicks, the kernel which click. A
+kernel reads only (jumps, dim, eta, dt) and is memoized by their value, so the
+trajectories of an ensemble share one and pay only for their draws and clicks.
 """
 
 from bisect import bisect_right
@@ -167,21 +167,16 @@ def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
     return out
 
 
-def _bare_kernel(jumps: list[JumpOperator], dim: int, dt: float) -> "_JumpKernel":
-    """The kernel of a bare jump set on a ``dim``-dimensional state (eta = 1)."""
-    return _JumpKernel(jumps, LindbladModel(dim.bit_length() - 1, 0.0, 0.0), dt)
-
-
 def no_jump_operator(jumps: list[JumpOperator], dt: float) -> np.ndarray:
     """M = 1 - (dt/2) sum_i J_i† J_i."""
-    return _bare_kernel(jumps, jumps[0].matrix.shape[0], dt).m_op
+    return _JumpKernel(jumps, jumps[0].matrix.shape[0], 1.0, dt).m_op
 
 
 def jump_probabilities(
     jumps: list[JumpOperator], rho: np.ndarray, dt: float
 ) -> tuple[np.ndarray, float]:
     """Click probabilities p_i = tr(J_i† J_i rho) dt and p_nj = 1 - sum(p)."""
-    p = _bare_kernel(jumps, rho.shape[0], dt).probabilities(rho)
+    p = _JumpKernel(jumps, rho.shape[0], 1.0, dt).probabilities(rho)
     if np.any(p < -1e-12):
         raise InvariantViolation(f"negative jump probability: {p.min():.3e}")
     p = np.maximum(p, 0.0)
@@ -196,11 +191,11 @@ def _check_step_prob(total: float) -> None:
 class _JumpKernel:
     """Precomputed operator stacks plus the shared outcome-sampling rule."""
 
-    def __init__(self, jumps: list[JumpOperator], model: LindbladModel, dt: float):
+    def __init__(self, jumps: list[JumpOperator], dim: int, eta: float, dt: float):
         self.jumps = jumps
-        self.model = model
+        self.dim = dim
+        self.eta = eta
         self.dt = dt
-        self.dim = model.dim
         eye = np.eye(self.dim, dtype=complex)
         # no jumps (all rates zero): empty stacks, and M = 1
         self.j_stack = (
@@ -225,6 +220,7 @@ class _JumpKernel:
             not self.e_stack[:, off].any()
             and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
         )
+
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
         _check_step_prob(p.sum())
@@ -232,11 +228,7 @@ class _JumpKernel:
 
     def cumulative(self, p: np.ndarray) -> np.ndarray:
         """Detected/undetected sub-segments in fixed operator order."""
-        eta = self.model.eta
-        sub = np.empty(2 * len(p))
-        sub[0::2] = eta * np.maximum(p, 0.0)
-        sub[1::2] = (1.0 - eta) * np.maximum(p, 0.0)
-        return np.cumsum(sub)
+        return np.cumsum(np.outer(np.maximum(p, 0.0), (self.eta, 1.0 - self.eta)))
 
     def apply_jump(self, rho: np.ndarray, k: int) -> np.ndarray:
         j = self.j_stack[k]
@@ -256,16 +248,16 @@ class _JumpKernel:
         new *= 1.0 / tr
         return new
 
-    def sample(self, p: np.ndarray, u: float) -> tuple[int, bool] | None:
-        """Map one uniform draw to (jump index, detected) or None for no jump.
+    def channel(self, p: np.ndarray, u: float) -> tuple[int, bool]:
+        """(jump index, detected) of the click that the walk found at the uniform ``u``.
 
-        The jump/no-jump boundary is sum(p); the sub-segment search only runs
-        on the rare hits.
+        The sub-segment of ``cumulative(p)`` that holds u, read at most one ulp
+        below the last entry (the walk's sum of p may round above it): such a
+        draw lands in the last segment of nonzero width, never in a trailing
+        empty one such as the undetected share at eta = 1.
         """
-        if p.size == 0 or u >= p.sum():
-            return None
         cum = self.cumulative(p)
-        seg = min(int(np.searchsorted(cum, u, side="right")), 2 * len(p) - 1)
+        seg = int(np.searchsorted(cum, min(u, np.nextafter(cum[-1], 0.0)), side="right"))
         return seg // 2, seg % 2 == 0
 
     def event_for(self, k: int, detected: bool, time: float) -> JumpEvent:
@@ -274,15 +266,15 @@ class _JumpKernel:
 
     def step(self, rho: np.ndarray, u: float, time: float) -> tuple[np.ndarray, JumpEvent | None]:
         """One step on the uniform ``u``: a click stamped ``time``, else the no-jump update."""
-        out = self.sample(self.probabilities(rho), u)
-        if out is None:
+        p = self.probabilities(rho)
+        if u >= p.sum():
             return self.apply_no_jump(rho), None
-        k, detected = out
+        k, detected = self.channel(p, u)
         return self.apply_jump(rho, k), self.event_for(k, detected, time)
 
 
 def _kernel(jumps: list[JumpOperator], model: LindbladModel, dt: float) -> _JumpKernel:
-    """The read-only kernel of (jumps, model, dt), memoized by value.
+    """The read-only kernel of (jumps, model.dim, model.eta, dt), memoized by value.
 
     Every trajectory of an ensemble steps the same kernel. The key holds each
     operator's bytes, not its identity, so a matrix changed in place gets a
@@ -292,16 +284,16 @@ def _kernel(jumps: list[JumpOperator], model: LindbladModel, dt: float) -> _Jump
         (op.qubit, op.label, op.matrix.dtype.str, op.matrix.shape, op.matrix.tobytes())
         for op in jumps
     )
-    return _kernel_of(ops, model, dt)
+    return _kernel_of(ops, model.dim, model.eta, dt)
 
 
 @lru_cache(maxsize=16)
-def _kernel_of(ops: tuple, model: LindbladModel, dt: float) -> _JumpKernel:
+def _kernel_of(ops: tuple, dim: int, eta: float, dt: float) -> _JumpKernel:
     jumps = [
         JumpOperator(np.frombuffer(raw, dtype).reshape(shape), qubit, label)
         for qubit, label, dtype, shape, raw in ops
     ]
-    kernel = _JumpKernel(jumps, model, dt)
+    kernel = _JumpKernel(jumps, dim, eta, dt)
     for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op):
         arr.flags.writeable = False
     return kernel
@@ -407,7 +399,7 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         at_hit = states[-1]
         if not kernel.m_scalar:
             p = kernel.probabilities(at_hit)
-        k, detected = kernel.sample(p, us[pos + off])
+        k, detected = kernel.channel(p, us[pos + off])
         state = kernel.apply_jump(at_hit, k)
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
         pos += off + 1

@@ -256,23 +256,14 @@ def disentanglement_time(gamma: float, eta: float = 0.0) -> float:
     return math.log(1.0 + math.sqrt(2.0)) / (2.0 * gamma * (1.0 - eta))
 
 
-def _require_symmetric_two_qubit(model: LindbladModel) -> float:
-    if model.n_qubits != 2:
-        raise ValueError("closed-form oracles are two-qubit only")
-    if len(set(model.gamma_minus)) != 1 or len(set(model.gamma_plus)) != 1:
-        raise ValueError("closed-form oracles require equal rates on both qubits")
-    return model.gamma_minus[0]
-
-
 def oracle_kind(model: LindbladModel) -> str | None:
-    """Which closed form (if any) matches the model for a Bell input."""
-    try:
-        g = _require_symmetric_two_qubit(model)
-    except ValueError:
+    """The closed form (if any) for a Bell input: two qubits, one gamma_minus > 0, one gamma_plus."""
+    g, gp = model.gamma_minus[0], model.gamma_plus[0]
+    if model.n_qubits != 2 or set(model.gamma_minus) != {g} or set(model.gamma_plus) != {gp} or g <= 0:
         return None
-    if model.gamma_plus[0] == 0.0 and g > 0:
+    if gp == 0.0:
         return "zero_T"
-    if model.balanced and g > 0:
+    if gp == g:
         return "infinite_T"
     return None
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtraj.diffusive import (
@@ -51,7 +51,8 @@ def _per_step(model, jumps, rho0, dt, t_max, seed, sample_times):
     """The trajectory on the per-step reference loop and the same draws."""
     n_steps, steps = step_grid(dt, t_max, sample_times)
     us = _trajectory_rng(seed).random(n_steps)
-    state, events, samples = _step_loop(_JumpKernel(jumps, model, dt), rho0.astype(complex), us, steps)
+    kernel = _JumpKernel(jumps, model.dim, model.eta, dt)
+    state, events, samples = _step_loop(kernel, rho0.astype(complex), us, steps)
     return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
@@ -274,7 +275,7 @@ class TestStepJump:
         from qtraj.qcore import InvariantViolation
 
         model = LindbladModel(1, 1.0, 0.0)
-        kernel = _JumpKernel(canonical_jumps(model), model, 1e-3)
+        kernel = _JumpKernel(canonical_jumps(model), model.dim, model.eta, 1e-3)
         with pytest.raises(InvariantViolation, match="normalization"):
             kernel.apply_jump(density(computational_ket("0")), 0)
 
@@ -471,8 +472,8 @@ class TestTrajectories:
         base = canonical_jumps(model)
         mixed = transform_jumps(base[:2], u) + transform_jumps(base[2:], u)
         for jumps in (canonical_jumps(model), protecting_jumps(LindbladModel(2, 1.0, 1.0)), mixed):
-            assert _JumpKernel(jumps, model, 1e-3).m_diagonal
-        assert not _JumpKernel(_collective_jumps(), model, 1e-3).m_diagonal
+            assert _JumpKernel(jumps, model.dim, model.eta, 1e-3).m_diagonal
+        assert not _JumpKernel(_collective_jumps(), model.dim, model.eta, 1e-3).m_diagonal
         times = [0.0, 0.2, 0.3]
         for seed in (3, 4):
             fast = run_jump_trajectory(model, mixed, bell_rho, 1e-3, 0.3, seed, sample_times=times)
@@ -537,6 +538,61 @@ def test_scan_matches_per_step_loop(name, seed, inner, sample_clicks):
             assert np.array_equal(a, b)
         else:
             assert np.max(np.abs(a - b)) < tol
+
+
+class TestClickDecidedOnce:
+    """The walk decides whether a step clicks, the kernel which: sums that round apart agree."""
+
+    def test_scan_click_where_the_run_total_rounds_above_the_click_sum(self):
+        # the run total at offset 1 is 0.001, the p.sum() of the state there
+        # 0.0009999999999999998: a draw between them once crashed the scan
+        model = LindbladModel(2, 1.0, 0.0, eta=1.0)
+        kernel = _kernel(canonical_jumps(model), model, 1e-3)
+        us = np.full(1000, 0.999)
+        us[1] = 0.0009999999999999998
+        _, events, _ = _scan(kernel, density(bell_state()).astype(complex), us, [0, 1000])
+        assert len(events) == 1
+        assert events[0].detected and events[0].label == "minus"
+        assert events[0].time == pytest.approx(2e-3)
+
+    def test_step_at_the_segments_end_is_a_detected_click_at_unit_eta(self):
+        # the cumulative array ends one ulp below p.sum(): a draw there once
+        # fell in the empty undetected segment of the last channel
+        model = LindbladModel(4, [1.0, 0.7, 0.3, 0.9], [0.2, 0.5, 0.8, 0.1], eta=1.0)
+        kernel = _kernel(canonical_jumps(model), model, 1e-3)
+        rho = random_density_matrix(16, np.random.default_rng(1))
+        p = kernel.probabilities(rho)
+        u = kernel.cumulative(p)[-1]
+        assert u < p.sum()
+        _, event = kernel.step(rho, u, 0.0)
+        assert event is not None and event.detected
+        k = [(op.qubit, op.label) for op in kernel.jumps].index((event.qubit, event.label))
+        assert p[k] > 0.0
+
+
+_PROBS = st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 0.1)), min_size=1, max_size=8)
+_ETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_PROBS, eta=_ETAS, below=st.floats(0.0, 1.0, exclude_max=True), past=st.floats(0.0, 1.0))
+def test_channel_is_the_bisect_rule_and_stays_inside_past_the_end(p, eta, below, past):
+    p = np.array(p)
+    sub = np.empty(2 * len(p))  # [eta p_0, (1 - eta) p_0, eta p_1, ...]
+    sub[0::2] = eta * p
+    sub[1::2] = (1.0 - eta) * p
+    cum = np.cumsum(sub)
+    assume(cum[-1] > 0.0)
+    kernel = _JumpKernel([], 2, eta, 1e-3)  # channel reads only eta
+    u = below * cum[-1]
+    if u < cum[-1]:
+        seg = min(int(np.searchsorted(cum, u, side="right")), 2 * len(p) - 1)
+        assert kernel.channel(p, u) == (seg // 2, seg % 2 == 0)
+    for u in (cum[-1], np.nextafter(cum[-1], 1.0), cum[-1] * (1.0 + past)):
+        k, detected = kernel.channel(p, u)
+        assert 0 <= k < len(p)
+        assert sub[2 * k + (0 if detected else 1)] > 0.0
+        assert detected or eta < 1.0
 
 
 class TestKernelMemo:
