@@ -22,6 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .diffusive import PROTECTING_U
 from .master import LindbladModel
 from .qcore import InvariantViolation
 from .reservoir import (
@@ -75,9 +76,9 @@ _OPTIONS = {
     "output": ("run", str, None, "--output", "CSV output path (default: stdout)"),
     "view": ("run", str, "trajectory", "--view",
              "which concurrence series the CSV carries: trajectory or recovered"),
-    "u11": ("run", complex, 0.0, "--u11", "noise correlation u[--]"),
-    "u12": ("run", complex, -1.0, "--u12", "noise correlation u[-+] (default -1)"),
-    "u22": ("run", complex, 0.0, "--u22", "noise correlation u[++]"),
+    "u11": ("run", complex, PROTECTING_U[0, 0], "--u11", "noise correlation u[--]"),
+    "u12": ("run", complex, PROTECTING_U[0, 1], "--u12", "noise correlation u[-+]"),
+    "u22": ("run", complex, PROTECTING_U[1, 1], "--u22", "noise correlation u[++]"),
 }
 _U_KEYS = ("u11", "u12", "u22")
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"unraveling"}
@@ -128,8 +129,8 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
         except ValueError as exc:
             errors.append(f"model: {exc}")
     if len(values) == len(_OPTIONS):
-        # any u key reaches validate(), which rejects it outside the general SME;
-        # without one, the general SME takes the protecting u
+        # any u key reaches validate(), which rejects it outside the general SME; the
+        # entries not given, or every entry without one, are those of the protecting u
         u = None
         if any(k in given for k in _U_KEYS):
             u11, u12, u22 = (values[k] for k in _U_KEYS)

@@ -85,6 +85,7 @@ import numpy as np
 from .jumps import TrajectoryRecord, _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
 from .qcore import (
+    check_qubit,
     from_pauli_coordinates,
     pauli_coordinates,
     pauli_strings,
@@ -119,9 +120,15 @@ class CurrentSample:
     i34: float
 
 
-def check_noise_correlation(u: np.ndarray) -> np.ndarray:
-    """Validate finiteness, symmetry and the two-norm bound; returns the array as complex."""
-    u = np.asarray(u, dtype=complex)
+def _noise_correlation(u) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for u (None is PROTECTING_U): u as complex and the factor of its covariance.
+
+    With dxi = C dw, C C† = 1 and C Cᵀ = u, the parts (Re dxi, Im dxi) have
+    covariance (1/2) [[1 + Re u, Im u], [Im u, 1 - Re u]], here interleaved and
+    read from the upper triangle of u, so exactly symmetric. Its eigenvalues
+    (1 +- s_i) / 2, s_i the singular values of u, give ||u||_2 = 1 - 2 lambda_min.
+    """
+    u = np.asarray(PROTECTING_U if u is None else u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"noise correlation must be 2x2 (channels -, +), got {u.shape}")
     if not np.isfinite(u).all():
@@ -129,22 +136,19 @@ def check_noise_correlation(u: np.ndarray) -> np.ndarray:
     sym = np.max(np.abs(u - u.T))
     if sym > 1e-12:
         raise ValueError(f"noise correlation must be symmetric, max|u - u^T| = {sym:.3e}")
-    norm = np.linalg.norm(u, 2)
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"noise correlation two-norm {norm:.12g} exceeds 1")
-    return u
+    one, up = np.eye(2), np.array([[u[0, 0], u[0, 1]], [u[0, 1], u[1, 1]]])
+    c = 0.5 * np.array([[one + up.real, up.imag], [up.imag, one - up.real]])  # [part, part, channel, channel]
+    w, v = np.linalg.eigh(c.transpose(2, 0, 3, 1).reshape(4, 4))
+    if 1.0 - 2.0 * w[0] > 1.0 + 1e-12:
+        raise ValueError(f"noise correlation two-norm {1.0 - 2.0 * w[0]:.12g} exceeds 1")
+    # the null eigenvalues of a rank-deficient u come back as rounding noise: make them exact
+    w[w <= 1e-12 * w[-1]] = 0.0
+    return u, v @ np.diag(np.sqrt(w))
 
 
-def _real_covariance(u: np.ndarray) -> np.ndarray:
-    """Covariance (unit dt) of (Re dxi_-, Im dxi_-, Re dxi_+, Im dxi_+).
-
-    With dxi = C dw, C C† = 1 and C Cᵀ = u, the parts (Re dxi, Im dxi) have
-    covariance (1/2) [[1 + Re u, Im u], [Im u, 1 - Re u]], here interleaved.
-    Only the upper triangle of u is read, so the covariance is exactly symmetric.
-    """
-    one, u = np.eye(2), np.array([[u[0, 0], u[0, 1]], [u[0, 1], u[1, 1]]])
-    c = 0.5 * np.array([[one + u.real, u.imag], [u.imag, one - u.real]])  # [part, part, channel, channel]
-    return c.transpose(2, 0, 3, 1).reshape(4, 4)
+def check_noise_correlation(u: np.ndarray) -> np.ndarray:
+    """Validate finiteness, symmetry and the two-norm bound; returns the array as complex."""
+    return _noise_correlation(u)[0]
 
 
 def noise_factor(u: np.ndarray) -> np.ndarray:
@@ -153,12 +157,9 @@ def noise_factor(u: np.ndarray) -> np.ndarray:
     Stacking real/imaginary parts of (dxi_-, dxi_+) as L @ (independent
     standard increments) reproduces dxi_i dxi_j* = delta_ij dt and
     dxi_i dxi_j = u_ij dt. The covariance is positive semidefinite exactly
-    when ||u||_2 <= 1, which ``check_noise_correlation`` enforces.
+    when ||u||_2 <= 1, which is checked on its spectrum first.
     """
-    w, v = np.linalg.eigh(_real_covariance(check_noise_correlation(u)))
-    # the null eigenvalues of a rank-deficient u come back as rounding noise: make them exact
-    w[w <= 1e-12 * w[-1]] = 0.0
-    return v @ np.diag(np.sqrt(w))
+    return _noise_correlation(u)[1]
 
 
 def check_perfect_detection(model: LindbladModel) -> None:
@@ -185,7 +186,7 @@ class _SMEContext:
         sig = channel_operators(model.n_qubits)  # (2n, d, d)
 
         # one u for every qubit: the per-qubit noise block is shared
-        l = noise_factor(PROTECTING_U if u is None else u)
+        self.u, l = _noise_correlation(u)  # the checked u, which the currents read
         block = np.stack([l[0] + 1j * l[1], l[2] + 1j * l[3]])
         # rank-deficient correlations leave exactly-zero factor columns
         block = block[:, np.abs(block).sum(axis=0) > 0.0]
@@ -281,8 +282,8 @@ def _current_means(state: np.ndarray, model: LindbladModel, u) -> np.ndarray:
 
 def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
     """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
-    u = check_noise_correlation(PROTECTING_U if u is None else u)
-    det = _current_means(state, model, u)[qubit]
+    check_qubit(qubit, model.n_qubits)
+    det = _current_means(state, model, check_noise_correlation(u))[qubit]
     return complex(det[0]), complex(det[1])
 
 
@@ -316,7 +317,7 @@ def step_diffusive(
     check_perfect_detection(model)
     ctx = _SMEContext(model, u)  # checks u
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
-    currents = _currents(ctx, _current_means(state, model, PROTECTING_U if u is None else u), dw, dt)
+    currents = _currents(ctx, _current_means(state, model, ctx.u), dw, dt)
     return from_pauli_coordinates(sme_update(pauli_coordinates(state), ctx, dw, dt)), currents
 
 

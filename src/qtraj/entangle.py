@@ -10,10 +10,10 @@ Wootters, PRL 78, 5022 (1997)), with no eigenproblem; it is valid only on
 pure states and does not check that they are.
 
 The runner takes the pure form for the per-trajectory concurrences of a run
-whose states stay pure: a rank-one initial state on the canonical or
+whose states stay pure: an initial ket or named state on the canonical or
 protecting jumps or the exact protecting unitary, each sample passing a
 purity check first. Everything else takes Wootters' form: the general-u SME
-(its states are only nearly pure), a mixed initial state, the
+(its states are only nearly pure), an initial density matrix, the
 recovered-then-averaged state and its chunk-blocked error bar, and the
 master-only series.
 """

@@ -126,13 +126,8 @@ def transform_jumps(
         raise ValueError(f"transform has {u.shape[1]} columns for {len(jumps)} jumps")
     if labels is not None and len(labels) != u.shape[0]:
         raise ValueError("one label per transformed jump required")
-    stack = np.stack([j.matrix for j in jumps])
-    mixed = np.einsum("ki,iab->kab", u, stack)
-    out = []
-    for k in range(u.shape[0]):
-        label = labels[k] if labels is not None else "custom"
-        out.append(JumpOperator(mixed[k], qubit, label))
-    return out
+    mixed = np.einsum("ki,iab->kab", u, np.stack([j.matrix for j in jumps]))
+    return [JumpOperator(m, qubit, label) for m, label in zip(mixed, labels or ["custom"] * len(mixed))]
 
 
 def protecting_transform() -> UnravelingTransform:
@@ -403,9 +398,7 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         state = kernel.apply_jump(at_hit, k)
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
         pos += off + 1
-    while si < len(steps):
-        samples.append(state.copy())
-        si += 1
+    samples.extend(state.copy() for _ in steps[si:])
     return state, events, samples
 
 

@@ -125,9 +125,6 @@ class TimeSeries:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    def __len__(self):
-        return len(self.values)
-
     def at(self, t: float, tol: float = 1e-9):
         """Value at grid time t (must lie on the grid within tol)."""
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -147,6 +144,15 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_initial_state(rho0, dim: int, context: str = "rho0") -> np.ndarray:
+    """The one initial-state rule, Hermiticity to 1e-12: ValueError on shape, else InvariantViolation."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (dim, dim):
+        raise ValueError(f"{context} shape {rho0.shape} does not match model dim {dim}")
+    validate_density_matrix(rho0, herm_tol=1e-12, context=context)
+    return rho0
+
+
 def integrate_master(model: LindbladModel, rho0: np.ndarray, times) -> TimeSeries:
     """Exact solution of the master equation at the requested times.
 
@@ -164,15 +170,11 @@ def integrate_master(model: LindbladModel, rho0: np.ndarray, times) -> TimeSerie
         raise ValueError(f"times must be a non-empty 1-d grid, got shape {times.shape}")
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ValueError(f"times must be finite and >= 0, got min {times.min()}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (model.dim, model.dim):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match model dim {model.dim}")
-    validate_density_matrix(rho0, herm_tol=1e-12, context="rho0")
+    rho0 = check_initial_state(rho0, model.dim)
 
     n = model.n_qubits
     nt = times.size
-    rho = np.empty((nt,) + (2,) * (2 * n), dtype=complex)
-    rho[...] = rho0.reshape((2,) * (2 * n))
+    rho = np.tile(rho0.reshape((1,) + (2,) * (2 * n)), (nt,) + (1,) * (2 * n))
     bcast = (nt,) + (1,) * (2 * n - 2)
     for alpha in range(n):
         gm, gp = model.gamma_minus[alpha], model.gamma_plus[alpha]

@@ -6,6 +6,7 @@ matrices in the computational basis |0⟩=ground, |1⟩=excited (so ``SIGMA_MINU
 de-excites, |1⟩ → |0⟩). Systems of interest are 2-4 qubits, so no sparsity.
 """
 
+import numbers
 from functools import lru_cache
 from itertools import product
 
@@ -36,9 +37,14 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Tensor-embed a single-qubit operator at slot ``qubit`` (slot 0 leftmost)."""
     if op.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
+    check_qubit(qubit, n_qubits)
+    return tensor_product([op if slot == qubit else I2 for slot in range(n_qubits)])
+
+
+def check_qubit(qubit: int, n_qubits: int) -> None:
+    """Raise IndexError unless 0 <= qubit < n_qubits (no index counts from the end)."""
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-    return tensor_product([op if slot == qubit else I2 for slot in range(n_qubits)])
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -65,6 +71,9 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     Every trajectory of an ensemble asks for the same grid, so grids are
     memoized by value; each call gets its own list of steps.
     """
+    for field, value in (("dt", dt), ("t_max", t_max)):
+        if not isinstance(value, numbers.Real):  # nor a string, which float() alone would parse
+            raise ValueError(f"{field}: must be a real number, got {value!r}")
     if sample_times is not None:
         sample_times = tuple(np.atleast_1d(np.asarray(sample_times, dtype=float)).tolist())
     n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)

@@ -17,13 +17,13 @@ CSV writer picks one via its ``view`` argument.
 
 Per-trajectory concurrences take the pure-state closed form
 (``entangle.pure_concurrence``) when ``run_ensemble`` finds, once per run, that
-every sample is a pure pair state: 4x4 states, a rank-one initial state and an
-engine that keeps a pure state pure (the ``pure`` column of ``UNRAVELING_TABLE``).
-Each trajectory's samples must then pass a purity check, and one that fails raises
-``InvariantViolation`` naming the trajectory and its seed. Every other
-concurrence takes Wootters' form: the general-u SME, a mixed initial state,
-the recovered-then-averaged state, its chunk-blocked stderr and the
-master-only series.
+every sample is a pure pair state: 4x4 states, an initial ket or named state
+and an engine that keeps a pure state pure (the ``pure`` column of
+``UNRAVELING_TABLE``). Each trajectory's samples must then pass a purity check,
+and one that fails raises ``InvariantViolation`` naming the trajectory and its
+seed. Every other concurrence takes Wootters' form: the general-u SME, an
+explicit initial matrix, even a rank-one one, the recovered-then-averaged
+state, its chunk-blocked stderr and the master-only series.
 """
 
 import numbers
@@ -53,6 +53,7 @@ from .jumps import (
 from .master import (
     LindbladModel,
     analytic_bell_state,
+    check_initial_state,
     integrate_master,
     oracle_kind,
 )
@@ -62,7 +63,6 @@ from .qcore import (
     computational_ket,
     density,
     step_grid,
-    validate_density_matrix,
 )
 from .recovery import frame_from_events, recover, recover_unitary
 
@@ -71,8 +71,7 @@ CHUNK = 256  # fixed reduction granularity; must not depend on the worker count
 
 CSV_HEADER = "time,mean_concurrence,stderr,mean_trace_dist_oracle,n"
 
-# rho0 has rank one when its largest eigenvalue is within this of 1, and a
-# sample is pure when |1 - tr(rho^2)| is
+# the purity guard: a sample of a run on the pure path is pure when |1 - tr(rho^2)| is within this
 PURITY_TOL = 1e-12
 
 
@@ -140,17 +139,19 @@ class ExperimentConfig:
         """Raise one ConfigError that lists every bad field, before any work starts."""
         errors = []
 
-        def check(field, fn, *args):
+        def check(field, fn, *args) -> bool:
             try:
                 fn(*args)
             except ValueError as exc:
                 errors.append(f"{field}: {exc}" if field else str(exc))
+                return False
+            return True
 
         known = self.unraveling in UNRAVELINGS  # a tuple test: a list cannot key the table
         checks, engine = UNRAVELING_TABLE[self.unraveling][:2] if known else ((), None)
         if not known:
             errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
-        check(None, step_grid, self.dt, self.t_max, self.sample_times)
+        grid_ok = check(None, step_grid, self.dt, self.t_max, self.sample_times)
         for field, value, low in (
             ("n_trajectories", self.n_trajectories, 1),
             ("workers", 1 if self.workers is None else self.workers, 1),
@@ -162,7 +163,7 @@ class ExperimentConfig:
             check(None, default_workers)
         if self.model is not None:  # None while a caller lists the model's own errors
             # the closed-form master has no step; its dt only places the default samples
-            if engine is not None:
+            if engine is not None and grid_ok:  # a dt that failed the grid check is not a number
                 check("dt", check_rate_step, self.model, self.dt)
             check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
             # the engines' own preconditions, checked here so that no worker starts
@@ -196,13 +197,10 @@ def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
         if not (np.isfinite(norm) and norm > 0.0):
             raise ValueError(f"explicit ket must be finite with a nonzero norm, got norm {norm}")
         return density(arr / norm), False
-    if arr.shape == (dim, dim):
-        try:
-            validate_density_matrix(arr, context="explicit state")
-        except InvariantViolation as exc:
-            raise ValueError(str(exc)) from None
-        return arr, False
-    raise ValueError(f"explicit state must be a {dim}-ket or {dim}x{dim} matrix")
+    try:  # the rule the master oracle applies to its rho0, shape included
+        return check_initial_state(arr, dim, context="explicit state"), False
+    except InvariantViolation as exc:
+        raise ValueError(str(exc)) from None
 
 
 @dataclass
@@ -342,12 +340,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     n_traj = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     workers = config.workers if config.workers is not None else default_workers()
-    # every sample is a pure pair state: a rank-one rho0 on an engine that keeps it pure
-    pure = (
-        rho0.shape == (4, 4)
-        and keeps_pure
-        and np.linalg.eigvalsh(rho0)[-1] >= 1.0 - PURITY_TOL
-    )
+    # every sample is a pure pair state: a ket or named rho0 on an engine that keeps it pure
+    pure = rho0.shape == (4, 4) and keeps_pure and np.ndim(config.initial_state) < 2
 
     if workers == 1 or len(bounds) == 1:
         partials = [_run_chunk(config, rho0, grid, lo, hi, pure) for lo, hi in bounds]

@@ -120,6 +120,37 @@ class TestNoiseFactor:
             v = random_unitary(2, rng)
             assert _SMEContext(model, v @ np.diag([1.0, 0.5]) @ v.T).n_noise == 3 * n
 
+    def test_two_norm_read_from_the_covariance_spectrum(self):
+        # the check reads ||u||_2 = 1 - 2 lambda_min off the covariance that the factor reproduces
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            u = _random_symmetric_u(rng, norm=rng.uniform(0.0, 1.5))
+            norm = np.linalg.norm(u, 2)
+            if norm <= 1.0:
+                l = noise_factor(u)
+                assert abs(1.0 - 2.0 * np.linalg.eigvalsh(l @ l.T)[0] - norm) <= 1e-14
+                continue
+            with pytest.raises(ValueError, match="two-norm") as err:
+                check_noise_correlation(u)
+            assert abs(float(str(err.value).split()[3]) - norm) <= 1e-11  # its 12 digits
+        for _ in range(50):
+            check_noise_correlation(_random_symmetric_u(rng, norm=1.0 - 1e-9))
+            with pytest.raises(ValueError, match="two-norm 1.000000001 exceeds 1"):
+                check_noise_correlation(_random_symmetric_u(rng, norm=1.0 + 1e-9))
+
+    def test_u_checked_once_per_call(self, monkeypatch, bell_rho):
+        # and None means the protecting u, resolved in that one check
+        calls = []
+        rule = diffusive._noise_correlation
+        monkeypatch.setattr(diffusive, "_noise_correlation", lambda u: calls.append(u) or rule(u))
+        model = LindbladModel(2, 1.0, 1.0)
+        step_diffusive(bell_rho, model, None, np.random.default_rng(0), 1e-3)
+        assert len(calls) == 1
+        assert current_expectations(bell_rho, model, None, 1) == current_expectations(
+            bell_rho, model, PROTECTING_U, 1
+        )
+        assert len(calls) == 3
+
     def test_norm_violation_is_psd_failure(self):
         with pytest.raises(ValueError, match="two-norm"):
             noise_factor(np.array([[0.0, -1.5], [-1.5, 0.0]]))
@@ -188,6 +219,14 @@ class TestStepDiffusive:
 
 
 class TestCurrentMeans:
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_qubit_out_of_range(self, qubit):
+        # qubit -1 once returned qubit 1's means, and qubit 2 raised numpy's bare IndexError
+        model = LindbladModel(2, [1.0, 0.3], [0.2, 0.7])
+        rho = random_density_matrix(4, np.random.default_rng(3))
+        with pytest.raises(IndexError, match=rf"^qubit index {qubit} out of range for 2 qubits$"):
+            current_expectations(rho, model, None, qubit)
+
     @staticmethod
     def _closed_form(rho, model, u, qubit):
         # sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>, channels (-, +)

@@ -220,6 +220,17 @@ class TestValidation:
 
 
 class TestStepGrid:
+    @pytest.mark.parametrize(
+        "dt, t_max, field",
+        [(None, 1.0, "dt"), ("abc", 1.0, "dt"), ("1e-3", 1.0, "dt"), (1e-3, None, "t_max"),
+         (1e-3, 1j, "t_max")],
+    )
+    def test_non_numeric_step_named(self, dt, t_max, field):
+        # None raised float()'s TypeError; a string that float() parses reached the engines
+        bad = dt if field == "dt" else t_max
+        with pytest.raises(ValueError, match=rf"^{field}: must be a real number, got {bad!r}$"):
+            step_grid(dt, t_max)
+
     def test_steps_of_sample_times(self):
         assert step_grid(1e-3, 1.0) == (1000, [])
         assert step_grid(1e-3, 1.0, [0.0, 0.25, 1.0]) == (1000, [0, 250, 1000])

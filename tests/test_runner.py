@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.master import LindbladModel, analytic_concurrence
 from qtraj.runner import (
@@ -52,6 +54,13 @@ _ETA = (
     "eta: the diffusive engines model perfect detection (eta = 1), got eta = 0.5; "
     "inefficiency curves come from the jump engine"
 )
+
+
+def _bell_plus(index, value):
+    """The Bell density with ``value`` added at one entry."""
+    rho, _ = resolve_initial_state("bell", 2)
+    rho[index] += value
+    return rho
 
 
 def _u_only(name):
@@ -201,8 +210,12 @@ class TestConfigValidation:
             (np.diag([0.75, 0.75, -0.5, 0.0]), "negative eigenvalue"),
             (np.zeros(4), "nonzero norm"),
             (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+            # once checked at 1e-10 here and at 1e-12 by the master oracle, which
+            # raised only after every trajectory had run
+            (_bell_plus((1, 2), 5e-11j), "Hermiticity"),
         ],
-        ids=["trace_2", "non_hermitian", "negative_eigenvalue", "zero_ket", "nan_ket"],
+        ids=["trace_2", "non_hermitian", "negative_eigenvalue", "zero_ket", "nan_ket",
+             "hermiticity_5e-11"],
     )
     def test_bad_explicit_initial_state_fails_before_any_chunk(self, monkeypatch, state, words):
         # these once passed validate() and failed inside a trajectory
@@ -215,6 +228,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"initial_state: .*{words}"):
             run_ensemble(_config(initial_state=state))
 
+
+    @pytest.mark.parametrize(
+        "field, value", [("dt", None), ("t_max", None), ("dt", "abc")], ids=["dt_none", "t_max_none", "dt_str"]
+    )
+    def test_non_numeric_grid_field_listed(self, field, value):
+        # once a TypeError from float() or from the rate-step product, which lost the master_seed error
+        grid = {"dt": 1e-3, "t_max": 1.0, field: value}
+        cfg = ExperimentConfig(LindbladModel(2, 1.0, 1.0), "jump_protecting", master_seed=-1, **grid)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == (
+            f"{field}: must be a real number, got {value!r}; master_seed: must be an integer >= 0, got -1"
+        )
 
     def test_integer_fields_listed_before_any_chunk(self, monkeypatch):
         # master_seed = -1 once passed validate() and failed in the first chunk
@@ -557,6 +583,26 @@ class TestPureConcurrence:
         run_ensemble(_config(unraveling="diffusive", n_trajectories=2, t_max=0.05, sample_times=None))
         assert not pure_calls
 
+    @pytest.mark.parametrize("unraveling", sorted(ENGINES))
+    def test_nearly_pure_explicit_matrix_takes_wootters(self, monkeypatch, unraveling):
+        # 1 - lambda_max = 9e-13 once passed a rank-one test at the guard's tolerance, and
+        # the guard then failed: |1 - tr(rho^2)| is 1.8e-12 at the start, up to 2e-12 later
+        from qtraj.entangle import concurrence
+
+        rho0 = resolve_initial_state("bell", 2)[0] * (1 - 9e-13)
+        rho0[0, 0] += 9e-13
+        records = self._spy(monkeypatch, self.ENGINES[unraveling])
+        pure_calls = self._spy(monkeypatch, "pure_concurrence")
+        model = LindbladModel(2, 1.0, 0.0 if unraveling == "jump_canonical" else 1.0)
+        stats = run_ensemble(
+            _config(model=model, unraveling=unraveling, initial_state=rho0, n_trajectories=3,
+                    t_max=0.1, sample_times=None)
+        )
+        assert not pure_calls and len(records) == 3
+        c = concurrence(np.stack([np.stack(r.samples) for r in records]))
+        assert np.array_equal(stats.mean_concurrence, c.mean(axis=0))
+        assert np.array_equal(stats.min_concurrence, c.min(axis=0))
+
     def test_impure_sample_names_its_trajectory(self, monkeypatch):
         import qtraj.runner as runner
         from qtraj.jumps import trajectory_seed
@@ -579,6 +625,36 @@ class TestPureConcurrence:
             InvariantViolation, match=rf"^trajectory 2 \(seed {bad}\): sample 1 is not pure"
         ):
             run_ensemble(cfg)
+
+
+class TestValidateAgreesWithTheRun:
+    """validate() accepts exactly the explicit states and correlations that a run accepts."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        unraveling=st.sampled_from(sorted(TestPureConcurrence.ENGINES) + ["diffusive"]),
+        log_herm=st.floats(-13.0, -10.0),
+        log_impurity=st.floats(-14.0, -11.0),
+        norm=st.floats(1.0 - 1e-11, 1.0 + 1e-11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_validate_passes_only_what_runs(self, unraveling, log_herm, log_impurity, norm, seed):
+        rho0 = _bell_plus((1, 2), 1j * 10.0**log_herm) * (1 - 10.0**log_impurity)
+        rho0[0, 0] += 10.0**log_impurity
+        u = None
+        if unraveling == "diffusive":
+            a = np.random.default_rng(seed).standard_normal((2, 2, 2)) @ [1.0, 1j]
+            u = norm * (a + a.T) / np.linalg.norm(a + a.T, 2)
+        model = LindbladModel(2, 1.0, 0.0 if unraveling == "jump_canonical" else 1.0)
+        cfg = _config(model=model, unraveling=unraveling, initial_state=rho0, u=u, n_trajectories=2,
+                      t_max=0.05, sample_times=None)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            assert str(exc).startswith(("initial_state: ", "u: "))
+            return
+        stats = run_ensemble(cfg)
+        assert np.isfinite(stats.mean_concurrence).all()
 
 
 class TestRecoveryLookup:
