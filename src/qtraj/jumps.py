@@ -24,7 +24,7 @@ J†J = |a|^2 sigma_+ sigma_- + |b|^2 sigma_- sigma_+), and the engine skips
 ahead between its clicks over the pre-drawn uniforms; at balanced rates M is
 proportional to the identity and the state waits unchanged for the next
 click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Within a no-click
-run the state scales by powers of diag(M)^2, tabulated once per trajectory,
+run the state scales by powers of diag(M)^2, tabulated once per kernel,
 and every sample that falls in the run is formed in one broadcast product.
 Other sets, e.g. collective jumps, take the per-step loop; both give the same
 clicks: the walk decides whether a step clicks, the kernel which click. A
@@ -215,6 +215,22 @@ class _JumpKernel:
             not self.e_stack[:, off].any()
             and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
         )
+        self._powers = np.empty((0, self.dim))
+
+    def powers(self, n_steps: int) -> np.ndarray:
+        """Rows 0..n_steps of diag(M)**(2o), the o-fold running product; read-only.
+
+        One table serves every trajectory of the kernel. A longer grid rebuilds
+        it and a shorter one reads a prefix: row o does not depend on the length.
+        """
+        if len(self._powers) <= n_steps:
+            table = np.empty((n_steps + 1, self.dim))
+            table[0] = 1.0
+            m2 = self.m_op.diagonal().real ** 2
+            np.multiply.accumulate(np.broadcast_to(m2, (n_steps, self.dim)), axis=0, out=table[1:])
+            table.flags.writeable = False
+            self._powers = table
+        return self._powers[: n_steps + 1]
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
@@ -352,11 +368,7 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     """
     n_steps = len(us)
     if not kernel.m_scalar:
-        # row o: diag(M)**(2o), the o-fold running product; every run reads a prefix
-        table = np.empty((n_steps + 1, kernel.dim))
-        table[0] = 1.0
-        m2 = kernel.m_op.diagonal().real ** 2
-        np.multiply.accumulate(np.broadcast_to(m2, (n_steps, kernel.dim)), axis=0, out=table[1:])
+        table = kernel.powers(n_steps)  # row o: diag(M)**(2o); every run reads a prefix
     e_sum = kernel.e_stack.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # diag(sum J†J)
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []

@@ -66,8 +66,9 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 
     Raises ValueError unless 0 < dt <= t_max, t_max is finite and on the
-    grid, and the sample times, if given, are non-empty, finite, on the grid
-    and strictly increasing. Messages start with the offending field name.
+    grid, and the sample times, if given, are real numbers, non-empty,
+    finite, on the grid and strictly increasing. Messages start with the
+    offending field name.
     Every trajectory of an ensemble asks for the same grid, so grids are
     memoized by value; each call gets its own list of steps.
     """
@@ -75,7 +76,16 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
         if not isinstance(value, numbers.Real):  # nor a string, which float() alone would parse
             raise ValueError(f"{field}: must be a real number, got {value!r}")
     if sample_times is not None:
-        sample_times = tuple(np.atleast_1d(np.asarray(sample_times, dtype=float)).tolist())
+        try:
+            times = np.atleast_1d(np.asarray(sample_times))
+            real = times.ndim == 1 and times.dtype.kind in "biuf"  # no string, complex or object
+        except ValueError:  # a ragged nesting
+            real = False
+        if not real:
+            raise ValueError(
+                f"sample_times: must be a real number or a 1-D sequence of them, got {sample_times!r}"
+            )
+        sample_times = tuple(times.astype(float, copy=False).tolist())
     n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)
     return n_steps, list(steps)
 

@@ -9,6 +9,12 @@ configuration at any parallelism degree. Per-trajectory random streams are
 counter-based Philox keyed by (master_seed, trajectory_index), so results do
 not depend on scheduling either.
 
+Inside a chunk the engine runs once per trajectory, in index order, and its
+samples fill one row of a block of 8 trajectories. Each block then takes one
+call each of the purity guard, the concurrence and the frame recovery; the
+state sums still add one trajectory at a time, in index order, so the bits do
+not depend on the block size.
+
 Every ensemble reports two distinct concurrence series: the mean of
 per-trajectory concurrences (the per-trajectory protection claim) and the
 concurrence of the recovered-then-averaged state (the detection-inefficiency
@@ -20,8 +26,8 @@ Per-trajectory concurrences take the pure-state closed form
 every sample is a pure pair state: 4x4 states, an initial ket or named state
 and an engine that keeps a pure state pure (the ``pure`` column of
 ``UNRAVELING_TABLE``). Each trajectory's samples must then pass a purity check,
-and one that fails raises ``InvariantViolation`` naming the trajectory and its
-seed. Every other concurrence takes Wootters' form: the general-u SME, an
+and one that fails raises ``InvariantViolation`` naming the trajectory, its
+seed and the sample. Every other concurrence takes Wootters' form: the general-u SME, an
 explicit initial matrix, even a rank-one one, the recovered-then-averaged
 state, its chunk-blocked stderr and the master-only series.
 """
@@ -68,6 +74,7 @@ from .recovery import frame_from_events, recover, recover_unitary
 
 WORKERS_ENV = "QTRAJ_WORKERS"
 CHUNK = 256  # fixed reduction granularity; must not depend on the worker count
+_BLOCK = 8  # trajectories post-processed per call; divides CHUNK; kept small for peak memory
 
 CSV_HEADER = "time,mean_concurrence,stderr,mean_trace_dist_oracle,n"
 
@@ -79,17 +86,26 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message enumerates offending fields."""
 
 
-def _undo_clicks(record, states, grid, n):
+def _frames_at(record, grid, n):
     # the frame at t folds the clicks at or before t
     rows = np.searchsorted([e.time for e in record.events], grid, side="right")
-    return recover(states, frame_from_events(record.events, n)[rows])
+    return frame_from_events(record.events, n)[rows]
+
+
+def _undo_clicks(records, states, grid, n):
+    return recover(states, np.stack([_frames_at(r, grid, n) for r in records]))
+
+
+def _undo_unitaries(records, states, grid, n):
+    return recover_unitary(states, np.stack([r.sample_frames for r in records]))
 
 
 # unraveling -> (checks, engine, recovery, pure): the engine's preconditions as
 # (field, check(model)) pairs; (model, u) -> (engine, its leading arguments), None
-# for the master alone; (record, states, grid, n_qubits) -> the recovered states,
-# None without a frame; whether the engine keeps a pure state pure (the SME only to
-# its step error). Rows read this module's names when called, so rebinding one works.
+# for the master alone; (records, states, grid, n_qubits) -> the recovered states of
+# a block of trajectories, None without a frame; whether the engine keeps a pure
+# state pure (the SME only to its step error). Rows read this module's names when
+# called, so rebinding one works.
 _BALANCED, _PERFECT = ("model", check_protecting_rates), ("eta", check_perfect_detection)
 UNRAVELING_TABLE = {
     "none": ((), None, None, False),
@@ -101,7 +117,7 @@ UNRAVELING_TABLE = {
     "diffusive": ((_PERFECT,), lambda m, u: (run_diffusive_trajectory, (m, u)), None, False),
     "diffusive_protecting_unitary": (
         (_BALANCED, _PERFECT), lambda m, u: (run_protecting_unitary_trajectory, (m,)),
-        lambda record, states, grid, n: recover_unitary(states, record.sample_frames), True,
+        _undo_unitaries, True,
     ),
 }
 UNRAVELINGS = tuple(UNRAVELING_TABLE)
@@ -255,13 +271,20 @@ def _concurrence(states: np.ndarray) -> np.ndarray:
     return concurrence(states) if states.shape[-1] == 4 else np.full(states.shape[:-2], np.nan)
 
 
-def _checked_pure_concurrence(states: np.ndarray) -> np.ndarray:
-    """Pure-state concurrence of a trajectory's samples, once each has passed a purity check."""
-    impurity = np.abs(1.0 - np.einsum("sij,sij->s", states, states.conj()).real)
-    worst = int(np.argmax(impurity))
-    if not impurity[worst] <= PURITY_TOL:  # NaN fails too
+def _checked_pure_concurrence(states: np.ndarray, first: int, seeds: list[int]) -> np.ndarray:
+    """Pure-state concurrence of a block's ``(B, nt, 4, 4)`` samples, each purity-checked first.
+
+    Row b holds trajectory ``first + b``, keyed ``seeds[b]``. A failure names the
+    block's first impure trajectory, its seed and its least pure sample.
+    """
+    impurity = np.abs(1.0 - np.einsum("bsij,bsij->bs", states, states.conj()).real)
+    impure = ~(impurity <= PURITY_TOL)  # NaN fails too
+    if impure.any():
+        row = int(impure.any(axis=1).argmax())
+        worst = int(np.argmax(impurity[row]))
         raise InvariantViolation(
-            f"sample {worst} is not pure: |1 - tr(rho^2)| = {impurity[worst]:.2e} > {PURITY_TOL:g}"
+            f"trajectory {first + row} (seed {seeds[row]}): sample {worst} is not pure: "
+            f"|1 - tr(rho^2)| = {impurity[row, worst]:.2e} > {PURITY_TOL:g}"
         )
     return pure_concurrence(states)
 
@@ -269,8 +292,8 @@ def _checked_pure_concurrence(states: np.ndarray) -> np.ndarray:
 @dataclass
 class _ChunkPartial:
     conc: np.ndarray  # (trajectories, samples); NaN beyond two qubits
-    raw_sum: np.ndarray
-    rec_sum: np.ndarray  # raw_sum itself for the unravelings without a frame
+    raw_sum: np.ndarray  # the states added one trajectory at a time, in index order
+    rec_sum: np.ndarray  # likewise the recovered states; raw_sum itself without a frame
 
 
 def _run_chunk(
@@ -281,25 +304,34 @@ def _run_chunk(
     nt = len(grid)
     conc = np.empty((hi - lo, nt))
     raw_sum = np.zeros((nt, model.dim, model.dim), dtype=complex)
-    measure = _checked_pure_concurrence if pure else _concurrence
+    block = np.empty((_BLOCK, nt, model.dim, model.dim), dtype=complex)
 
     _, pick, recovery, _ = UNRAVELING_TABLE[config.unraveling]
     # without a frame the recovered states are the raw ones: one sum serves both
     rec_sum = raw_sum if recovery is None else np.zeros_like(raw_sum)
     engine, lead = pick(model, config.u)
 
-    for idx in range(lo, hi):
-        seed = trajectory_seed(config.master_seed, idx)
-        try:
-            record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
-            states = np.stack(record.samples)
-            conc[idx - lo] = measure(states)
-        except InvariantViolation as exc:
-            # name the trajectory, so that it can be replayed on its own
-            raise InvariantViolation(f"trajectory {idx} (seed {seed}): {exc}") from exc
-        raw_sum += states
+    for start in range(lo, hi, _BLOCK):
+        # one engine call per trajectory, in index order; the rest once per block
+        stop = min(start + _BLOCK, hi)
+        seeds = [trajectory_seed(config.master_seed, idx) for idx in range(start, stop)]
+        records = []
+        for row, seed in enumerate(seeds):
+            try:
+                record = engine(*lead, rho0, config.dt, config.t_max, seed, grid)
+            except InvariantViolation as exc:
+                # name the trajectory, so that it can be replayed on its own
+                raise InvariantViolation(f"trajectory {start + row} (seed {seed}): {exc}") from exc
+            np.stack(record.samples, out=block[row])
+            records.append(record)
+        states = block[: stop - start]
+        rows = slice(start - lo, stop - lo)
+        conc[rows] = _checked_pure_concurrence(states, start, seeds) if pure else _concurrence(states)
+        for s in states:  # one at a time: a block sum would reassociate the additions
+            raw_sum += s
         if recovery is not None:
-            rec_sum += recovery(record, states, grid, n)
+            for s in recovery(records, states, grid, n):
+                rec_sum += s
     return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
@@ -445,12 +477,13 @@ def figure3(
     # before any config: the sample times need the first two, and the models
     # would report a bad gamma as gamma_minus and gamma_plus
     errors = []
-    if not (np.isfinite(sample_spacing) and sample_spacing > 0):
-        errors.append(f"sample_spacing: must be finite and > 0, got {sample_spacing}")
-    if not np.isfinite(t_max):
-        errors.append(f"t_max: must be finite, got {t_max}")
-    if not (np.isfinite(gamma) and gamma > 0):
-        errors.append(f"gamma: must be finite and > 0, got {gamma}")
+    for field, value, positive in (
+        ("sample_spacing", sample_spacing, True), ("t_max", t_max, False), ("gamma", gamma, True)
+    ):
+        if not isinstance(value, numbers.Real):  # np.isfinite would raise a TypeError
+            errors.append(f"{field}: must be a real number, got {value!r}")
+        elif not (np.isfinite(value) and (value > 0 or not positive)):
+            errors.append(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
     if errors:
         raise ConfigError("; ".join(errors))
     times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)

@@ -620,6 +620,22 @@ class TestKernelMemo:
         assert event.label == "x"
         assert np.max(np.abs(new - expected / expected.trace().real)) < 1e-15
 
+    def test_power_table_built_once_per_kernel(self, bell_rho):
+        # one read-only table serves every trajectory; a shorter grid reads its prefix
+        model = LindbladModel(2, 1.0, 0.25)
+        jumps = canonical_jumps(model)
+        kernel = _kernel(jumps, model, 1e-3)
+        first = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.3, 1, sample_times=[0.3])
+        table = kernel.powers(300)
+        run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.3, 2, sample_times=[0.3])
+        assert kernel.powers(300).base is table.base is not None
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+        assert np.array_equal(kernel.powers(100), table[:101])
+        again = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.3, 1, sample_times=[0.3])
+        assert again.events == first.events
+        assert np.array_equal(again.samples[0], first.samples[0])
+
     def test_cached_kernel_is_read_only(self):
         model = LindbladModel(2, 1.0, 0.25)
         kernel = _kernel(canonical_jumps(model), model, 1e-3)

@@ -259,10 +259,19 @@ class TestStepGrid:
             ([1.001], "grid"),
             ([], "must not be empty"),
             (np.array([]), "must not be empty"),
+            # these once raised a bare TypeError or parsed a string
+            ([1j], "real number"),
+            (np.array([0.5 + 0j]), "real number"),
+            ("abc", "real number"),
+            (["0.5"], "real number"),
+            ([None], "real number"),
+            ([[0.0], [0.5]], "real number"),
+            ([[0.0], [0.5, 1.0]], "real number"),
         ],
         ids=[
             "duplicate", "descending", "off_grid", "nan", "inf", "negative", "past_t_max",
-            "empty_list", "empty_array",
+            "empty_list", "empty_array", "complex", "complex_array", "string", "string_list",
+            "none", "nested", "ragged",
         ],
     )
     def test_rejects_bad_sample_times(self, times, words):

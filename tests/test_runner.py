@@ -242,6 +242,20 @@ class TestConfigValidation:
             f"{field}: must be a real number, got {value!r}; master_seed: must be an integer >= 0, got -1"
         )
 
+    @pytest.mark.parametrize(
+        "times", [[1j], "abc", [[0.0], [0.5]]], ids=["complex", "string", "nested"]
+    )
+    def test_non_real_sample_times_listed(self, times):
+        # a complex time once escaped validate() as a bare TypeError, losing every
+        # other field's error, and a string was listed without its field name
+        cfg = _config(sample_times=times, n_trajectories=0)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == (
+            f"sample_times: must be a real number or a 1-D sequence of them, got {times!r}; "
+            "n_trajectories: must be an integer >= 1, got 0"
+        )
+
     def test_integer_fields_listed_before_any_chunk(self, monkeypatch):
         # master_seed = -1 once passed validate() and failed in the first chunk
         # with numpy's unnamed "expected non-negative integer"
@@ -559,7 +573,8 @@ class TestPureConcurrence:
             _config(model=model, unraveling=unraveling, initial_state=state, n_trajectories=30,
                     t_max=0.4, sample_times=None)
         )
-        assert len(pure_calls) == len(records) == 30
+        # every trajectory's samples went through the pure form, however the blocks split them
+        assert sum(len(c) for c in pure_calls) == len(records) == 30
         c = concurrence(np.stack([np.stack(r.samples) for r in records]))
         assert np.max(np.abs(stats.mean_concurrence - c.mean(axis=0))) <= 1e-14
         assert np.max(np.abs(stats.min_concurrence - c.min(axis=0))) <= 1e-14
@@ -626,6 +641,56 @@ class TestPureConcurrence:
         ):
             run_ensemble(cfg)
 
+    @pytest.mark.parametrize("where", ["past_the_first_block", "last_block_of_the_second_chunk"])
+    def test_impure_sample_past_the_first_block_names_its_trajectory(self, monkeypatch, where):
+        # the guard runs once per block of _BLOCK trajectories; a failure must still
+        # name the exact trajectory, seed and sample, in any block of any chunk
+        import qtraj.runner as runner
+        from qtraj.entangle import concurrence, pure_concurrence
+        from qtraj.jumps import trajectory_seed
+        from qtraj.qcore import InvariantViolation
+        from qtraj.recovery import frame_from_events, recover
+
+        master = 5
+        n_traj = runner.CHUNK + runner._BLOCK + 3  # the second chunk ends in a partial block
+        # a ket off the Bell states, so that sums taken in another order would round apart
+        cfg = _config(n_trajectories=n_traj, master_seed=master, t_max=0.05, sample_times=None,
+                      model=LindbladModel(2, 1.0, 1.0, eta=0.8), initial_state=self.KET)
+        records = self._spy(monkeypatch, "run_jump_trajectory")
+        stats = run_ensemble(cfg)
+
+        # the reference, one trajectory at a time from the engine's own records,
+        # the recovered states summed per chunk in index order
+        assert len(records) == n_traj
+        grid = runner._sample_clock(cfg)[1]
+        c = np.stack([pure_concurrence(np.stack(r.samples)) for r in records])
+        chunk_sums = []
+        for i, r in enumerate(records):
+            if i % runner.CHUNK == 0:
+                chunk_sums.append(np.zeros((len(grid), 4, 4), dtype=complex))
+            rows = np.searchsorted([e.time for e in r.events], grid, side="right")
+            chunk_sums[-1] += recover(np.stack(r.samples), frame_from_events(r.events, 2)[rows])
+        assert np.array_equal(stats.mean_concurrence, c.mean(axis=0))
+        assert np.array_equal(stats.min_concurrence, c.min(axis=0))
+        assert np.array_equal(stats.stderr, c.std(axis=0, ddof=1) / np.sqrt(n_traj))
+        assert np.array_equal(stats.recovered_concurrence, concurrence(sum(chunk_sums) / n_traj))
+
+        index = runner._BLOCK + 1 if where == "past_the_first_block" else n_traj - 2
+        bad = trajectory_seed(master, index)
+        engine = runner.run_jump_trajectory
+
+        def mixing(*args):
+            record = engine(*args)
+            if args[5] == bad:
+                record.samples[7] = (1 - 1e-12) * record.samples[7] + 1e-12 * np.eye(4) / 4
+            return record
+
+        monkeypatch.setattr(runner, "run_jump_trajectory", mixing)
+        with pytest.raises(
+            InvariantViolation, match=rf"^trajectory {index} \(seed {bad}\): sample 7 is not pure"
+        ):
+            run_ensemble(cfg)
+
 
 class TestValidateAgreesWithTheRun:
     """validate() accepts exactly the explicit states and correlations that a run accepts."""
@@ -660,11 +725,12 @@ class TestValidateAgreesWithTheRun:
 class TestRecoveryLookup:
     """The runner finds its recovery functions in its own namespace at call time."""
 
+    # calls per trajectory ("traj") or per block of _BLOCK trajectories ("block")
     CALLS = {
         "jump_canonical": {},
-        "jump_protecting": {"frame_from_events": 1, "recover": 1},
+        "jump_protecting": {"frame_from_events": "traj", "recover": "block"},
         "diffusive": {},
-        "diffusive_protecting_unitary": {"recover_unitary": 1},
+        "diffusive_protecting_unitary": {"recover_unitary": "block"},
     }
 
     @pytest.mark.parametrize("unraveling", sorted(CALLS))
@@ -680,10 +746,11 @@ class TestRecoveryLookup:
                 return _fn(*args)
 
             monkeypatch.setattr(runner, name, counted)
-        n_traj = 6
+        n_traj = runner._BLOCK + 3  # one full block and one partial block
         run_ensemble(_config(unraveling=unraveling, n_trajectories=n_traj, t_max=0.05,
                              sample_times=None))
-        assert counts == {name: k * n_traj for name, k in self.CALLS[unraveling].items()}
+        per = {"traj": n_traj, "block": -(-n_traj // runner._BLOCK)}
+        assert counts == {name: per[unit] for name, unit in self.CALLS[unraveling].items()}
 
 
 class TestCsv:
@@ -781,6 +848,17 @@ class TestFigure3:
         out = tmp_path / "fig3"
         with pytest.raises(ConfigError, match="^t_max: must be finite"):
             figure3(out, t_max=t_max)
+        assert not out.exists()
+
+    def test_non_numeric_fields_named_before_any_file(self, tmp_path):
+        # np.isfinite once raised a TypeError on t_max = None, naming no field
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, t_max=None, sample_spacing="0.05", gamma=-1.0)
+        assert str(err.value) == (
+            "sample_spacing: must be a real number, got '0.05'; "
+            "t_max: must be a real number, got None; gamma: must be finite and > 0, got -1.0"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
