@@ -9,6 +9,10 @@ any work starts: unknown sections and keys, values that do not convert, a bad
 view (``recovered`` needs an unraveling with a frame to undo), an
 ``unraveling`` key that disagrees with the subcommand and its flags, and the
 model's and the run's own checks (the latter once every value converts).
+``figure3`` and ``params`` flags convert here too, but one that does not
+convert reaches the function as text, so that ``figure3`` (its own fields
+with the run's) and ``DriveParams`` (finite numbers >= 0) name it with every
+other bad value in one error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -82,6 +86,25 @@ _OPTIONS = {
 }
 _U_KEYS = ("u11", "u12", "u22")
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"unraveling"}
+# the commands whose function judges its own arguments: flag (dest) -> conversion
+_FIGURE3_RUN_KEYS = ("n_trajectories", "dt", "t_max", "master_seed", "workers")
+_FIGURE3 = {"gamma": float, "sample_spacing": float} | {k: _OPTIONS[k][1] for k in _FIGURE3_RUN_KEYS}
+_PARAMS = {"omega": float, "big_gamma": float, "gamma_minus": float}
+
+
+def _converted(args: argparse.Namespace, converts: dict) -> dict:
+    """The command's arguments, each flag through its conversion.
+
+    A value that does not convert stays text, so that the called function,
+    which rejects text, names it with every other bad field in one error.
+    """
+    def convert(key, value):
+        try:
+            return converts[key](value) if key in converts else value
+        except ValueError:
+            return value
+
+    return {key: convert(key, value) for key, value in vars(args).items() if key != "command"}
 
 
 def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfig, str, str | None]:
@@ -137,10 +160,9 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             u = np.array([[u11, u12], [u12, u22]], dtype=complex)
         run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
         config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
-        try:  # every option converted, so the run's fields are listed too, with or without a model
-            config.validate()
-        except ConfigError as exc:
-            errors.append(str(exc))
+        # every option converted, so the run's fields are listed too; a model that
+        # did not build is named above, not again as a missing one
+        errors += [e for e in config.field_errors() if model is not None or not e.startswith("model:")]
     if errors:
         raise ConfigError("; ".join(errors))
     return config, values["view"], values["output"]
@@ -188,17 +210,17 @@ def main(argv=None) -> int:
     p_fig = subs.add_parser("figure3", help="emit the five concurrence-vs-time CSV series",
                             argument_default=argparse.SUPPRESS)
     p_fig.add_argument("--output-dir", required=True)
-    p_fig.add_argument("--gamma", type=float)
-    p_fig.add_argument("--sample-spacing", type=float)
-    for key in ("n_trajectories", "dt", "t_max", "master_seed", "workers"):
-        _, convert, _, flag, help_text = _OPTIONS[key]
-        p_fig.add_argument(flag, type=convert, dest=key, help=help_text)
+    p_fig.add_argument("--gamma")
+    p_fig.add_argument("--sample-spacing")
+    for key in _FIGURE3_RUN_KEYS:
+        _, _, _, flag, help_text = _OPTIONS[key]
+        p_fig.add_argument(flag, dest=key, help=help_text)
 
     p_par = subs.add_parser("params", help="engineered-reservoir rate calculator")
-    p_par.add_argument("--omega", type=float, required=True, help="classical drive strength")
-    p_par.add_argument("--big-gamma", type=float, required=True, dest="big_gamma",
+    p_par.add_argument("--omega", required=True, help="classical drive strength")
+    p_par.add_argument("--big-gamma", required=True, dest="big_gamma",
                        help="auxiliary-level decay rate")
-    p_par.add_argument("--gamma-minus", type=float, default=0.0, dest="gamma_minus",
+    p_par.add_argument("--gamma-minus", default=0.0, dest="gamma_minus",
                        help="natural decay rate (enables occupation/balance output)")
 
     args = parser.parse_args(argv)
@@ -211,11 +233,11 @@ def main(argv=None) -> int:
             kind = "diffusive_protecting_unitary" if args.exact_unitary else "diffusive"
             _run_and_emit(args, kind)
         elif args.command == "figure3":
-            paths = figure3(**{k: v for k, v in vars(args).items() if k != "command"})
+            paths = figure3(**_converted(args, _FIGURE3))
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "params":
-            drive = DriveParams(args.omega, args.big_gamma, args.gamma_minus)
+            drive = DriveParams(**_converted(args, _PARAMS))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", AdiabaticityWarning)
                 gp = engineered_pump_rate(drive)
@@ -223,10 +245,10 @@ def main(argv=None) -> int:
             print(f"adiabatic_ok = {drive.adiabatic_ok()}")
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-            if args.gamma_minus > 0:
-                print(f"balancing_omega = {balancing_drive(args.gamma_minus, args.big_gamma):.12g}")
-                if gp < args.gamma_minus:
-                    print(f"thermal_occupation = {thermal_occupation(args.gamma_minus, gp):.12g}")
+            if drive.gamma_minus > 0:
+                print(f"balancing_omega = {balancing_drive(drive.gamma_minus, drive.big_gamma):.12g}")
+                if gp < drive.gamma_minus:
+                    print(f"thermal_occupation = {thermal_occupation(drive.gamma_minus, gp):.12g}")
                 else:
                     print("thermal_occupation = infinite (balanced or inverted)")
     except ValueError as exc:

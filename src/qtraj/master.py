@@ -22,20 +22,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import SIGMA_MINUS, SIGMA_PLUS, dissipator, embed, validate_density_matrix
+from .qcore import SIGMA_MINUS, SIGMA_PLUS, dissipator, embed, number, validate_density_matrix
 
 
 CHANNEL_LABELS = ("minus", "plus")
 
 
-def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
-    """One finite rate >= 0 per qubit; a scalar applies to every qubit."""
-    rates = tuple(float(v) for v in np.atleast_1d(value))
+def _as_rates(value, n_qubits, name: str) -> tuple[float, ...]:
+    """One finite rate >= 0 per qubit; a scalar applies to every qubit.
+
+    ``n_qubits`` is None when it is not an integer; the count is then not checked.
+    """
+    per_qubit = isinstance(value, (list, tuple)) or np.ndim(value) > 0
+    rates = tuple(float(number(name, v)) for v in (value if per_qubit else [value]))
     if not all(math.isfinite(r) and r >= 0 for r in rates):
         raise ValueError(f"{name}: rates must be finite and >= 0, got {rates}")
-    if np.isscalar(value):
-        return rates * n_qubits
-    if len(rates) != n_qubits:
+    if not per_qubit:
+        return rates if n_qubits is None else rates * n_qubits
+    if n_qubits is not None and len(rates) != n_qubits:
         raise ValueError(f"{name}: expected {n_qubits} rates, got {len(rates)}")
     return rates
 
@@ -50,17 +54,23 @@ class LindbladModel:
     eta: float = 1.0
 
     def __init__(self, n_qubits, gamma_minus, gamma_plus, eta=1.0):
-        """Raise one ValueError that lists every bad argument."""
+        """Raise one ValueError that lists every bad argument, each once."""
         errors = []
-        if not n_qubits >= 1:
-            errors.append(f"n_qubits must be >= 1, got {n_qubits}")
-        rates = {}
-        for name, value in (("gamma_minus", gamma_minus), ("gamma_plus", gamma_plus)):
+
+        def check(fn, *args):
             try:
-                rates[name] = _as_rates(value, n_qubits, name)
+                return fn(*args)
             except ValueError as exc:
                 errors.append(str(exc))
-        if not 0.0 <= eta <= 1.0:
+
+        count = check(number, "n_qubits", n_qubits, True)
+        if count is not None and not count >= 1:
+            errors.append(f"n_qubits must be >= 1, got {count}")
+        rates = {
+            name: check(_as_rates, value, count, name)
+            for name, value in (("gamma_minus", gamma_minus), ("gamma_plus", gamma_plus))
+        }
+        if check(number, "eta", eta) is not None and not 0.0 <= eta <= 1.0:
             errors.append(f"eta must lie in [0, 1], got {eta}")
         if errors:
             raise ValueError("; ".join(errors))

@@ -62,19 +62,44 @@ def tensor_product(factors) -> np.ndarray:
     return out
 
 
+def number(field: str, value, integer: bool = False, low: int | None = None):
+    """``value`` if it is a real number for ``field`` (an integer >= ``low`` with ``integer``).
+
+    The one rule for every configuration number: strings, None, complex
+    numbers and arrays are not numbers, whatever float() would make of them;
+    Python and NumPy scalars are. Otherwise raises ValueError("<field>: must
+    be a real number, got <value>"), or "an integer >= <low>".
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and (low is None or value >= low):
+        return value
+    what = ("an integer" if integer else "a real number") + ("" if low is None else f" >= {low}")
+    shown = value if isinstance(value, numbers.Number) else repr(value)
+    raise ValueError(f"{field}: must be {what}, got {shown}")
+
+
 def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int]]:
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 
-    Raises ValueError unless 0 < dt <= t_max, t_max is finite and on the
-    grid, and the sample times, if given, are real numbers, non-empty,
-    finite, on the grid and strictly increasing. Messages start with the
-    offending field name.
+    Raises ValueError unless 0 < dt <= t_max, both are finite real numbers,
+    t_max is on the grid, and the sample times, if given, are real numbers,
+    non-empty, finite, on the grid and strictly increasing. Messages start
+    with the offending field name; a bad dt, t_max and sample-time type are
+    named together, and the sample times are placed only on a good grid.
     Every trajectory of an ensemble asks for the same grid, so grids are
     memoized by value; each call gets its own list of steps.
     """
-    for field, value in (("dt", dt), ("t_max", t_max)):
-        if not isinstance(value, numbers.Real):  # nor a string, which float() alone would parse
-            raise ValueError(f"{field}: must be a real number, got {value!r}")
+    errors = []
+    try:
+        if not 0 < number("dt", dt) < np.inf:
+            errors.append(f"dt: must be {'finite and ' if dt == np.inf else ''}> 0, got {dt}")
+    except ValueError as exc:
+        errors.append(str(exc))
+    try:  # against a bad dt, t_max is judged on its own
+        if not (0 < number("t_max", t_max) < np.inf and (errors or dt <= t_max)):
+            errors.append(f"t_max: must be finite and >= dt, got {t_max}")
+    except ValueError as exc:
+        errors.append(str(exc))
     if sample_times is not None:
         try:
             times = np.atleast_1d(np.asarray(sample_times))
@@ -82,9 +107,12 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
         except ValueError:  # a ragged nesting
             real = False
         if not real:
-            raise ValueError(
+            errors.append(
                 f"sample_times: must be a real number or a 1-D sequence of them, got {sample_times!r}"
             )
+    if errors:
+        raise ValueError("; ".join(errors))
+    if sample_times is not None:
         sample_times = tuple(times.astype(float, copy=False).tolist())
     n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)
     return n_steps, list(steps)
@@ -92,10 +120,6 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
 
 @lru_cache(maxsize=32)
 def _step_grid(dt: float, t_max: float, sample_times) -> tuple[int, tuple[int, ...]]:
-    if not dt > 0:
-        raise ValueError(f"dt: must be > 0, got {dt}")
-    if not dt <= t_max < np.inf:
-        raise ValueError(f"t_max: must be finite and >= dt, got {t_max}")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 + 1e-9 * t_max:
         raise ValueError(f"t_max: {t_max} is not on the step grid (dt={dt})")

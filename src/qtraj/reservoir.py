@@ -9,8 +9,11 @@ gamma_plus); the balanced point gamma_plus = gamma_minus is the
 infinite-temperature limit.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
+
+from .qcore import number
 
 # "much smaller" threshold for the adiabatic elimination
 ADIABATIC_RATIO = 10.0
@@ -27,8 +30,17 @@ class DriveParams:
     gamma_minus: float = 0.0
 
     def __post_init__(self):
-        if self.omega < 0 or self.big_gamma < 0 or self.gamma_minus < 0:
-            raise ValueError("drive parameters must be >= 0")
+        """Raise one ValueError naming every value that is not a finite number >= 0."""
+        errors = []
+        for field in ("omega", "big_gamma", "gamma_minus"):
+            value = getattr(self, field)
+            try:
+                if not (math.isfinite(number(field, value)) and value >= 0):
+                    raise ValueError(f"{field}: must be finite and >= 0, got {value}")
+            except ValueError as exc:
+                errors.append(str(exc))
+        if errors:
+            raise ValueError("; ".join(errors))
 
     def adiabatic_ok(self) -> bool:
         return self.omega <= self.big_gamma / ADIABATIC_RATIO

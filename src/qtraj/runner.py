@@ -32,7 +32,6 @@ explicit initial matrix, even a rank-one one, the recovered-then-averaged
 state, its chunk-blocked stderr and the master-only series.
 """
 
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -68,6 +67,7 @@ from .qcore import (
     bell_state,
     computational_ket,
     density,
+    number,
     step_grid,
 )
 from .recovery import frame_from_events, recover, recover_unitary
@@ -153,13 +153,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise one ConfigError that lists every bad field, before any work starts."""
+        errors = self.field_errors()
+        if errors:
+            raise ConfigError("; ".join(errors))
+
+    def field_errors(self) -> list[str]:
+        """One "<field>: ..." entry per bad field; empty when the run can start.
+
+        A model that is not a ``LindbladModel`` is one ``model:`` entry, and the
+        checks that read the model are skipped.
+        """
         errors = []
 
         def check(field, fn, *args) -> bool:
             try:
                 fn(*args)
-            except ValueError as exc:
-                errors.append(f"{field}: {exc}" if field else str(exc))
+            except ValueError as exc:  # a message without a field may name several
+                errors.extend([f"{field}: {exc}"] if field else str(exc).split("; "))
                 return False
             return True
 
@@ -173,11 +183,12 @@ class ExperimentConfig:
             ("workers", 1 if self.workers is None else self.workers, 1),
             ("master_seed", self.master_seed, 0),
         ):
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                errors.append(f"{field}: must be an integer >= {low}, got {value}")
+            check(None, number, field, value, True, low)
         if self.workers is None and engine is not None:  # the count comes from the environment
             check(None, default_workers)
-        if self.model is not None:  # None while a caller lists the model's own errors
+        if not isinstance(self.model, LindbladModel):
+            errors.append(f"model: must be a LindbladModel, got {self.model!r}")
+        else:
             # the closed-form master has no step; its dt only places the default samples
             if engine is not None and grid_ok:  # a dt that failed the grid check is not a number
                 check("dt", check_rate_step, self.model, self.dt)
@@ -190,8 +201,7 @@ class ExperimentConfig:
                 check("u", check_noise_correlation, self.u)
             else:
                 errors.append(f"u: only the diffusive unraveling reads u, not {self.unraveling!r}")
-        if errors:
-            raise ConfigError("; ".join(errors))
+        return errors
 
 
 def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
@@ -441,19 +451,29 @@ def emit_csv(stats: EnsembleStatistics, path, view: str = "trajectory") -> Path:
 
 
 def parse_csv(path) -> dict[str, np.ndarray]:
-    """Read back an emitted CSV into arrays keyed by column name."""
+    """Read back an emitted CSV into arrays keyed by column name.
+
+    Raises ValueError naming the path, and the line where there is one, for a
+    file without a header row and for a row that is short, long or not numeric.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, cell in zip(header, ln.split(",")):
-            cols[name].append(float(cell))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    rows = [(line, ln.split(",")) for line, ln in enumerate(text.splitlines(), 1) if ln]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
+    header = rows[0][1]
+    values = []
+    for line, cells in rows[1:]:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, the header has {len(header)}")
+            values.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    return dict(zip(header, np.array(values, dtype=float).reshape(-1, len(header)).T))
 
 
 def figure3(
@@ -473,20 +493,36 @@ def figure3(
     series carry the trace distance of the master state to the closed-form
     state in the oracle column; monitored series report the recovered-average
     statistics. Output is byte-identical at any worker count.
+
+    One ConfigError names every bad argument once, figure3's own three
+    (sample_spacing, t_max, gamma) with the run's, before any series runs or
+    any file is written.
     """
-    # before any config: the sample times need the first two, and the models
-    # would report a bad gamma as gamma_minus and gamma_plus
+    # figure3's own fields, then the run's: the sample times need the first two,
+    # and the models would report a bad gamma as gamma_minus and gamma_plus
     errors = []
     for field, value, positive in (
         ("sample_spacing", sample_spacing, True), ("t_max", t_max, False), ("gamma", gamma, True)
     ):
-        if not isinstance(value, numbers.Real):  # np.isfinite would raise a TypeError
-            errors.append(f"{field}: must be a real number, got {value!r}")
-        elif not (np.isfinite(value) and (value > 0 or not positive)):
-            errors.append(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
+        try:
+            if not (np.isfinite(number(field, value)) and (value > 0 or not positive)):
+                raise ValueError(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
+        except ValueError as exc:
+            errors.append(str(exc))
+    named = {e.split(":")[0] for e in errors}
+    times = None
+    if not named & {"sample_spacing", "t_max"}:
+        times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
+    # without a good gamma there is no model, and its entry would name gamma twice
+    balanced = None if "gamma" in named else LindbladModel(2, gamma, gamma)
+    run = ExperimentConfig(
+        balanced, "jump_protecting", dt, t_max, n_trajectories, master_seed,
+        sample_times=times, workers=workers,
+    )
+    skip = named if balanced is not None else named | {"model"}
+    errors += [e for e in run.field_errors() if e.split(":")[0] not in skip]
     if errors:
         raise ConfigError("; ".join(errors))
-    times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
 
     def monitored(eta, seed):
         return ExperimentConfig(
@@ -500,10 +536,8 @@ def figure3(
             workers=workers,
         )
 
-    # the series seeds derive from master_seed, so it is checked as given first
-    monitored(1.0, master_seed).validate()
     masters = [
-        ("a_infinite_T_master", LindbladModel(2, gamma, gamma)),
+        ("a_infinite_T_master", balanced),
         ("b_zero_T_master", LindbladModel(2, gamma, 0.0)),
     ]
     series = [

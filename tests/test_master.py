@@ -1,5 +1,7 @@
 """The exact master-equation solution and the closed-form oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,31 @@ class TestModel:
         message = str(exc.value)
         for field in ("n_qubits", "gamma_minus", "gamma_plus", "eta"):
             assert field in message
+
+    @pytest.mark.parametrize(
+        "args, kwargs, fields",
+        [
+            ((2.0, -1.0, 1.0), {"eta": 2}, ["n_qubits", "gamma_minus", "eta"]),
+            ((None, 1.0, 1.0), {"eta": None}, ["n_qubits", "eta"]),
+            ((2, [1.0, None], 1.0), {}, ["gamma_minus"]),
+            ((2, [1.0, "x"], 1.0), {}, ["gamma_minus"]),
+            ((2, 1 + 0.5j, 1.0), {}, ["gamma_minus"]),
+            ((2, 1.0, "1.0"), {"eta": 0.5j}, ["gamma_plus", "eta"]),
+        ],
+        ids=["float_count", "none", "none_rate", "string_rate", "complex_rate", "string_and_complex"],
+    )
+    def test_non_numbers_named_once(self, args, kwargs, fields):
+        # these once raised a TypeError, lost the other fields' errors, named no
+        # field, or (the complex rate) built a model at the real part with a warning
+        with pytest.raises(ValueError) as exc:
+            LindbladModel(*args, **kwargs)
+        named = [re.match(r"\w+", entry).group() for entry in str(exc.value).split("; ")]
+        assert named == fields
+
+    def test_numpy_scalars_are_numbers(self):
+        m = LindbladModel(np.int64(2), np.float32(0.5), np.array([1.0, 2.0]), eta=np.float64(0.9))
+        assert m.n_qubits == 2 and m.gamma_minus == (0.5, 0.5) and m.gamma_plus == (1.0, 2.0)
+        assert type(m.n_qubits) is int and type(m.eta) is float
 
 
 class TestRhs:

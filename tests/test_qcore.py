@@ -231,6 +231,23 @@ class TestStepGrid:
         with pytest.raises(ValueError, match=rf"^{field}: must be a real number, got {bad!r}$"):
             step_grid(dt, t_max)
 
+    @pytest.mark.parametrize(
+        "dt, t_max, sample_times, fields",
+        [
+            (None, None, None, ["dt", "t_max"]),
+            (-1.0, np.nan, None, ["dt", "t_max"]),
+            (-1.0, -0.5, None, ["dt", "t_max"]),
+            ("1e-3", 1.0, "abc", ["dt", "sample_times"]),
+            (np.inf, 1.0, None, ["dt"]),
+            (-1.0, 0.5, None, ["dt"]),
+        ],
+    )
+    def test_bad_step_and_horizon_named_together(self, dt, t_max, sample_times, fields):
+        # a bad dt once hid a bad t_max, and an infinite dt was reported as a bad t_max
+        with pytest.raises(ValueError) as exc:
+            step_grid(dt, t_max, sample_times)
+        assert [entry.split(":")[0] for entry in str(exc.value).split("; ")] == fields
+
     def test_steps_of_sample_times(self):
         assert step_grid(1e-3, 1.0) == (1000, [])
         assert step_grid(1e-3, 1.0, [0.0, 0.25, 1.0]) == (1000, [0, 250, 1000])

@@ -41,6 +41,21 @@ class TestPumpRate:
         with pytest.raises(ValueError):
             engineered_pump_rate(DriveParams(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "args, fields",
+        [
+            (("1", 1.0), ["omega"]),
+            ((1.0, float("inf"), 0.05), ["big_gamma"]),
+            ((float("nan"), 100.0, 0.05), ["omega"]),
+            ((-1.0, None, 1j), ["omega", "big_gamma", "gamma_minus"]),
+        ],
+    )
+    def test_values_must_be_finite_numbers(self, args, fields):
+        # a string once raised a TypeError; an infinite Gamma once gave gamma_plus = 0
+        with pytest.raises(ValueError) as exc:
+            DriveParams(*args)
+        assert [entry.split(":")[0] for entry in str(exc.value).split("; ")] == fields
+
     def test_validity_flag(self):
         assert DriveParams(1.0, 100.0).adiabatic_ok()
         assert not DriveParams(20.0, 100.0).adiabatic_ok()

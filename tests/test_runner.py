@@ -1,7 +1,10 @@
 """Ensemble orchestration, CSV contract, determinism, CLI surface."""
 
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,11 @@ from qtraj.runner import (
     resolve_initial_state,
     run_ensemble,
 )
+
+
+def _fields(message: str) -> list[str]:
+    """The field each entry of a "; "-joined error message starts with, in order."""
+    return [re.match(r"\w+", entry).group() for entry in message.split("; ")]
 
 
 def _config(**kw):
@@ -77,6 +85,27 @@ class TestConfigValidation:
             cfg.validate()
         msg = str(err.value)
         assert "dt" in msg and "n_trajectories" in msg and "unraveling" in msg
+
+    def test_model_that_is_not_a_model_named(self):
+        # a string model once raised AttributeError from the rate-step check,
+        # losing the n_trajectories error
+        cfg = ExperimentConfig("abc", "jump_protecting", 1e-3, 0.01, n_trajectories=0)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert sorted(_fields(str(err.value))) == ["model", "n_trajectories"]
+        assert "model: must be a LindbladModel, got 'abc'" in str(err.value)
+
+    def test_missing_model_runs_no_chunk(self, monkeypatch):
+        # model=None once passed validate() and failed inside the first chunk
+        import qtraj.runner as runner
+
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(runner, "_run_chunk", no_chunk)
+        cfg = ExperimentConfig(None, "jump_protecting", 1e-3, 0.01, n_trajectories=2, workers=1)
+        with pytest.raises(ConfigError, match="^model: must be a LindbladModel, got None$"):
+            run_ensemble(cfg)
 
     def test_off_grid_sample_times(self):
         with pytest.raises(ConfigError, match="sample_times"):
@@ -722,6 +751,97 @@ class TestValidateAgreesWithTheRun:
         assert np.isfinite(stats.mean_concurrence).all()
 
 
+def _good_or_bad(goods, bads):
+    """A (value, is_bad) pair: a value from ``goods`` or one from ``bads``."""
+    return st.one_of(
+        st.sampled_from(goods).map(lambda v: (v, False)),
+        st.sampled_from(bads).map(lambda v: (v, True)),
+    )
+
+
+def _drawn(values):
+    return st.fixed_dictionaries({k: _good_or_bad(*v) for k, v in values.items()})
+
+
+_NOT_NUMBERS = ["1", None, 1j]
+_MODEL_VALUES = {
+    "n_qubits": ([1, 2, np.int64(2)], [0, -1, 2.0, np.float64(2.0), np.nan, *_NOT_NUMBERS]),
+    "gamma_minus": ([0.0, 1.0, np.float64(0.5), 2],
+                    [-1.0, np.nan, np.inf, -np.inf, [1.0, None], 1 + 0.5j, *_NOT_NUMBERS]),
+    "gamma_plus": ([0.0, 0.5, np.float32(1.0)], [-0.5, np.nan, np.inf, ["x"], *_NOT_NUMBERS]),
+    "eta": ([0.0, 0.9, 1, np.float64(0.5)], [1.5, -0.1, np.nan, np.inf, -np.inf, *_NOT_NUMBERS]),
+}
+# good dt, t_max and sample_spacing lie on one grid; rates * dt stay within the jump step bound
+_RUN_VALUES = {
+    "model": ([LindbladModel(2, 1.0, 1.0, eta=0.5)], [None, "abc", 1.0]),
+    "dt": ([1e-3, 2e-3, np.float64(1e-3)], [0.0, -1e-3, np.nan, np.inf, -np.inf, *_NOT_NUMBERS]),
+    "t_max": ([0.01, 0.02, np.float64(0.04)],
+              [0.0, -0.02, np.nan, np.inf, -np.inf, *_NOT_NUMBERS]),
+    "n_trajectories": ([1, 2, np.int64(2)], [0, -2, 2.0, np.nan, np.inf, *_NOT_NUMBERS]),
+    "master_seed": ([0, 7, np.int64(3)], [-1, 1.0, np.nan, *_NOT_NUMBERS]),
+    "workers": ([None, 1, np.int64(1)], [0, -1, 1.5, np.inf, "1", 1j]),  # None: the default
+}
+_FIGURE3_VALUES = {
+    "gamma": ([1.0, np.float64(0.5), 2], [0.0, -1.0, np.nan, np.inf, *_NOT_NUMBERS]),
+    "n_trajectories": ([1, 2], [0, 2.0, np.nan, *_NOT_NUMBERS]),
+    "dt": ([1e-3, 2e-3], [0.0, -1e-3, np.nan, np.inf, *_NOT_NUMBERS]),
+    "t_max": ([0.02, 0.04], [0.0, -0.02, np.nan, np.inf, -np.inf, *_NOT_NUMBERS]),
+    "sample_spacing": ([0.01, 0.02], [0.0, -0.01, np.nan, np.inf, *_NOT_NUMBERS]),
+    "master_seed": ([0, 1905], [-1, 1.0, *_NOT_NUMBERS]),
+    "workers": ([None, 1], [0, 1.5, "1"]),
+}
+
+
+class TestEveryBadFieldNamedOnce:
+    """Strings, None, complex numbers, NaN, infinities, floats for integers and
+    negatives: a call succeeds, or raises one ValueError naming each bad field
+    once; never a TypeError or an AttributeError."""
+
+    @staticmethod
+    def _split(drawn):
+        kwargs = {k: v for k, (v, _) in drawn.items()}
+        return kwargs, sorted(k for k, (_, bad) in drawn.items() if bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn(_MODEL_VALUES))
+    def test_model(self, drawn):
+        kwargs, bad = self._split(drawn)
+        try:
+            LindbladModel(**kwargs)
+        except ValueError as exc:
+            assert sorted(_fields(str(exc))) == bad, str(exc)
+        else:
+            assert not bad
+
+    @settings(max_examples=150, deadline=None)
+    @given(_drawn(_RUN_VALUES))
+    def test_config(self, drawn):
+        kwargs, bad = self._split(drawn)
+        config = ExperimentConfig(unraveling="jump_protecting", **kwargs)
+        try:
+            config.validate()
+        except ConfigError as exc:
+            assert sorted(_fields(str(exc))) == bad, str(exc)
+            return
+        assert not bad
+        stats = run_ensemble(config)  # a run that validate() passed raises no ConfigError
+        assert stats.n[0] == kwargs["n_trajectories"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_drawn(_FIGURE3_VALUES))
+    def test_figure3(self, drawn):
+        kwargs, bad = self._split(drawn)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "fig3"
+            try:
+                paths = figure3(out, **kwargs)
+            except ConfigError as exc:
+                assert sorted(_fields(str(exc))) == bad, str(exc)
+                assert not out.exists()
+            else:
+                assert not bad and len(paths) == 5
+
+
 class TestRecoveryLookup:
     """The runner finds its recovery functions in its own namespace at call time."""
 
@@ -785,6 +905,25 @@ class TestCsv:
         )
         path = emit_csv(empty, tmp_path / "empty.csv")
         assert path.read_text() == CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (CSV_HEADER + "\n0.5,0.9\n", "line 2: 2 cells, the header has 5"),
+            (CSV_HEADER + "\n0,1,0,0,10\n\n0.5,x,0,0,10\n", "line 4: could not convert"),
+            (CSV_HEADER + "\n0,1,0,0,10,7\n", "line 2: 6 cells"),
+            ("", "no header row"),
+            ("\n\n", "no header row"),
+        ],
+        ids=["short_row", "not_numeric", "long_row", "empty", "blank"],
+    )
+    def test_parse_rejects_malformed_file(self, tmp_path, text, where):
+        # a short row once misaligned the columns silently, and an empty file
+        # raised a bare IndexError
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {where}"):
+            parse_csv(path)
 
     def test_write_error_carries_path(self, tmp_path):
         stats = run_ensemble(_config(n_trajectories=5))
@@ -859,6 +998,24 @@ class TestFigure3:
             "sample_spacing: must be a real number, got '0.05'; "
             "t_max: must be a real number, got None; gamma: must be finite and > 0, got -1.0"
         )
+        assert not out.exists()
+
+    def test_own_and_run_fields_in_one_error(self, tmp_path):
+        # only gamma was once named; n_trajectories and dt came after it was fixed
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, n_trajectories=0, dt=-1.0, gamma=-2.0)
+        assert str(err.value) == (
+            "gamma: must be finite and > 0, got -2.0; dt: must be > 0, got -1.0; "
+            "n_trajectories: must be an integer >= 1, got 0"
+        )
+        assert not out.exists()
+
+    def test_shared_t_max_named_once(self, tmp_path):
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, t_max=np.nan, dt=None, workers=0)
+        assert _fields(str(err.value)) == ["t_max", "dt", "workers"]
         assert not out.exists()
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
@@ -1141,6 +1298,47 @@ class TestCli:
         assert len(lines) == 1 and "sample_spacing:" in lines[0] and "gamma:" in lines[0]
         assert "gamma_minus" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (["--n-traj", "0", "--dt", "-1", "--gamma", "-2"], ["gamma", "dt", "n_trajectories"]),
+            (["--n-traj", "abc", "--dt", "xyz", "--gamma", "q"], ["gamma", "dt", "n_trajectories"]),
+            (["--seed", "1.5", "--t-max", "x", "--sample-spacing", "0", "--workers", "w"],
+             ["sample_spacing", "t_max", "workers", "master_seed"]),
+        ],
+        ids=["out_of_range", "not_numbers", "mixed"],
+    )
+    def test_figure3_every_bad_flag_in_one_line(self, tmp_path, capsys, flags, fields):
+        # these once stopped at the first bad flag: gamma, or argparse's usage
+        # error naming only --n-traj
+        from qtraj.cli import main
+
+        out = tmp_path / "fig3"
+        assert main(["figure3", "--output-dir", str(out), *flags]) == 2
+        stdout, err = capsys.readouterr()
+        assert not stdout and len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
+        assert _fields(err.strip().removeprefix("config error: ")) == fields
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, words",
+        [
+            (["--omega", "1", "--big-gamma", "inf"], "big_gamma: must be finite and >= 0, got inf"),
+            (["--omega", "nan", "--big-gamma", "100"], "omega: must be finite and >= 0, got nan"),
+            (["--omega", "abc", "--big-gamma", "-1"],
+             "omega: must be a real number, got 'abc'; big_gamma: must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_params_rejects_non_finite_values(self, capsys, flags, words):
+        # an infinite Gamma once printed gamma_plus = 0 and exited 0, and a NaN
+        # omega printed an infinite thermal occupation
+        from qtraj.cli import main
+
+        assert main(["params", *flags, "--gamma-minus", "0.05"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"config error: {words}\n"
 
     def test_negative_seed_exit_code(self, capsys):
         from qtraj.cli import main
