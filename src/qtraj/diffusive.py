@@ -128,7 +128,10 @@ def _noise_correlation(u) -> tuple[np.ndarray, np.ndarray]:
     read from the upper triangle of u, so exactly symmetric. Its eigenvalues
     (1 +- s_i) / 2, s_i the singular values of u, give ||u||_2 = 1 - 2 lambda_min.
     """
-    u = np.asarray(PROTECTING_U if u is None else u, dtype=complex)
+    try:
+        u = np.asarray(PROTECTING_U if u is None else u, dtype=complex)
+    except (TypeError, ValueError):  # an object, a non-numeric string or a ragged nesting
+        raise ValueError(f"noise correlation must be a 2x2 array of numbers, got {u!r}") from None
     if u.shape != (2, 2):
         raise ValueError(f"noise correlation must be 2x2 (channels -, +), got {u.shape}")
     if not np.isfinite(u).all():

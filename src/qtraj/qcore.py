@@ -7,6 +7,7 @@ de-excites, |1⟩ → |0⟩). Systems of interest are 2-4 qubits, so no sparsity
 """
 
 import numbers
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -67,13 +68,17 @@ def number(field: str, value, integer: bool = False, low: int | None = None):
 
     The one rule for every configuration number: strings, None, complex
     numbers and arrays are not numbers, whatever float() would make of them;
-    Python and NumPy scalars are. Otherwise raises ValueError("<field>: must
-    be a real number, got <value>"), or "an integer >= <low>".
+    Python and NumPy scalars are. A real number must fit a float: an int
+    beyond its range is rejected, inf and NaN are left to the caller.
+    Otherwise raises ValueError("<field>: must be a real number, got
+    <value>"), or "an integer >= <low>".
     """
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, kind) and (low is None or value >= low):
+    fits = integer or not isinstance(value, numbers.Integral) or abs(value) <= sys.float_info.max
+    if isinstance(value, kind) and fits and (low is None or value >= low):
         return value
-    what = ("an integer" if integer else "a real number") + ("" if low is None else f" >= {low}")
+    what = "an integer" if integer else ("a real number" + ("" if fits else " within the float range"))
+    what += "" if low is None else f" >= {low}"
     shown = value if isinstance(value, numbers.Number) else repr(value)
     raise ValueError(f"{field}: must be {what}, got {shown}")
 

@@ -7,7 +7,9 @@ two-pass stderr and the minimum over all concurrences at once, and the state
 sums added chunk by chunk. Ensemble output is therefore bitwise identical for a given
 configuration at any parallelism degree. Per-trajectory random streams are
 counter-based Philox keyed by (master_seed, trajectory_index), so results do
-not depend on scheduling either.
+not depend on scheduling either. A chunk derives all of its keys at once
+(``jumps.trajectory_seeds``, bit for bit ``trajectory_seed``), and each
+trajectory re-keys one Philox stream rather than building a generator.
 
 Inside a chunk the engine runs once per trajectory, in index order, and its
 samples fill one row of a block of 8 trajectories. Each block then takes one
@@ -32,6 +34,7 @@ explicit initial matrix, even a rank-one one, the recovered-then-averaged
 state, its chunk-blocked stderr and the master-only series.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +57,7 @@ from .jumps import (
     protecting_jumps,
     run_jump_trajectory,
     trajectory_seed,
+    trajectory_seeds,
 )
 from .master import (
     LindbladModel,
@@ -178,12 +182,13 @@ class ExperimentConfig:
         if not known:
             errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
         grid_ok = check(None, step_grid, self.dt, self.t_max, self.sample_times)
-        for field, value, low in (
-            ("n_trajectories", self.n_trajectories, 1),
-            ("workers", 1 if self.workers is None else self.workers, 1),
-            ("master_seed", self.master_seed, 0),
+        for field, value, low, high in (
+            ("n_trajectories", self.n_trajectories, 1, 2**32),  # each index keys one 32-bit word
+            ("workers", 1 if self.workers is None else self.workers, 1, None),
+            ("master_seed", self.master_seed, 0, None),
         ):
-            check(None, number, field, value, True, low)
+            if check(None, number, field, value, True, low) and high is not None and value > high:
+                errors.append(f"{field}: must be <= {high}, got {value}")
         if self.workers is None and engine is not None:  # the count comes from the environment
             check(None, default_workers)
         if not isinstance(self.model, LindbladModel):
@@ -216,7 +221,10 @@ def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
         if spec == "excited":
             return density(computational_ket("1" * n_qubits)), False
         raise ValueError(f"unknown named state {spec!r} (use bell/ground/excited)")
-    arr = np.asarray(spec, dtype=complex)
+    try:
+        arr = np.asarray(spec, dtype=complex)
+    except (TypeError, ValueError):  # an object or a ragged nesting
+        raise ValueError(f"explicit state must be an array of numbers, got {spec!r}") from None
     dim = 2**n_qubits
     if arr.shape == (dim,):
         norm = np.linalg.norm(arr)
@@ -321,10 +329,11 @@ def _run_chunk(
     rec_sum = raw_sum if recovery is None else np.zeros_like(raw_sum)
     engine, lead = pick(model, config.u)
 
+    chunk_seeds = trajectory_seeds(config.master_seed, range(lo, hi)).tolist()  # Python ints
     for start in range(lo, hi, _BLOCK):
         # one engine call per trajectory, in index order; the rest once per block
         stop = min(start + _BLOCK, hi)
-        seeds = [trajectory_seed(config.master_seed, idx) for idx in range(start, stop)]
+        seeds = chunk_seeds[start - lo : stop - lo]
         records = []
         for row, seed in enumerate(seeds):
             try:
@@ -505,14 +514,24 @@ def figure3(
         ("sample_spacing", sample_spacing, True), ("t_max", t_max, False), ("gamma", gamma, True)
     ):
         try:
-            if not (np.isfinite(number(field, value)) and (value > 0 or not positive)):
+            if not (math.isfinite(number(field, value)) and (value > 0 or not positive)):
                 raise ValueError(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
         except ValueError as exc:
             errors.append(str(exc))
     named = {e.split(":")[0] for e in errors}
     times = None
     if not named & {"sample_spacing", "t_max"}:
-        times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
+        try:  # a bad dt is the run's entry; the sample times wait for a good one
+            good_dt = 0 < number("dt", dt) < math.inf
+        except ValueError:
+            good_dt = False
+        if good_dt and sample_spacing < dt:  # checked before the times are allocated
+            errors.append(
+                f"sample_spacing: must be >= dt = {dt}, or the sample times are not strictly "
+                f"increasing on the step grid, got {sample_spacing}"
+            )
+        elif good_dt:
+            times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
     # without a good gamma there is no model, and its entry would name gamma twice
     balanced = None if "gamma" in named else LindbladModel(2, gamma, gamma)
     run = ExperimentConfig(

@@ -29,6 +29,7 @@ from qtraj.jumps import (
     run_jump_trajectory,
     step_jump,
     trajectory_seed,
+    trajectory_seeds,
     transform_jumps,
 )
 from qtraj.master import LindbladModel, integrate_master, lindblad_rhs
@@ -645,3 +646,53 @@ class TestKernelMemo:
                 arr[...] = 0.0
         for op in kernel.jumps:
             assert not op.matrix.flags.writeable
+
+
+class TestTrajectoryKeys:
+    """One vectorized hash per chunk and one re-keyed stream, both pinned to numpy."""
+
+    @pytest.mark.parametrize(
+        "master",
+        # 1 to 3 entropy words, and 2**100 + 9 takes SeedSequence's branch for
+        # more entropy words than its pool of 4
+        [0, 1, 1905, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1, 2**70 + 3, 2**100 + 9],
+    )
+    def test_keys_match_seed_sequence(self, master):
+        indices = list(range(5000)) + [2**32 - 1]
+        keys = trajectory_seeds(master, indices)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [trajectory_seed(master, i) for i in indices]
+
+    @pytest.mark.parametrize("indices", [[2**32], [0, 2**40], [-1], [0.5]])
+    def test_index_beyond_one_word_rejected(self, indices):
+        with pytest.raises(ValueError, match=r"indices must be integers in \[0, 2\*\*32\)"):
+            trajectory_seeds(7, indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        earlier=st.lists(
+            st.tuples(st.sampled_from(["random", "normal", "uint32"]), st.integers(1, 9)),
+            max_size=4,
+        ),
+        k=st.integers(1, 40),
+    )
+    def test_rekeyed_stream_is_a_fresh_stream(self, seed, earlier, k):
+        # arbitrary earlier use of the shared stream, ending on an odd number
+        # of 32-bit draws that leaves half a 64-bit word buffered
+        for kind, n in earlier + [("uint32", 3)]:
+            rng = _trajectory_rng(seed ^ n)
+            if kind == "random":
+                rng.random(n)
+            elif kind == "normal":
+                rng.standard_normal(n)
+            else:
+                for _ in range(n):
+                    rng.integers(0, 2**32, dtype=np.uint32)
+        uniforms = _trajectory_rng(seed).random(k)
+        assert np.array_equal(uniforms, np.random.Generator(np.random.Philox(key=seed)).random(k))
+        rng = _trajectory_rng(seed)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        normals = _trajectory_rng(seed).standard_normal(k)
+        fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal(k)
+        assert np.array_equal(normals, fresh)

@@ -80,12 +80,18 @@ class TestModel:
             ((2, [1.0, "x"], 1.0), {}, ["gamma_minus"]),
             ((2, 1 + 0.5j, 1.0), {}, ["gamma_minus"]),
             ((2, 1.0, "1.0"), {"eta": 0.5j}, ["gamma_plus", "eta"]),
+            ((2, 10**400, 1.0), {}, ["gamma_minus"]),
+            ((2, 1.0, [1.0, -(10**400)]), {"eta": 10**400}, ["gamma_plus", "eta"]),
         ],
-        ids=["float_count", "none", "none_rate", "string_rate", "complex_rate", "string_and_complex"],
+        ids=[
+            "float_count", "none", "none_rate", "string_rate", "complex_rate", "string_and_complex",
+            "int_beyond_float", "ints_beyond_float",
+        ],
     )
     def test_non_numbers_named_once(self, args, kwargs, fields):
         # these once raised a TypeError, lost the other fields' errors, named no
-        # field, or (the complex rate) built a model at the real part with a warning
+        # field, or (the complex rate) built a model at the real part with a
+        # warning; a rate of 10**400 raised OverflowError from float()
         with pytest.raises(ValueError) as exc:
             LindbladModel(*args, **kwargs)
         named = [re.match(r"\w+", entry).group() for entry in str(exc.value).split("; ")]

@@ -95,6 +95,32 @@ class TestConfigValidation:
         assert sorted(_fields(str(err.value))) == ["model", "n_trajectories"]
         assert "model: must be a LindbladModel, got 'abc'" in str(err.value)
 
+    @pytest.mark.parametrize("count", [2**32 + 1, 2**40])
+    def test_trajectory_indices_fit_one_word(self, count):
+        # 2**40 trajectories once passed every check; validate() only, no run
+        with pytest.raises(ConfigError) as err:
+            _config(n_trajectories=count, dt=-1.0).validate()
+        assert _fields(str(err.value)) == ["dt", "n_trajectories"]
+        assert f"n_trajectories: must be <= {2**32}, got {count}" in str(err.value)
+        assert _config(n_trajectories=2**32).field_errors() == []
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(unraveling="diffusive", u=object()), "u"),
+            (dict(unraveling="diffusive", u=[[1.0, 0.0], [0.0]]), "u"),
+            (dict(initial_state=object()), "initial_state"),
+            (dict(initial_state=[[1.0, 0.0], [0.0]]), "initial_state"),
+        ],
+        ids=["object_u", "ragged_u", "object_state", "ragged_state"],
+    )
+    def test_array_that_is_not_numbers_named(self, kw, field):
+        # an object once raised TypeError: must be real number, not object
+        with pytest.raises(ConfigError) as err:
+            _config(n_trajectories=0, **kw).validate()
+        assert sorted(_fields(str(err.value))) == sorted([field, "n_trajectories"])
+        assert "array of numbers" in str(err.value)
+
     def test_missing_model_runs_no_chunk(self, monkeypatch):
         # model=None once passed validate() and failed inside the first chunk
         import qtraj.runner as runner
@@ -1009,6 +1035,25 @@ class TestFigure3:
             "gamma: must be finite and > 0, got -2.0; dt: must be > 0, got -1.0; "
             "n_trajectories: must be an integer >= 1, got 0"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spacing", [1e-300, 5e-4])
+    def test_spacing_below_dt_named_before_the_times(self, tmp_path, spacing):
+        # 1e-300 once raised NumPy's "Maximum allowed size exceeded" from arange
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, sample_spacing=spacing, n_trajectories=0)
+        assert _fields(str(err.value)) == ["sample_spacing", "n_trajectories"]
+        assert str(err.value).startswith("sample_spacing: must be >= dt = 0.001, or the sample")
+        assert not out.exists()
+
+    def test_ints_beyond_float_named(self, tmp_path):
+        # 10**400 once raised TypeError from np.isfinite, and OverflowError as t_max
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, t_max=10**400, gamma=10**400)
+        assert _fields(str(err.value)) == ["t_max", "gamma"]
+        assert "within the float range" in str(err.value)
         assert not out.exists()
 
     def test_shared_t_max_named_once(self, tmp_path):
