@@ -109,7 +109,7 @@ def _converted(args: argparse.Namespace, converts: dict) -> dict:
 
 def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfig, str, str | None]:
     """Merge flag > INI file > default; every bad field goes into one ConfigError."""
-    errors, given = [], {}
+    errors, given = ConfigError(), {}
     if args.config:
         ini = configparser.ConfigParser()
         try:
@@ -119,13 +119,13 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             raise ConfigError(f"config: {exc}") from None
         for section in ini.sections():
             if section not in ("model", "run"):
-                errors.append(f"unknown section [{section}]")
+                errors.add(f"unknown section [{section}]")
                 continue
             for key, text in ini.items(section):
                 if key in _OPTIONS and _OPTIONS[key][0] == section:
                     given[key] = text
                 else:
-                    errors.append(f"unknown key {key!r} in [{section}]")
+                    errors.add(f"unknown key {key!r} in [{section}]")
     given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
 
     values = {}
@@ -133,24 +133,22 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
         try:
             values[key] = convert(given[key]) if key in given else default
         except ValueError as exc:
-            errors.append(f"{key}: {exc}")
+            errors.add(f"{key}: {exc}")
     if values["view"] not in _VIEWS:
-        errors.append(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
+        errors.add(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
     _, engine, recovery, _ = UNRAVELING_TABLE[unraveling]
     if values["view"] == "recovered" and engine is not None and recovery is None:
         # its recovered columns would be the raw average against the (1-eta) gamma master
-        errors.append(f"view: {unraveling} has no frame to recover, so only trajectory applies")
+        errors.add(f"view: {unraveling} has no frame to recover, so only trajectory applies")
     if values["unraveling"] not in (None, unraveling):
-        errors.append(
+        errors.add(
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"
         )
     model_keys = [k for k, spec in _OPTIONS.items() if spec[0] == "model"]
     model = config = None
     if all(k in values for k in model_keys):
-        try:
-            model = LindbladModel(**{k: values[k] for k in model_keys})
-        except ValueError as exc:
-            errors.append(f"model: {exc}")
+        # the model names its own fields, which stand for the run's model entry
+        model = errors.check(LindbladModel, *(values[k] for k in model_keys), field="model")
     if len(values) == len(_OPTIONS):
         # any u key reaches validate(), which rejects it outside the general SME; the
         # entries not given, or every entry without one, are those of the protecting u
@@ -160,11 +158,8 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             u = np.array([[u11, u12], [u12, u22]], dtype=complex)
         run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
         config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
-        # every option converted, so the run's fields are listed too; a model that
-        # did not build is named above, not again as a missing one
-        errors += [e for e in config.field_errors() if model is not None or not e.startswith("model:")]
-    if errors:
-        raise ConfigError("; ".join(errors))
+        errors.add(*config.field_errors())  # every option converted: the run's fields too
+    errors.raise_any()
     return config, values["view"], values["output"]
 
 

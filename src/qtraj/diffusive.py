@@ -169,8 +169,8 @@ def check_perfect_detection(model: LindbladModel) -> None:
     """Both diffusive engines model perfect detection; raise ValueError otherwise."""
     if model.eta != 1.0:
         raise ValueError(
-            f"the diffusive engines model perfect detection (eta = 1), got eta = {model.eta}; "
-            "inefficiency curves come from the jump engine"
+            f"the diffusive engines model perfect detection (eta = 1), got eta = {model.eta} "
+            "(inefficiency curves come from the jump engine)"
         )
 
 

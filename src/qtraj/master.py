@@ -22,10 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import SIGMA_MINUS, SIGMA_PLUS, dissipator, embed, number, validate_density_matrix
+from .qcore import SIGMA_MINUS, SIGMA_PLUS, FieldErrors, dissipator, embed, number, validate_density_matrix
 
 
 CHANNEL_LABELS = ("minus", "plus")
+
+# A step's click probabilities sum to at most n * gamma_max * dt for every single-qubit
+# jump set, so up to 10 qubits validate()'s gamma_max * dt <= 0.01 keeps the sum within
+# the engine's MAX_STEP_PROB = 0.1; beyond that a validated run could stop mid-trajectory.
+MAX_QUBITS = 10
 
 
 def _as_rates(value, n_qubits, name: str) -> tuple[float, ...]:
@@ -54,26 +59,21 @@ class LindbladModel:
     eta: float = 1.0
 
     def __init__(self, n_qubits, gamma_minus, gamma_plus, eta=1.0):
-        """Raise one ValueError that lists every bad argument, each once."""
-        errors = []
-
-        def check(fn, *args):
-            try:
-                return fn(*args)
-            except ValueError as exc:
-                errors.append(str(exc))
-
-        count = check(number, "n_qubits", n_qubits, True)
+        """Raise one FieldErrors that lists every bad argument, each once."""
+        errors = FieldErrors()
+        count = errors.check(number, "n_qubits", n_qubits, True)
         if count is not None and not count >= 1:
-            errors.append(f"n_qubits must be >= 1, got {count}")
+            errors.add(f"n_qubits: must be >= 1, got {count}")
+        elif count is not None and count > MAX_QUBITS:
+            errors.add(f"n_qubits: must be <= {MAX_QUBITS}, got {count}")
+            count = None  # the rates are not counted against it
         rates = {
-            name: check(_as_rates, value, count, name)
+            name: errors.check(_as_rates, value, count, name)
             for name, value in (("gamma_minus", gamma_minus), ("gamma_plus", gamma_plus))
         }
-        if check(number, "eta", eta) is not None and not 0.0 <= eta <= 1.0:
-            errors.append(f"eta must lie in [0, 1], got {eta}")
-        if errors:
-            raise ValueError("; ".join(errors))
+        if errors.check(number, "eta", eta) is not None and not 0.0 <= eta <= 1.0:
+            errors.add(f"eta: must lie in [0, 1], got {eta}")
+        errors.raise_any()
         object.__setattr__(self, "n_qubits", int(n_qubits))
         object.__setattr__(self, "gamma_minus", rates["gamma_minus"])
         object.__setattr__(self, "gamma_plus", rates["gamma_plus"])

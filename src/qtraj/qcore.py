@@ -29,9 +29,54 @@ PAULI_MATRICES = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 PAULI_BY_BITS = np.stack([I2, SIGMA_Z, SIGMA_X, SIGMA_Y])
 
+# one trajectory draws every step's random numbers at once, 8 bytes each, so a
+# grid of 10**8 steps already takes 0.8 GB per draw
+MAX_STEPS = 10**8
+
 
 class InvariantViolation(RuntimeError):
     """A state or operator left its numerical tolerance envelope."""
+
+
+class FieldErrors(ValueError):
+    """The one error list of every configuration check: "<field>: <reason>" entries.
+
+    Each field is named once, by its first entry; an entry's field is its text
+    before the first ": ", all of it without one. Shown joined with "; ".
+    """
+
+    def __init__(self, *entries: str):
+        super().__init__()
+        self.entries, self._named = [], set()
+        self.add(*entries)
+
+    def add(self, *entries: str) -> None:
+        for entry in entries:
+            field = entry.split(": ", 1)[0]
+            if field not in self._named:
+                self._named.add(field)
+                self.entries.append(entry)
+
+    def check(self, fn, *args, field: str | None = None):
+        """``fn(*args)``, or None once its failure is added: a FieldErrors's own entries,
+        else "<field>: <message>" (the message alone without ``field``). A failed
+        check names ``field`` either way, so that a later entry for it is dropped.
+        """
+        try:
+            return fn(*args)
+        except FieldErrors as exc:
+            self.add(*exc.entries)
+        except ValueError as exc:
+            self.add(f"{field}: {exc}" if field else str(exc))
+        self._named.add(field)
+        return None
+
+    def raise_any(self) -> None:
+        if self.entries:
+            raise self
+
+    def __str__(self) -> str:
+        return "; ".join(self.entries)
 
 
 def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
@@ -70,7 +115,7 @@ def number(field: str, value, integer: bool = False, low: int | None = None):
     numbers and arrays are not numbers, whatever float() would make of them;
     Python and NumPy scalars are. A real number must fit a float: an int
     beyond its range is rejected, inf and NaN are left to the caller.
-    Otherwise raises ValueError("<field>: must be a real number, got
+    Otherwise raises FieldErrors("<field>: must be a real number, got
     <value>"), or "an integer >= <low>".
     """
     kind = numbers.Integral if integer else numbers.Real
@@ -80,31 +125,27 @@ def number(field: str, value, integer: bool = False, low: int | None = None):
     what = "an integer" if integer else ("a real number" + ("" if fits else " within the float range"))
     what += "" if low is None else f" >= {low}"
     shown = value if isinstance(value, numbers.Number) else repr(value)
-    raise ValueError(f"{field}: must be {what}, got {shown}")
+    raise FieldErrors(f"{field}: must be {what}, got {shown}")
 
 
 def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int]]:
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 
-    Raises ValueError unless 0 < dt <= t_max, both are finite real numbers,
-    t_max is on the grid, and the sample times, if given, are real numbers,
-    non-empty, finite, on the grid and strictly increasing. Messages start
-    with the offending field name; a bad dt, t_max and sample-time type are
-    named together, and the sample times are placed only on a good grid.
+    Raises one FieldErrors unless 0 < dt <= t_max are finite real numbers
+    with at most ``MAX_STEPS`` steps between them and the sample times, if
+    given, are real numbers; then a ValueError unless t_max is on the grid and
+    the sample times are non-empty, finite, on it and strictly increasing.
     Every trajectory of an ensemble asks for the same grid, so grids are
     memoized by value; each call gets its own list of steps.
     """
-    errors = []
-    try:
-        if not 0 < number("dt", dt) < np.inf:
-            errors.append(f"dt: must be {'finite and ' if dt == np.inf else ''}> 0, got {dt}")
-    except ValueError as exc:
-        errors.append(str(exc))
-    try:  # against a bad dt, t_max is judged on its own
-        if not (0 < number("t_max", t_max) < np.inf and (errors or dt <= t_max)):
-            errors.append(f"t_max: must be finite and >= dt, got {t_max}")
-    except ValueError as exc:
-        errors.append(str(exc))
+    errors = FieldErrors()
+    if errors.check(number, "dt", dt) is not None and not 0 < dt < np.inf:
+        errors.add(f"dt: must be {'finite and ' if dt == np.inf else ''}> 0, got {dt}")
+    low = 0 if errors.entries else dt  # against a bad dt, t_max is judged on its own
+    if errors.check(number, "t_max", t_max) is not None and not (0 < t_max < np.inf and t_max >= low):
+        errors.add(f"t_max: must be finite and >= dt, got {t_max}")
+    if not errors.entries and t_max / dt > MAX_STEPS + 0.5:
+        errors.add(f"dt: t_max / dt = {t_max / dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS:.0e}")
     if sample_times is not None:
         try:
             times = np.atleast_1d(np.asarray(sample_times))
@@ -112,11 +153,10 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
         except ValueError:  # a ragged nesting
             real = False
         if not real:
-            errors.append(
+            errors.add(
                 f"sample_times: must be a real number or a 1-D sequence of them, got {sample_times!r}"
             )
-    if errors:
-        raise ValueError("; ".join(errors))
+    errors.raise_any()
     if sample_times is not None:
         sample_times = tuple(times.astype(float, copy=False).tolist())
     n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)

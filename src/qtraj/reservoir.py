@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .qcore import number
+from .qcore import FieldErrors, number
 
 # "much smaller" threshold for the adiabatic elimination
 ADIABATIC_RATIO = 10.0
@@ -30,17 +30,13 @@ class DriveParams:
     gamma_minus: float = 0.0
 
     def __post_init__(self):
-        """Raise one ValueError naming every value that is not a finite number >= 0."""
-        errors = []
+        """Raise one FieldErrors naming every value that is not a finite number >= 0."""
+        errors = FieldErrors()
         for field in ("omega", "big_gamma", "gamma_minus"):
             value = getattr(self, field)
-            try:
-                if not (math.isfinite(number(field, value)) and value >= 0):
-                    raise ValueError(f"{field}: must be finite and >= 0, got {value}")
-            except ValueError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise ValueError("; ".join(errors))
+            if errors.check(number, field, value) is not None and not (math.isfinite(value) and value >= 0):
+                errors.add(f"{field}: must be finite and >= 0, got {value}")
+        errors.raise_any()
 
     def adiabatic_ok(self) -> bool:
         return self.omega <= self.big_gamma / ADIABATIC_RATIO
@@ -49,7 +45,7 @@ class DriveParams:
 def engineered_pump_rate(params: DriveParams) -> float:
     """Pump rate 4 Omega^2 / Gamma; warns (not fails) outside the adiabatic regime."""
     if params.big_gamma <= 0:
-        raise ValueError("big_gamma must be > 0")
+        raise ValueError(f"big_gamma: must be > 0, got {params.big_gamma}")
     if not params.adiabatic_ok():
         warnings.warn(
             f"Omega = {params.omega:g} exceeds Gamma/{ADIABATIC_RATIO:g} = "

@@ -67,6 +67,7 @@ from .master import (
     oracle_kind,
 )
 from .qcore import (
+    FieldErrors,
     InvariantViolation,
     bell_state,
     computational_ket,
@@ -86,8 +87,8 @@ CSV_HEADER = "time,mean_concurrence,stderr,mean_trace_dist_oracle,n"
 PURITY_TOL = 1e-12
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message enumerates offending fields."""
+class ConfigError(FieldErrors):
+    """Invalid experiment configuration; its entries name every offending field once."""
 
 
 def _frames_at(record, grid, n):
@@ -157,9 +158,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise one ConfigError that lists every bad field, before any work starts."""
-        errors = self.field_errors()
-        if errors:
-            raise ConfigError("; ".join(errors))
+        ConfigError(*self.field_errors()).raise_any()
 
     def field_errors(self) -> list[str]:
         """One "<field>: ..." entry per bad field; empty when the run can start.
@@ -167,46 +166,37 @@ class ExperimentConfig:
         A model that is not a ``LindbladModel`` is one ``model:`` entry, and the
         checks that read the model are skipped.
         """
-        errors = []
-
-        def check(field, fn, *args) -> bool:
-            try:
-                fn(*args)
-            except ValueError as exc:  # a message without a field may name several
-                errors.extend([f"{field}: {exc}"] if field else str(exc).split("; "))
-                return False
-            return True
-
+        errors = ConfigError()
         known = self.unraveling in UNRAVELINGS  # a tuple test: a list cannot key the table
         checks, engine = UNRAVELING_TABLE[self.unraveling][:2] if known else ((), None)
         if not known:
-            errors.append(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
-        grid_ok = check(None, step_grid, self.dt, self.t_max, self.sample_times)
+            errors.add(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
+        grid_ok = errors.check(step_grid, self.dt, self.t_max, self.sample_times) is not None
         for field, value, low, high in (
             ("n_trajectories", self.n_trajectories, 1, 2**32),  # each index keys one 32-bit word
             ("workers", 1 if self.workers is None else self.workers, 1, None),
             ("master_seed", self.master_seed, 0, None),
         ):
-            if check(None, number, field, value, True, low) and high is not None and value > high:
-                errors.append(f"{field}: must be <= {high}, got {value}")
+            if errors.check(number, field, value, True, low) is not None and high is not None and value > high:
+                errors.add(f"{field}: must be <= {high}, got {value}")
         if self.workers is None and engine is not None:  # the count comes from the environment
-            check(None, default_workers)
+            errors.check(default_workers)
         if not isinstance(self.model, LindbladModel):
-            errors.append(f"model: must be a LindbladModel, got {self.model!r}")
+            errors.add(f"model: must be a LindbladModel, got {self.model!r}")
         else:
             # the closed-form master has no step; its dt only places the default samples
             if engine is not None and grid_ok:  # a dt that failed the grid check is not a number
-                check("dt", check_rate_step, self.model, self.dt)
-            check("initial_state", resolve_initial_state, self.initial_state, self.model.n_qubits)
+                errors.check(check_rate_step, self.model, self.dt, field="dt")
+            errors.check(resolve_initial_state, self.initial_state, self.model.n_qubits, field="initial_state")
             # the engines' own preconditions, checked here so that no worker starts
             for field, fn in checks:
-                check(field, fn, self.model)
+                errors.check(fn, self.model, field=field)
         if self.u is not None:
             if self.unraveling == "diffusive":
-                check("u", check_noise_correlation, self.u)
+                errors.check(check_noise_correlation, self.u, field="u")
             else:
-                errors.append(f"u: only the diffusive unraveling reads u, not {self.unraveling!r}")
-        return errors
+                errors.add(f"u: only the diffusive unraveling reads u, not {self.unraveling!r}")
+        return errors.entries
 
 
 def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
@@ -485,6 +475,13 @@ def parse_csv(path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.array(values, dtype=float).reshape(-1, len(header)).T))
 
 
+def _finite(field: str, value, positive: bool):
+    """``value`` if it is a finite real number, and > 0 with ``positive``; else FieldErrors."""
+    if math.isfinite(number(field, value)) and (value > 0 or not positive):
+        return value
+    raise FieldErrors(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
+
+
 def figure3(
     output_dir,
     gamma: float = 1.0,
@@ -504,71 +501,40 @@ def figure3(
     statistics. Output is byte-identical at any worker count.
 
     One ConfigError names every bad argument once, figure3's own three
-    (sample_spacing, t_max, gamma) with the run's, before any series runs or
-    any file is written.
+    (sample_spacing, t_max, gamma) with those of the five runs, before any
+    series runs or any file is written.
     """
-    # figure3's own fields, then the run's: the sample times need the first two,
-    # and the models would report a bad gamma as gamma_minus and gamma_plus
-    errors = []
-    for field, value, positive in (
-        ("sample_spacing", sample_spacing, True), ("t_max", t_max, False), ("gamma", gamma, True)
-    ):
-        try:
-            if not (math.isfinite(number(field, value)) and (value > 0 or not positive)):
-                raise ValueError(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
-        except ValueError as exc:
-            errors.append(str(exc))
-    named = {e.split(":")[0] for e in errors}
+    # figure3's own fields, then the runs'. A bad gamma, the models' one rate, leaves
+    # no model: its entry stands for the runs' model entries
+    errors = ConfigError()
+    spacing_ok = errors.check(_finite, "sample_spacing", sample_spacing, True) is not None
+    errors.check(_finite, "t_max", t_max, False)
+    gamma_ok = errors.check(_finite, "gamma", gamma, True, field="model") is not None
     times = None
-    if not named & {"sample_spacing", "t_max"}:
-        try:  # a bad dt is the run's entry; the sample times wait for a good one
-            good_dt = 0 < number("dt", dt) < math.inf
-        except ValueError:
-            good_dt = False
-        if good_dt and sample_spacing < dt:  # checked before the times are allocated
-            errors.append(
+    if errors.check(step_grid, dt, t_max) is not None and spacing_ok:
+        if sample_spacing < dt:  # checked before the times are allocated
+            errors.add(
                 f"sample_spacing: must be >= dt = {dt}, or the sample times are not strictly "
                 f"increasing on the step grid, got {sample_spacing}"
             )
-        elif good_dt:
+        else:
             times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
-    # without a good gamma there is no model, and its entry would name gamma twice
-    balanced = None if "gamma" in named else LindbladModel(2, gamma, gamma)
-    run = ExperimentConfig(
-        balanced, "jump_protecting", dt, t_max, n_trajectories, master_seed,
-        sample_times=times, workers=workers,
-    )
-    skip = named if balanced is not None else named | {"model"}
-    errors += [e for e in run.field_errors() if e.split(":")[0] not in skip]
-    if errors:
-        raise ConfigError("; ".join(errors))
-
-    def monitored(eta, seed):
-        return ExperimentConfig(
-            model=LindbladModel(2, gamma, gamma, eta=eta),
-            unraveling="jump_protecting",
-            dt=dt,
-            t_max=t_max,
-            n_trajectories=n_trajectories,
-            master_seed=seed,
-            sample_times=times,
-            workers=workers,
-        )
-
-    masters = [
-        ("a_infinite_T_master", balanced),
-        ("b_zero_T_master", LindbladModel(2, gamma, 0.0)),
-    ]
-    series = [
-        (name, "trajectory",
-         ExperimentConfig(model=model, unraveling="none", dt=dt, t_max=t_max, sample_times=times))
-        for name, model in masters
-    ]
-    for k, eta in enumerate((0.8, 0.9, 1.0)):
-        tag = f"{'cde'[k]}_monitored_eta{int(round(eta * 100)):03d}"
-        series.append((tag, "recovered", monitored(eta, trajectory_seed(master_seed, k + 2))))
-    for _, _, cfg in series:
-        cfg.validate()
+    series = []
+    for name, gamma_plus, eta, unraveling, view in (
+        ("a_infinite_T_master", gamma, 1.0, "none", "trajectory"),
+        ("b_zero_T_master", 0.0, 1.0, "none", "trajectory"),
+        ("c_monitored_eta080", gamma, 0.8, "jump_protecting", "recovered"),
+        ("d_monitored_eta090", gamma, 0.9, "jump_protecting", "recovered"),
+        ("e_monitored_eta100", gamma, 1.0, "jump_protecting", "recovered"),
+    ):
+        model = LindbladModel(2, gamma, gamma_plus, eta) if gamma_ok else None
+        cfg = ExperimentConfig(model, unraveling, dt, t_max, n_trajectories, master_seed,
+                               sample_times=times, workers=workers)
+        errors.add(*cfg.field_errors())
+        series.append((name, view, cfg))
+    errors.raise_any()
+    for k, (_, _, cfg) in enumerate(series[2:], 2):  # derived only from a master_seed that passed
+        cfg.master_seed = trajectory_seed(master_seed, k)
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ from qtraj.diffusive import _SMEContext
 from qtraj.entangle import concurrence, trace_distance
 from qtraj.jumps import canonical_jumps, protecting_jumps
 from qtraj.master import (
+    MAX_QUBITS,
     LindbladModel,
     TimeSeries,
     analytic_bell_state,
@@ -96,6 +97,15 @@ class TestModel:
             LindbladModel(*args, **kwargs)
         named = [re.match(r"\w+", entry).group() for entry in str(exc.value).split("; ")]
         assert named == fields
+
+    @pytest.mark.parametrize("count", [MAX_QUBITS + 1, 40, 10**400])
+    def test_qubit_count_bounded(self, count):
+        # 10**400 once raised OverflowError from the rate broadcast, and 40 built a
+        # model of dimension 2**40; the per-qubit rates are not counted against it
+        with pytest.raises(ValueError) as exc:
+            LindbladModel(count, 1.0, [1.0, 2.0], eta=2.0)
+        assert [entry.split(":")[0] for entry in exc.value.entries] == ["n_qubits", "eta"]
+        assert exc.value.entries[0] == f"n_qubits: must be <= {MAX_QUBITS}, got {count}"
 
     def test_numpy_scalars_are_numbers(self):
         m = LindbladModel(np.int64(2), np.float32(0.5), np.array([1.0, 2.0]), eta=np.float64(0.9))

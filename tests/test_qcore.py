@@ -1,11 +1,16 @@
 """Operator algebra: embedding, dissipator, eigenvalues, Pauli products."""
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtraj
 from qtraj.qcore import (
+    MAX_STEPS,
     PAULI_BITS,
     PAULI_BY_BITS,
     PAULI_LABELS,
@@ -13,6 +18,7 @@ from qtraj.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    FieldErrors,
     InvariantViolation,
     bell_state,
     density,
@@ -20,6 +26,7 @@ from qtraj.qcore import (
     embed,
     from_pauli_coordinates,
     hermitian_eigenvalues,
+    number,
     pauli_coordinates,
     pauli_strings,
     pauli_matrix,
@@ -219,6 +226,51 @@ class TestValidation:
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-13
 
 
+class TestFieldErrors:
+    def test_each_field_named_once_by_its_first_entry(self):
+        err = FieldErrors("dt: a", "t_max: b", "dt: c", "unknown key 'x' in [run]")
+        err.add("t_max: d", "unknown key 'y' in [run]")
+        assert err.entries == ["dt: a", "t_max: b", "unknown key 'x' in [run]", "unknown key 'y' in [run]"]
+        assert str(err) == "; ".join(err.entries) and isinstance(err, ValueError)
+
+    def test_check_collects_each_kind_of_failure(self):
+        def model_fails():
+            raise FieldErrors("n_qubits: a", "eta: b")
+
+        err = FieldErrors()
+        assert err.check(number, "dt", 0.5) == 0.5 and err.check(lambda: 0) == 0
+        assert err.check(number, "dt", "x") is None  # names its own field
+        assert err.check(int, "w", field="workers") is None  # a plain ValueError takes the field
+        assert err.check(model_fails, field="model") is None  # its entries stand for the model
+        err.add("model: c", "eta: d", "u: e")
+        assert err.entries == [
+            "dt: must be a real number, got 'x'",
+            "workers: invalid literal for int() with base 10: 'w'",
+            "n_qubits: a",
+            "eta: b",
+            "u: e",
+        ]
+        with pytest.raises(ZeroDivisionError):  # only a ValueError is an entry
+            err.check(lambda: 1 / 0)
+
+    def test_raise_any(self):
+        FieldErrors().raise_any()
+        err = FieldErrors("dt: a")
+        with pytest.raises(FieldErrors) as caught:
+            err.raise_any()
+        assert caught.value is err
+
+    def test_the_one_error_list(self):
+        # a second collector would join its own entries, or split another's message
+        qcore_source = Path(qtraj.qcore.__file__).read_text()
+        collector = inspect.getsource(FieldErrors)
+        assert collector in qcore_source
+        for path in sorted(Path(qtraj.__file__).parent.glob("*.py")):
+            text = path.read_text().replace(collector, "")
+            for pattern in ('"; ".join(', "'; '.join(", '.split("; ")', ".split('; ')"):
+                assert pattern not in text, f"{path.name} holds {pattern}"
+
+
 class TestStepGrid:
     @pytest.mark.parametrize(
         "dt, t_max, field",
@@ -247,6 +299,13 @@ class TestStepGrid:
         with pytest.raises(ValueError) as exc:
             step_grid(dt, t_max, sample_times)
         assert [entry.split(":")[0] for entry in str(exc.value).split("; ")] == fields
+
+    @pytest.mark.parametrize("dt, t_max", [(1e-300, 1.0), (1e-9, 1.0), (1.0, 1e300)])
+    def test_step_count_bounded(self, dt, t_max):
+        # 10**300 steps once passed, to fail in the engine's draw of one uniform per step
+        with pytest.raises(FieldErrors, match=rf"^dt: t_max / dt = .* steps, more than MAX_STEPS = 1e\+08$"):
+            step_grid(dt, t_max)
+        assert step_grid(1.0 / MAX_STEPS, 1.0)[0] == MAX_STEPS  # the count alone, no draw
 
     def test_steps_of_sample_times(self):
         assert step_grid(1e-3, 1.0) == (1000, [])

@@ -41,6 +41,11 @@ class TestPumpRate:
         with pytest.raises(ValueError):
             engineered_pump_rate(DriveParams(1.0, 0.0))
 
+    def test_zero_big_gamma_entry_names_its_field(self):
+        # printed by qtraj params as "config error: big_gamma must be > 0", without the field form
+        with pytest.raises(ValueError, match=r"^big_gamma: must be > 0, got 0.0$"):
+            engineered_pump_rate(DriveParams(1.0, 0.0))
+
     @pytest.mark.parametrize(
         "args, fields",
         [

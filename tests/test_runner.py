@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtraj.master import LindbladModel, analytic_concurrence
+from qtraj.qcore import FieldErrors
 from qtraj.runner import (
     CSV_HEADER,
+    UNRAVELINGS,
     ConfigError,
     EnsembleStatistics,
     ExperimentConfig,
@@ -59,8 +61,8 @@ def _breaks_every_precondition(unraveling):
 _RATE = "dt: gamma_max*dt = 0.02 exceeds 0.01"
 _BALANCE = "model: protecting unravelings require gamma_minus == gamma_plus on every qubit"
 _ETA = (
-    "eta: the diffusive engines model perfect detection (eta = 1), got eta = 0.5; "
-    "inefficiency curves come from the jump engine"
+    "eta: the diffusive engines model perfect detection (eta = 1), got eta = 0.5 "
+    "(inefficiency curves come from the jump engine)"
 )
 
 
@@ -236,6 +238,14 @@ class TestConfigValidation:
     def test_rate_step_product_guard(self):
         with pytest.raises(ConfigError, match="gamma_max"):
             _config(model=LindbladModel(2, 100.0, 100.0)).validate()
+
+    @pytest.mark.parametrize("unraveling", ["jump_protecting", "none"])
+    def test_step_count_bounded(self, unraveling):
+        # 10**300 steps once passed validate(); checked only, never run
+        cfg = ExperimentConfig(LindbladModel(2, 1.0, 1.0), unraveling, 1e-300, 1.0, n_trajectories=0)
+        assert _fields("; ".join(cfg.field_errors())) == ["dt", "n_trajectories"]
+        with pytest.raises(ConfigError, match=r"^dt: t_max / dt = 1e\+300 steps, more than MAX_STEPS"):
+            cfg.validate()
 
     def test_master_takes_any_dt(self):
         # the closed-form master has no step, so the jump engine's
@@ -868,6 +878,50 @@ class TestEveryBadFieldNamedOnce:
                 assert not bad and len(paths) == 5
 
 
+class TestEntriesJoinTheMessage:
+    """"; " only joins entries: no entry holds it, so splitting the message gives
+    the entries back, over the bad calls built above."""
+
+    @staticmethod
+    def _check(err):
+        assert not [entry for entry in err.entries if "; " in entry], err.entries
+        assert str(err).split("; ") == err.entries
+
+    @pytest.mark.parametrize("unraveling", [*UNRAVELINGS, ["jump_protecting"]])
+    def test_every_precondition(self, unraveling):
+        with pytest.raises(ConfigError) as err:
+            _breaks_every_precondition(unraveling).validate()
+        self._check(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_drawn(_MODEL_VALUES))
+    def test_model(self, drawn):
+        kwargs, bad = TestEveryBadFieldNamedOnce._split(drawn)
+        assume(bad)
+        with pytest.raises(FieldErrors) as err:
+            LindbladModel(**kwargs)
+        self._check(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_drawn(_RUN_VALUES))
+    def test_config(self, drawn):
+        kwargs, bad = TestEveryBadFieldNamedOnce._split(drawn)
+        assume(bad)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(unraveling="jump_protecting", **kwargs).validate()
+        self._check(err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn(_FIGURE3_VALUES))
+    def test_figure3(self, drawn):
+        kwargs, bad = TestEveryBadFieldNamedOnce._split(drawn)
+        assume(bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ConfigError) as err:
+                figure3(Path(tmp) / "fig3", **kwargs)
+        self._check(err.value)
+
+
 class TestRecoveryLookup:
     """The runner finds its recovery functions in its own namespace at call time."""
 
@@ -1054,6 +1108,15 @@ class TestFigure3:
             figure3(out, t_max=10**400, gamma=10**400)
         assert _fields(str(err.value)) == ["t_max", "gamma"]
         assert "within the float range" in str(err.value)
+        assert not out.exists()
+
+    def test_step_count_named_before_the_times(self, tmp_path):
+        # 10**303 steps once reached np.arange, whose "Maximum allowed size
+        # exceeded" named no field
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, t_max=1e300, sample_spacing=1.0, workers=0)
+        assert _fields(str(err.value)) == ["dt", "workers"]
         assert not out.exists()
 
     def test_shared_t_max_named_once(self, tmp_path):
@@ -1259,7 +1322,7 @@ class TestCli:
         cfg.write_text("[run]\nunraveling = diffusive\n")
         assert main(["jump", "--eta", "2", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "unraveling:" in err and "model: eta" in err
+        assert "unraveling:" in err and "eta: must lie in [0, 1]" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1275,7 +1338,7 @@ class TestCli:
 
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert err.startswith("config error: model: gamma_") and "finite" in err and not out
+        assert err.startswith("config error: gamma_") and "finite" in err and not out
 
     @pytest.mark.parametrize(
         "argv",
@@ -1315,8 +1378,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, words",
         [
-            (["jump", "--eta", "2", "--dt", "-1"], ("model: eta", "dt: must be > 0")),
-            (["master", "--n-qubits", "0", "--dt", "-1"], ("model: n_qubits", "dt: must be > 0")),
+            (["jump", "--eta", "2", "--dt", "-1"], ("eta: must lie in [0, 1]", "dt: must be > 0")),
+            (["master", "--n-qubits", "0", "--dt", "-1"], ("n_qubits: must be >= 1", "dt: must be > 0")),
         ],
     )
     def test_model_and_run_errors_in_one_line(self, capsys, argv, words):
