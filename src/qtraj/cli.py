@@ -11,8 +11,8 @@ view (``recovered`` needs an unraveling with a frame to undo), an
 model's and the run's own checks (the latter once every value converts).
 ``figure3`` and ``params`` flags convert here too, but one that does not
 convert reaches the function as text, so that ``figure3`` (its own fields
-with the run's) and ``DriveParams`` (finite numbers >= 0) name it with every
-other bad value in one error.
+with the run's) and ``DriveParams`` (finite numbers, big_gamma > 0) name it
+with every other bad value in one error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.

@@ -104,6 +104,11 @@ _EIG_GUARD = -0.05
 # cache, large enough that the product forming them is one call per many steps
 _BLOCK_BYTES = 1 << 20
 
+# the general-u SME's set-up (the Pauli strings, the context's images and
+# coordinates, the step maps' products A_m A_l) grows as 16**n: one trajectory
+# needs about 0.07-0.23 GiB at 4 qubits, 1.6-5.5 GiB at 5 and 35-122 GiB at 6
+MAX_SME_QUBITS = 4
+
 
 @dataclass(frozen=True)
 class CurrentSample:
@@ -174,6 +179,15 @@ def check_perfect_detection(model: LindbladModel) -> None:
         )
 
 
+def check_sme_qubits(model: LindbladModel) -> None:
+    """The general-u SME runs at most ``MAX_SME_QUBITS`` qubits; raise ValueError otherwise."""
+    if model.n_qubits > MAX_SME_QUBITS:
+        raise ValueError(
+            f"the general-u SME runs at most {MAX_SME_QUBITS} qubits (its set-up grows "
+            f"as 16**n), got {model.n_qubits}"
+        )
+
+
 class _SMEContext:
     """The measured operators of one model + u as real superoperators, built once.
 
@@ -186,6 +200,7 @@ class _SMEContext:
     """
 
     def __init__(self, model: LindbladModel, u=None):
+        check_sme_qubits(model)  # before any 16**n array
         sig = channel_operators(model.n_qubits)  # (2n, d, d)
 
         # one u for every qubit: the per-qubit noise block is shared

@@ -65,7 +65,7 @@ class UnravelingTransform:
         object.__setattr__(self, "u_matrix", u)
         gram = u.conj().T @ u
         dev = np.max(np.abs(gram - np.eye(u.shape[1])))
-        if dev > 1e-12:
+        if not dev <= 1e-12:  # NaN fails too
             raise ValueError(f"transform is not left-unitary: max|U†U - 1| = {dev:.3e}")
 
 

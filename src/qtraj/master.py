@@ -17,6 +17,7 @@ all assuming equal rates on both qubits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,12 +37,11 @@ MAX_QUBITS = 10
 def _as_rates(value, n_qubits, name: str) -> tuple[float, ...]:
     """One finite rate >= 0 per qubit; a scalar applies to every qubit.
 
-    ``n_qubits`` is None when it is not an integer; the count is then not checked.
+    ``n_qubits`` is None when it is not an integer <= ``MAX_QUBITS``; the count
+    is then not checked.
     """
     per_qubit = isinstance(value, (list, tuple)) or np.ndim(value) > 0
-    rates = tuple(float(number(name, v)) for v in (value if per_qubit else [value]))
-    if not all(math.isfinite(r) and r >= 0 for r in rates):
-        raise ValueError(f"{name}: rates must be finite and >= 0, got {rates}")
+    rates = tuple(float(number(name, v, low=0)) for v in (value if per_qubit else [value]))
     if not per_qubit:
         return rates if n_qubits is None else rates * n_qubits
     if n_qubits is not None and len(rates) != n_qubits:
@@ -61,18 +61,14 @@ class LindbladModel:
     def __init__(self, n_qubits, gamma_minus, gamma_plus, eta=1.0):
         """Raise one FieldErrors that lists every bad argument, each once."""
         errors = FieldErrors()
-        count = errors.check(number, "n_qubits", n_qubits, True)
-        if count is not None and not count >= 1:
-            errors.add(f"n_qubits: must be >= 1, got {count}")
-        elif count is not None and count > MAX_QUBITS:
-            errors.add(f"n_qubits: must be <= {MAX_QUBITS}, got {count}")
-            count = None  # the rates are not counted against it
+        count = errors.check(number, "n_qubits", n_qubits, True, 1, MAX_QUBITS)
+        if isinstance(n_qubits, numbers.Integral) and n_qubits < 1:
+            count = n_qubits  # a per-qubit list is still counted against it
         rates = {
             name: errors.check(_as_rates, value, count, name)
             for name, value in (("gamma_minus", gamma_minus), ("gamma_plus", gamma_plus))
         }
-        if errors.check(number, "eta", eta) is not None and not 0.0 <= eta <= 1.0:
-            errors.add(f"eta: must lie in [0, 1], got {eta}")
+        errors.check(number, "eta", eta, low=0, high=1)
         errors.raise_any()
         object.__setattr__(self, "n_qubits", int(n_qubits))
         object.__setattr__(self, "gamma_minus", rates["gamma_minus"])
@@ -211,10 +207,10 @@ def analytic_concurrence(kind: str, gamma: float, eta: float | None, t):
     """Closed-form Bell-pair concurrence curves (clamped at 0).
 
     kind: "zero_T", "infinite_T" or "monitored" (the latter needs eta).
-    Accepts scalar or array t.
+    Accepts scalar or array t. gamma >= 0 and eta in [0, 1] follow
+    ``qcore.number``: NaN or a string is a ValueError naming its field.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    number("gamma", gamma, low=0)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
@@ -223,8 +219,7 @@ def analytic_concurrence(kind: str, gamma: float, eta: float | None, t):
     elif kind == "infinite_T":
         c = np.exp(-2.0 * gamma * t) + 0.5 * np.exp(-4.0 * gamma * t) - 0.5
     elif kind == "monitored":
-        if eta is None or not 0.0 <= eta <= 1.0:
-            raise ValueError(f"monitored curve needs eta in [0, 1], got {eta}")
+        number("eta", eta, low=0, high=1)
         return analytic_concurrence("infinite_T", gamma * (1.0 - eta), None, t)
     else:
         raise ValueError(f"unknown concurrence curve kind: {kind!r}")
@@ -259,10 +254,8 @@ def analytic_bell_state(kind: str, gamma: float, t) -> np.ndarray:
 
 def disentanglement_time(gamma: float, eta: float = 0.0) -> float:
     """Root of the monitored closed form: ln(1 + sqrt(2)) / (2 gamma (1 - eta))."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    number("gamma", gamma, above=0)
+    number("eta", eta, low=0, high=1)
     if eta == 1.0:
         raise ValueError("no finite disentanglement time at eta=1: protection is perfect")
     return math.log(1.0 + math.sqrt(2.0)) / (2.0 * gamma * (1.0 - eta))

@@ -6,6 +6,7 @@ matrices in the computational basis |0⟩=ground, |1⟩=excited (so ``SIGMA_MINU
 de-excites, |1⟩ → |0⟩). Systems of interest are 2-4 qubits, so no sparsity.
 """
 
+import math
 import numbers
 import sys
 from functools import lru_cache
@@ -57,13 +58,13 @@ class FieldErrors(ValueError):
                 self._named.add(field)
                 self.entries.append(entry)
 
-    def check(self, fn, *args, field: str | None = None):
-        """``fn(*args)``, or None once its failure is added: a FieldErrors's own entries,
-        else "<field>: <message>" (the message alone without ``field``). A failed
-        check names ``field`` either way, so that a later entry for it is dropped.
+    def check(self, fn, *args, field: str | None = None, **kwargs):
+        """``fn(*args, **kwargs)``, or None once its failure is added: a FieldErrors's own
+        entries, else "<field>: <message>" (the message alone without ``field``). A
+        failed check names ``field`` either way, so that a later entry for it is dropped.
         """
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except FieldErrors as exc:
             self.add(*exc.entries)
         except ValueError as exc:
@@ -108,22 +109,40 @@ def tensor_product(factors) -> np.ndarray:
     return out
 
 
-def number(field: str, value, integer: bool = False, low: int | None = None):
-    """``value`` if it is a real number for ``field`` (an integer >= ``low`` with ``integer``).
+def number(field: str, value, integer: bool = False, low=None, high=None, above=None):
+    """``value`` if it is a number for ``field`` within its bounds, else FieldErrors.
 
-    The one rule for every configuration number: strings, None, complex
-    numbers and arrays are not numbers, whatever float() would make of them;
-    Python and NumPy scalars are. A real number must fit a float: an int
-    beyond its range is rejected, inf and NaN are left to the caller.
-    Otherwise raises FieldErrors("<field>: must be a real number, got
-    <value>"), or "an integer >= <low>".
+    The one rule for every configuration or helper number: strings, None,
+    bools, complex numbers and arrays are not numbers, whatever float() would
+    make of them; Python and NumPy scalars are. A real number must fit a float
+    and be finite. The bounds are ``low <= value <= high`` and ``value >
+    above``, each where given. A value of the wrong type fails with "<field>:
+    must be a real number, got <value>", or "an integer >= <low>"; one out of
+    range with "must be finite and <bound>", or "an integer <bound>", where
+    <bound> is ">= low", "> above", "<= high", "in [low, high]" or "in
+    (above, high]".
     """
     kind = numbers.Integral if integer else numbers.Real
     fits = integer or not isinstance(value, numbers.Integral) or abs(value) <= sys.float_info.max
-    if isinstance(value, kind) and fits and (low is None or value >= low):
-        return value
-    what = "an integer" if integer else ("a real number" + ("" if fits else " within the float range"))
-    what += "" if low is None else f" >= {low}"
+    if isinstance(value, kind) and not isinstance(value, bool) and fits:
+        if (
+            (integer or math.isfinite(value))
+            and (low is None or value >= low)
+            and (above is None or value > above)
+            and (high is None or value <= high)
+        ):
+            return value
+        if high is None:
+            bound = f">= {low}" if low is not None else f"> {above}" if above is not None else ""
+        elif low is None and above is None:
+            bound = f"<= {high}"
+        else:
+            bound = f"in [{low}, {high}]" if low is not None else f"in ({above}, {high}]"
+        what = f"an integer {bound}" if integer else "finite" + (f" and {bound}" if bound else "")
+    elif integer:
+        what = "an integer" + ("" if low is None else f" >= {low}")
+    else:
+        what = "a real number" + ("" if fits else " within the float range")
     shown = value if isinstance(value, numbers.Number) else repr(value)
     raise FieldErrors(f"{field}: must be {what}, got {shown}")
 
@@ -139,11 +158,9 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     memoized by value; each call gets its own list of steps.
     """
     errors = FieldErrors()
-    if errors.check(number, "dt", dt) is not None and not 0 < dt < np.inf:
-        errors.add(f"dt: must be {'finite and ' if dt == np.inf else ''}> 0, got {dt}")
-    low = 0 if errors.entries else dt  # against a bad dt, t_max is judged on its own
-    if errors.check(number, "t_max", t_max) is not None and not (0 < t_max < np.inf and t_max >= low):
-        errors.add(f"t_max: must be finite and >= dt, got {t_max}")
+    dt_ok = errors.check(number, "dt", dt, above=0) is not None
+    # against a bad dt, t_max is judged on its own
+    errors.check(number, "t_max", t_max, **({"low": dt} if dt_ok else {"above": 0}))
     if not errors.entries and t_max / dt > MAX_STEPS + 0.5:
         errors.add(f"dt: t_max / dt = {t_max / dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS:.0e}")
     if sample_times is not None:
@@ -234,7 +251,7 @@ def dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each in a ``(..., d, d)`` stack, sorted descending."""
     dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
-    if dev > tol:
+    if not dev <= tol:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
     return np.linalg.eigvalsh(m)[..., ::-1]
 

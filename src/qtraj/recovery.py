@@ -74,6 +74,6 @@ def unitarity_defect(frame: np.ndarray) -> float:
 def recover_unitary(rho_c: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Conjugate by the inverse accumulated unitary: F† rho_c F."""
     defect = unitarity_defect(frame)
-    if defect > 1e-9:
+    if not defect <= 1e-9:  # NaN fails too
         raise ValueError(f"frame is not unitary within 1e-9 (defect {defect:.3e})")
     return recover(rho_c, frame)

@@ -9,7 +9,6 @@ gamma_plus); the balanced point gamma_plus = gamma_minus is the
 infinite-temperature limit.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,12 +29,11 @@ class DriveParams:
     gamma_minus: float = 0.0
 
     def __post_init__(self):
-        """Raise one FieldErrors naming every value that is not a finite number >= 0."""
+        """Raise one FieldErrors naming every bad value: omega, gamma_minus >= 0 and big_gamma > 0."""
         errors = FieldErrors()
-        for field in ("omega", "big_gamma", "gamma_minus"):
-            value = getattr(self, field)
-            if errors.check(number, field, value) is not None and not (math.isfinite(value) and value >= 0):
-                errors.add(f"{field}: must be finite and >= 0, got {value}")
+        errors.check(number, "omega", self.omega, low=0)
+        errors.check(number, "big_gamma", self.big_gamma, above=0)
+        errors.check(number, "gamma_minus", self.gamma_minus, low=0)
         errors.raise_any()
 
     def adiabatic_ok(self) -> bool:
@@ -44,8 +42,6 @@ class DriveParams:
 
 def engineered_pump_rate(params: DriveParams) -> float:
     """Pump rate 4 Omega^2 / Gamma; warns (not fails) outside the adiabatic regime."""
-    if params.big_gamma <= 0:
-        raise ValueError(f"big_gamma: must be > 0, got {params.big_gamma}")
     if not params.adiabatic_ok():
         warnings.warn(
             f"Omega = {params.omega:g} exceeds Gamma/{ADIABATIC_RATIO:g} = "
@@ -58,8 +54,8 @@ def engineered_pump_rate(params: DriveParams) -> float:
 
 def thermal_occupation(gamma_minus: float, gamma_plus: float) -> float:
     """Average photon number gamma_plus / (gamma_minus - gamma_plus)."""
-    if gamma_minus < 0 or gamma_plus < 0:
-        raise ValueError("rates must be >= 0")
+    number("gamma_minus", gamma_minus, low=0)
+    number("gamma_plus", gamma_plus, low=0)
     if gamma_plus >= gamma_minus:
         raise ValueError(
             "thermal occupation diverges for gamma_plus >= gamma_minus "
@@ -70,6 +66,6 @@ def thermal_occupation(gamma_minus: float, gamma_plus: float) -> float:
 
 def balancing_drive(gamma_minus: float, big_gamma: float) -> float:
     """Omega with 4 Omega^2 / Gamma = gamma_minus (infinite-temperature point)."""
-    if gamma_minus < 0 or big_gamma <= 0:
-        raise ValueError("need gamma_minus >= 0 and big_gamma > 0")
+    number("gamma_minus", gamma_minus, low=0)
+    number("big_gamma", big_gamma, above=0)
     return 0.5 * (gamma_minus * big_gamma) ** 0.5

@@ -34,7 +34,6 @@ explicit initial matrix, even a rank-one one, the recovered-then-averaged
 state, its chunk-blocked stderr and the master-only series.
 """
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ import numpy as np
 from .diffusive import (
     check_noise_correlation,
     check_perfect_detection,
+    check_sme_qubits,
     run_diffusive_trajectory,
     run_protecting_unitary_trajectory,
 )
@@ -119,7 +119,10 @@ UNRAVELING_TABLE = {
         (_BALANCED,), lambda m, u: (run_jump_trajectory, (m, protecting_jumps(m))),
         _undo_clicks, True,
     ),
-    "diffusive": ((_PERFECT,), lambda m, u: (run_diffusive_trajectory, (m, u)), None, False),
+    "diffusive": (
+        (_PERFECT, ("model", check_sme_qubits)), lambda m, u: (run_diffusive_trajectory, (m, u)),
+        None, False,
+    ),
     "diffusive_protecting_unitary": (
         (_BALANCED, _PERFECT), lambda m, u: (run_protecting_unitary_trajectory, (m,)),
         _undo_unitaries, True,
@@ -129,15 +132,14 @@ UNRAVELINGS = tuple(UNRAVELING_TABLE)
 
 
 def default_workers() -> int:
+    """``QTRAJ_WORKERS``, else the CPUs this process may use; a bad variable is a named ValueError."""
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
         try:
             val = int(env)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV}: not an integer: {env!r}") from None
-        if val < 1:
-            raise ConfigError(f"{WORKERS_ENV}: must be >= 1, got {val}")
-        return val
+        return number(WORKERS_ENV, val, True, 1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -177,8 +179,7 @@ class ExperimentConfig:
             ("workers", 1 if self.workers is None else self.workers, 1, None),
             ("master_seed", self.master_seed, 0, None),
         ):
-            if errors.check(number, field, value, True, low) is not None and high is not None and value > high:
-                errors.add(f"{field}: must be <= {high}, got {value}")
+            errors.check(number, field, value, True, low, high)
         if self.workers is None and engine is not None:  # the count comes from the environment
             errors.check(default_workers)
         if not isinstance(self.model, LindbladModel):
@@ -475,13 +476,6 @@ def parse_csv(path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.array(values, dtype=float).reshape(-1, len(header)).T))
 
 
-def _finite(field: str, value, positive: bool):
-    """``value`` if it is a finite real number, and > 0 with ``positive``; else FieldErrors."""
-    if math.isfinite(number(field, value)) and (value > 0 or not positive):
-        return value
-    raise FieldErrors(f"{field}: must be finite{' and > 0' if positive else ''}, got {value}")
-
-
 def figure3(
     output_dir,
     gamma: float = 1.0,
@@ -507,18 +501,17 @@ def figure3(
     # figure3's own fields, then the runs'. A bad gamma, the models' one rate, leaves
     # no model: its entry stands for the runs' model entries
     errors = ConfigError()
-    spacing_ok = errors.check(_finite, "sample_spacing", sample_spacing, True) is not None
-    errors.check(_finite, "t_max", t_max, False)
-    gamma_ok = errors.check(_finite, "gamma", gamma, True, field="model") is not None
+    spacing_ok = errors.check(number, "sample_spacing", sample_spacing, above=0) is not None
+    errors.check(number, "t_max", t_max)
+    gamma_ok = errors.check(number, "gamma", gamma, above=0, field="model") is not None
     times = None
-    if errors.check(step_grid, dt, t_max) is not None and spacing_ok:
-        if sample_spacing < dt:  # checked before the times are allocated
-            errors.add(
-                f"sample_spacing: must be >= dt = {dt}, or the sample times are not strictly "
-                f"increasing on the step grid, got {sample_spacing}"
-            )
-        else:
-            times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
+    # a spacing below dt would repeat grid times; judged before the times are allocated
+    if (
+        errors.check(step_grid, dt, t_max) is not None
+        and spacing_ok
+        and errors.check(number, "sample_spacing", sample_spacing, low=dt) is not None
+    ):
+        times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
     series = []
     for name, gamma_plus, eta, unraveling, view in (
         ("a_infinite_T_master", gamma, 1.0, "none", "trajectory"),

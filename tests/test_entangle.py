@@ -211,3 +211,6 @@ class TestDistances:
         bad[7, 0, 1] += 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
             trace_distance(bad, rho)
+        bad[7, 0, 1] = np.nan  # once a bare LinAlgError from the eigensolver
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(bad, rho)

@@ -151,6 +151,11 @@ class TestTransformJumps:
         with pytest.raises(ValueError):
             UnravelingTransform(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_rejects_nan(self):
+        # NaN once passed: its deviation NaN > 1e-12 is False
+        with pytest.raises(ValueError, match="not left-unitary"):
+            UnravelingTransform(np.full((2, 2), np.nan))
+
     def test_rejects_mixed_qubits(self):
         jumps = canonical_jumps(LindbladModel(2, 1.0, 1.0))
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ class TestModel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (1.0, np.nan)])
     def test_rejects_non_finite_rates(self, bad):
         # a NaN rate once built a model whose master state was NaN at t = 0
-        with pytest.raises(ValueError, match=r"^gamma_plus: rates must be finite and >= 0"):
+        with pytest.raises(ValueError, match=r"^gamma_plus: must be finite and >= 0, got "):
             LindbladModel(2, 1.0, bad)
 
     def test_every_bad_argument_in_one_error(self):
@@ -83,16 +83,18 @@ class TestModel:
             ((2, 1.0, "1.0"), {"eta": 0.5j}, ["gamma_plus", "eta"]),
             ((2, 10**400, 1.0), {}, ["gamma_minus"]),
             ((2, 1.0, [1.0, -(10**400)]), {"eta": 10**400}, ["gamma_plus", "eta"]),
+            ((True, 1, [1.0, False]), {"eta": True}, ["n_qubits", "gamma_plus", "eta"]),
         ],
         ids=[
             "float_count", "none", "none_rate", "string_rate", "complex_rate", "string_and_complex",
-            "int_beyond_float", "ints_beyond_float",
+            "int_beyond_float", "ints_beyond_float", "bools",
         ],
     )
     def test_non_numbers_named_once(self, args, kwargs, fields):
         # these once raised a TypeError, lost the other fields' errors, named no
         # field, or (the complex rate) built a model at the real part with a
-        # warning; a rate of 10**400 raised OverflowError from float()
+        # warning; a rate of 10**400 raised OverflowError from float(), and bools
+        # built a 1-qubit model
         with pytest.raises(ValueError) as exc:
             LindbladModel(*args, **kwargs)
         named = [re.match(r"\w+", entry).group() for entry in str(exc.value).split("; ")]
@@ -105,7 +107,7 @@ class TestModel:
         with pytest.raises(ValueError) as exc:
             LindbladModel(count, 1.0, [1.0, 2.0], eta=2.0)
         assert [entry.split(":")[0] for entry in exc.value.entries] == ["n_qubits", "eta"]
-        assert exc.value.entries[0] == f"n_qubits: must be <= {MAX_QUBITS}, got {count}"
+        assert exc.value.entries[0] == f"n_qubits: must be an integer in [1, {MAX_QUBITS}], got {count}"
 
     def test_numpy_scalars_are_numbers(self):
         m = LindbladModel(np.int64(2), np.float32(0.5), np.array([1.0, 2.0]), eta=np.float64(0.9))

@@ -1,6 +1,7 @@
 """Operator algebra: embedding, dissipator, eigenvalues, Pauli products."""
 
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_nan(self):
+        # a NaN matrix once returned NaN eigenvalues, and trace_distance then
+        # raised a bare LinAlgError: its deviation NaN > tol is False
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(np.full((2, 4, 4), np.nan, dtype=complex))
+
 
 def _bit_product(a: str, b: str) -> str:
     """Projective Pauli product as the click fold forms it: XOR of (x, z) bit pairs."""
@@ -261,14 +268,56 @@ class TestFieldErrors:
         assert caught.value is err
 
     def test_the_one_error_list(self):
-        # a second collector would join its own entries, or split another's message
+        # a second collector would join its own entries, or split another's message;
+        # a range message outside number would be a hand-rolled bound, worded its own
+        # way. The array checks (u, master and curve times, a ket) keep theirs
         qcore_source = Path(qtraj.qcore.__file__).read_text()
-        collector = inspect.getsource(FieldErrors)
-        assert collector in qcore_source
+        collector, rule = inspect.getsource(FieldErrors), inspect.getsource(number)
+        assert collector in qcore_source and rule in qcore_source
+        range_message = re.compile(r"([\w`{}:]+) must (?:be finite|lie in|be [<>])")
+        arrays = {"correlation", "times", "``times``", "t", "ket"}
         for path in sorted(Path(qtraj.__file__).parent.glob("*.py")):
             text = path.read_text().replace(collector, "")
             for pattern in ('"; ".join(', "'; '.join(", '.split("; ")', ".split('; ')"):
                 assert pattern not in text, f"{path.name} holds {pattern}"
+            subjects = set(range_message.findall(text.replace(rule, "")))
+            assert subjects <= arrays, f"{path.name} words a range rule for {subjects - arrays}"
+
+
+class TestNumber:
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            (True, {}, "must be a real number, got True"),
+            (np.nan, {}, "must be finite, got nan"),
+            (-np.inf, {"low": 0}, "must be finite and >= 0, got -inf"),
+            (0.0, {"above": 0}, "must be finite and > 0, got 0.0"),
+            (1.5, {"low": 0, "high": 1}, "must be finite and in [0, 1], got 1.5"),
+            (np.nan, {"above": 0, "high": 1}, "must be finite and in (0, 1], got nan"),
+            (2.0, {"high": 1}, "must be finite and <= 1, got 2.0"),
+        ],
+    )
+    def test_real_rule(self, value, bounds, message):
+        with pytest.raises(FieldErrors, match=rf"^x: {re.escape(message)}$"):
+            number("x", value, **bounds)
+
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            (False, {"low": 0}, "must be an integer >= 0, got False"),
+            (1.0, {"low": 1, "high": 4}, "must be an integer >= 1, got 1.0"),  # the type, as before
+            (0, {"low": 1}, "must be an integer >= 1, got 0"),
+            (np.int64(5), {"low": 1, "high": 4}, "must be an integer in [1, 4], got 5"),
+        ],
+    )
+    def test_integer_rule(self, value, bounds, message):
+        with pytest.raises(FieldErrors, match=rf"^x: {re.escape(message)}$"):
+            number("x", value, True, **bounds)
+
+    def test_values_within_bounds_returned_as_given(self):
+        for value in (0, 1, np.float32(0.5), np.int64(1)):
+            assert number("x", value, low=0, high=1) is value
+        assert number("x", 1e-300, above=0) == 1e-300 and number("x", 4, True, 1, 4) == 4
 
 
 class TestStepGrid:

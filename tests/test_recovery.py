@@ -254,3 +254,10 @@ class TestLocalUnitaryFrame:
         frame[1] = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="unitary"):
             recover_unitary(random_density_matrix(4, rng), frame)
+
+    def test_nan_frame_rejected(self, rng):
+        # a NaN frame once returned NaN states: its defect NaN > 1e-9 is False
+        frame = _identity(2)
+        frame[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            recover_unitary(random_density_matrix(4, rng), frame)

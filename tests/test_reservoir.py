@@ -42,8 +42,9 @@ class TestPumpRate:
             engineered_pump_rate(DriveParams(1.0, 0.0))
 
     def test_zero_big_gamma_entry_names_its_field(self):
-        # printed by qtraj params as "config error: big_gamma must be > 0", without the field form
-        with pytest.raises(ValueError, match=r"^big_gamma: must be > 0, got 0.0$"):
+        # printed by qtraj params as "config error: big_gamma must be > 0", without the field
+        # form; DriveParams now rejects it, with its other fields
+        with pytest.raises(ValueError, match=r"^big_gamma: must be finite and > 0, got 0.0$"):
             engineered_pump_rate(DriveParams(1.0, 0.0))
 
     @pytest.mark.parametrize(

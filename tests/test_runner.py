@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtraj.master import LindbladModel, analytic_concurrence
+from qtraj.diffusive import MAX_SME_QUBITS
+from qtraj.master import LindbladModel, analytic_concurrence, disentanglement_time
 from qtraj.qcore import FieldErrors
+from qtraj.reservoir import DriveParams, balancing_drive, thermal_occupation
 from qtraj.runner import (
     CSV_HEADER,
     UNRAVELINGS,
@@ -97,13 +99,28 @@ class TestConfigValidation:
         assert sorted(_fields(str(err.value))) == ["model", "n_trajectories"]
         assert "model: must be a LindbladModel, got 'abc'" in str(err.value)
 
+    @pytest.mark.parametrize("n_qubits", [MAX_SME_QUBITS + 1, 6])
+    def test_sme_qubit_count_bounded(self, n_qubits):
+        # 6 qubits once passed, though one trajectory's set-up needs about 35 GiB;
+        # validate() only, no run
+        def errors(n, unraveling):
+            model = LindbladModel(n, 1.0, 1.0)
+            return ExperimentConfig(model, unraveling, 1e-3, 0.01, initial_state="ground").field_errors()
+
+        assert errors(n_qubits, "diffusive") == [
+            f"model: the general-u SME runs at most {MAX_SME_QUBITS} qubits "
+            f"(its set-up grows as 16**n), got {n_qubits}"
+        ]
+        assert errors(MAX_SME_QUBITS, "diffusive") == []
+        assert errors(n_qubits, "diffusive_protecting_unitary") == []  # the exact path has no such bound
+
     @pytest.mark.parametrize("count", [2**32 + 1, 2**40])
     def test_trajectory_indices_fit_one_word(self, count):
         # 2**40 trajectories once passed every check; validate() only, no run
         with pytest.raises(ConfigError) as err:
             _config(n_trajectories=count, dt=-1.0).validate()
         assert _fields(str(err.value)) == ["dt", "n_trajectories"]
-        assert f"n_trajectories: must be <= {2**32}, got {count}" in str(err.value)
+        assert f"n_trajectories: must be an integer in [1, {2**32}], got {count}" in str(err.value)
         assert _config(n_trajectories=2**32).field_errors() == []
 
     @pytest.mark.parametrize(
@@ -230,7 +247,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             _config(workers=None, n_trajectories=0).validate()
         assert str(err.value) == (
-            "n_trajectories: must be an integer >= 1, got 0; QTRAJ_WORKERS: not an integer: 'zero'"
+            "n_trajectories: must be an integer in [1, 4294967296], got 0; "
+            "QTRAJ_WORKERS: not an integer: 'zero'"
         )
         _config(workers=2).validate()  # an explicit count never reads the variable
         _config(unraveling="none", workers=None).validate()  # nor does the master alone
@@ -318,7 +336,7 @@ class TestConfigValidation:
             cfg.validate()
         assert str(err.value) == (
             f"sample_times: must be a real number or a 1-D sequence of them, got {times!r}; "
-            "n_trajectories: must be an integer >= 1, got 0"
+            "n_trajectories: must be an integer in [1, 4294967296], got 0"
         )
 
     def test_integer_fields_listed_before_any_chunk(self, monkeypatch):
@@ -799,7 +817,7 @@ def _drawn(values):
     return st.fixed_dictionaries({k: _good_or_bad(*v) for k, v in values.items()})
 
 
-_NOT_NUMBERS = ["1", None, 1j]
+_NOT_NUMBERS = ["1", None, 1j, True, False]
 _MODEL_VALUES = {
     "n_qubits": ([1, 2, np.int64(2)], [0, -1, 2.0, np.float64(2.0), np.nan, *_NOT_NUMBERS]),
     "gamma_minus": ([0.0, 1.0, np.float64(0.5), 2],
@@ -825,6 +843,12 @@ _FIGURE3_VALUES = {
     "sample_spacing": ([0.01, 0.02], [0.0, -0.01, np.nan, np.inf, *_NOT_NUMBERS]),
     "master_seed": ([0, 1905], [-1, 1.0, *_NOT_NUMBERS]),
     "workers": ([None, 1], [0, 1.5, "1"]),
+}
+# big_gamma divides the pump rate: 0 is out of its range, unlike for the other two
+_DRIVE_VALUES = {
+    "omega": ([0.0, 1.0, np.float64(0.5), 2], [-1.0, np.nan, np.inf, *_NOT_NUMBERS]),
+    "big_gamma": ([100.0, 1, np.float32(50.0)], [0.0, -1.0, np.nan, np.inf, *_NOT_NUMBERS]),
+    "gamma_minus": ([0.0, 0.05, np.int64(1)], [-0.05, np.nan, -np.inf, *_NOT_NUMBERS]),
 }
 
 
@@ -876,6 +900,32 @@ class TestEveryBadFieldNamedOnce:
                 assert not out.exists()
             else:
                 assert not bad and len(paths) == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(_drawn(_DRIVE_VALUES))
+    def test_drive(self, drawn):
+        kwargs, bad = self._split(drawn)
+        try:
+            DriveParams(**kwargs)
+        except ValueError as exc:
+            assert sorted(_fields(str(exc))) == bad, str(exc)
+        else:
+            assert not bad
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: disentanglement_time(np.nan), "gamma"),
+            (lambda: analytic_concurrence("zero_T", np.nan, None, 1.0), "gamma"),
+            (lambda: thermal_occupation(1.0, np.nan), "gamma_plus"),
+            (lambda: balancing_drive(np.nan, 1.0), "gamma_minus"),
+        ],
+        ids=["disentanglement_time", "analytic_concurrence", "thermal_occupation", "balancing_drive"],
+    )
+    def test_helper_nan(self, call, field):
+        # each once returned NaN
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            call()
 
 
 class TestEntriesJoinTheMessage:
@@ -1086,8 +1136,8 @@ class TestFigure3:
         with pytest.raises(ConfigError) as err:
             figure3(out, n_trajectories=0, dt=-1.0, gamma=-2.0)
         assert str(err.value) == (
-            "gamma: must be finite and > 0, got -2.0; dt: must be > 0, got -1.0; "
-            "n_trajectories: must be an integer >= 1, got 0"
+            "gamma: must be finite and > 0, got -2.0; dt: must be finite and > 0, got -1.0; "
+            "n_trajectories: must be an integer in [1, 4294967296], got 0"
         )
         assert not out.exists()
 
@@ -1098,7 +1148,7 @@ class TestFigure3:
         with pytest.raises(ConfigError) as err:
             figure3(out, sample_spacing=spacing, n_trajectories=0)
         assert _fields(str(err.value)) == ["sample_spacing", "n_trajectories"]
-        assert str(err.value).startswith("sample_spacing: must be >= dt = 0.001, or the sample")
+        assert str(err.value).startswith("sample_spacing: must be finite and >= 0.001, got ")
         assert not out.exists()
 
     def test_ints_beyond_float_named(self, tmp_path):
@@ -1322,7 +1372,7 @@ class TestCli:
         cfg.write_text("[run]\nunraveling = diffusive\n")
         assert main(["jump", "--eta", "2", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "unraveling:" in err and "eta: must lie in [0, 1]" in err
+        assert "unraveling:" in err and "eta: must be finite and in [0, 1]" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1378,8 +1428,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, words",
         [
-            (["jump", "--eta", "2", "--dt", "-1"], ("eta: must lie in [0, 1]", "dt: must be > 0")),
-            (["master", "--n-qubits", "0", "--dt", "-1"], ("n_qubits: must be >= 1", "dt: must be > 0")),
+            (["jump", "--eta", "2", "--dt", "-1"],
+             ("eta: must be finite and in [0, 1]", "dt: must be finite and > 0")),
+            (["master", "--n-qubits", "0", "--dt", "-1"],
+             ("n_qubits: must be an integer in [1, 10]", "dt: must be finite and > 0")),
         ],
     )
     def test_model_and_run_errors_in_one_line(self, capsys, argv, words):
@@ -1433,10 +1485,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, words",
         [
-            (["--omega", "1", "--big-gamma", "inf"], "big_gamma: must be finite and >= 0, got inf"),
+            (["--omega", "1", "--big-gamma", "inf"], "big_gamma: must be finite and > 0, got inf"),
             (["--omega", "nan", "--big-gamma", "100"], "omega: must be finite and >= 0, got nan"),
             (["--omega", "abc", "--big-gamma", "-1"],
-             "omega: must be a real number, got 'abc'; big_gamma: must be finite and >= 0, got -1.0"),
+             "omega: must be a real number, got 'abc'; big_gamma: must be finite and > 0, got -1.0"),
+            (["--omega", "-1", "--big-gamma", "0"],
+             "omega: must be finite and >= 0, got -1.0; big_gamma: must be finite and > 0, got 0.0"),
         ],
     )
     def test_params_rejects_non_finite_values(self, capsys, flags, words):
