@@ -5,10 +5,10 @@ Subcommands: ``master`` (exact unconditioned solution), ``jump`` and ``diffusive
 and ``params`` (engineered-reservoir rate helper). Options can come from an
 INI config file ([model] and [run] sections, see the README schema); explicit
 flags win over the file. One ``ConfigError`` lists every bad option before
-any work starts: unknown sections and keys, values that do not convert, a bad
-view (``recovered`` needs an unraveling with a frame to undo), an
-``unraveling`` key that disagrees with the subcommand and its flags, and the
-model's and the run's own checks (the latter once every value converts).
+any work starts: unknown sections and keys, values that do not convert, a
+view other than ``trajectory`` or ``recovered``, an ``unraveling`` key that
+disagrees with the subcommand and its flags, and the model's and the run's
+own checks (the latter once every value converts).
 ``figure3`` and ``params`` flags convert here too, but one that does not
 convert reaches the function as text, so that ``figure3`` (its own fields
 with the run's) and ``DriveParams`` (finite numbers, big_gamma > 0) name it
@@ -37,7 +37,6 @@ from .reservoir import (
     thermal_occupation,
 )
 from .runner import (
-    UNRAVELING_TABLE,
     ConfigError,
     ExperimentConfig,
     csv_text,
@@ -136,10 +135,6 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
             errors.add(f"{key}: {exc}")
     if values["view"] not in _VIEWS:
         errors.add(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
-    _, engine, recovery, _ = UNRAVELING_TABLE[unraveling]
-    if values["view"] == "recovered" and engine is not None and recovery is None:
-        # its recovered columns would be the raw average against the (1-eta) gamma master
-        errors.add(f"view: {unraveling} has no frame to recover, so only trajectory applies")
     if values["unraveling"] not in (None, unraveling):
         errors.add(
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"

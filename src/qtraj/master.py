@@ -27,6 +27,7 @@ from .qcore import SIGMA_MINUS, SIGMA_PLUS, FieldErrors, dissipator, embed, numb
 
 
 CHANNEL_LABELS = ("minus", "plus")
+_GRID_TOL = 1e-9  # how far from a stored time ``TimeSeries.at`` still finds it
 
 # A step's click probabilities sum to at most n * gamma_max * dt for every single-qubit
 # jump set, so up to 10 qubits validate()'s gamma_max * dt <= 0.01 keeps the sum within
@@ -128,13 +129,13 @@ class TimeSeries:
         self.times = np.asarray(self.times, dtype=float)
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # NaN fails too
             raise ValueError("times must be strictly increasing")
 
-    def at(self, t: float, tol: float = 1e-9):
-        """Value at grid time t (must lie on the grid within tol)."""
+    def at(self, t: float):
+        """Value at grid time t (must lie on the grid within ``_GRID_TOL``)."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
+        if abs(self.times[idx] - t) > _GRID_TOL:
             raise KeyError(f"t={t} is not on the time grid")
         return self.values[idx]
 
@@ -203,17 +204,25 @@ def integrate_master(model: LindbladModel, rho0: np.ndarray, times) -> TimeSerie
     return TimeSeries(times, states)
 
 
+def _closed_form_times(t) -> np.ndarray:
+    """The closed forms' times as a float array, each finite and >= 0 (NaN fails)."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= 0)
+    if not ok.all():
+        raise ValueError(f"t must be finite and >= 0, got {t[~ok].flat[0]}")
+    return t
+
+
 def analytic_concurrence(kind: str, gamma: float, eta: float | None, t):
     """Closed-form Bell-pair concurrence curves (clamped at 0).
 
     kind: "zero_T", "infinite_T" or "monitored" (the latter needs eta).
-    Accepts scalar or array t. gamma >= 0 and eta in [0, 1] follow
-    ``qcore.number``: NaN or a string is a ValueError naming its field.
+    Accepts scalar or array t, each finite and >= 0. gamma >= 0 and eta in
+    [0, 1] follow ``qcore.number``: NaN or a string is a ValueError naming
+    its field.
     """
     number("gamma", gamma, low=0)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
+    t = _closed_form_times(t)
     if kind == "zero_T":
         c = np.exp(-gamma * t)
     elif kind == "infinite_T":
@@ -234,8 +243,10 @@ def analytic_bell_state(kind: str, gamma: float, t) -> np.ndarray:
     hand (each qubit relaxes independently; the |01><10| coherence decays at
     the sum of the single-qubit coherence rates). Cross-checked against
     ``integrate_master`` in the test suite. An array of times gives a stack.
+    gamma and t are judged as in ``analytic_concurrence``.
     """
-    t = np.asarray(t, dtype=float)
+    number("gamma", gamma, low=0)
+    t = _closed_form_times(t)
     rho = np.zeros(t.shape + (4, 4), dtype=complex)
     if kind == "zero_T":
         e = np.exp(-gamma * t)

@@ -46,23 +46,17 @@ def frame_from_events(
     return PAULI_BY_BITS[2 * bits[..., 0] + bits[..., 1]]
 
 
-def _operator(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
+def apply_frame(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """P rho P† with P the frame's tensor product (what the record did)."""
     p = tensor_product(frame)
     if rho.shape[-2:] != p.shape[-2:]:
         raise ValueError(f"frame dim {p.shape[-2:]} does not match state dim {rho.shape[-2:]}")
-    return p
-
-
-def apply_frame(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """P rho P† with P the frame's tensor product (what the record did)."""
-    p = _operator(rho, frame)
     return p @ rho @ p.conj().swapaxes(-1, -2)
 
 
 def recover(rho_c: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Undo the frame: P† rho_c P. Inverse of apply_frame."""
-    p = _operator(rho_c, frame)
-    return p.conj().swapaxes(-1, -2) @ rho_c @ p
+    """Undo the frame: P† rho_c P, the inverse of apply_frame (the factors' F† make P†)."""
+    return apply_frame(rho_c, frame.conj().swapaxes(-1, -2))
 
 
 def unitarity_defect(frame: np.ndarray) -> float:

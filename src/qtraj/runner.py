@@ -237,9 +237,11 @@ class EnsembleStatistics:
     two qubits); ``recovered_concurrence`` is the concurrence of the
     recovered-then-averaged state with a chunk-blocked stderr estimate (NaN
     with a single chunk, like ``stderr`` with a single trajectory). Trace
-    distances compare the raw mean against the full-rate master solution and
-    the recovered mean against the master run at rates (1-eta)*gamma; a
-    master-only run without a closed form has no oracle and reports NaN there.
+    distances compare each mean against the master at the rates left once the
+    frame is undone: gamma for the raw mean, (1-eta)*gamma for the recovered
+    mean with a frame and gamma without one, where the recovered state is the
+    raw one. A master-only run without a closed form has no oracle and
+    reports NaN there.
     """
 
     times: np.ndarray
@@ -345,11 +347,15 @@ def _run_chunk(
     return _ChunkPartial(conc, raw_sum, rec_sum)
 
 
+def _master_states(model: LindbladModel, rho0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    series = integrate_master(model, rho0, grid)  # read through .at, whose reads the benchmark counts
+    return np.stack([series.at(t) for t in grid])
+
+
 def _master_statistics(
     model: LindbladModel, rho0: np.ndarray, is_bell: bool, times: np.ndarray, grid: np.ndarray
 ) -> EnsembleStatistics:
-    series = integrate_master(model, rho0, grid)
-    states = np.stack([series.at(t) for t in grid])
+    states = _master_states(model, rho0, grid)
     conc = _concurrence(states)
     kind = oracle_kind(model) if is_bell else None
     dist = np.full(len(times), np.nan)  # without a closed form: NaN, never a 0 that reads as exact
@@ -375,7 +381,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     times, grid = _sample_clock(config)
     model = config.model
     rho0, is_bell = resolve_initial_state(config.initial_state, model.n_qubits)
-    _, engine, _, keeps_pure = UNRAVELING_TABLE[config.unraveling]
+    _, engine, recovery, keeps_pure = UNRAVELING_TABLE[config.unraveling]
     if engine is None:
         return _master_statistics(model, rho0, is_bell, times, grid)
 
@@ -403,18 +409,17 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleStatistics:
     conc = np.concatenate([p.conc for p in partials])
     stderr = conc.std(axis=0, ddof=1) / np.sqrt(n_traj) if n_traj > 1 else np.full(nt, np.nan)
     raw_mean = sum(p.raw_sum for p in partials) / n_traj
-    rec_mean = sum(p.rec_sum for p in partials) / n_traj
+    dist = trace_distance(raw_mean, _master_states(model, rho0, grid))
+    rec_mean, rec_dist = raw_mean, dist.copy()  # without a frame nothing is undone
+    if recovery is not None:  # a frame undoes the detected clicks; the (1-eta) gamma master remains
+        rec_mean = sum(p.rec_sum for p in partials) / n_traj
+        rec_dist = trace_distance(rec_mean, _master_states(model.scaled(1.0 - model.eta), rho0, grid))
     rec_conc = _concurrence(rec_mean)
     if len(partials) > 1:
         block = _concurrence(np.stack([p.rec_sum / len(p.conc) for p in partials], axis=1))
         rec_stderr = block.std(axis=1, ddof=1) / np.sqrt(len(partials))
     else:
         rec_stderr = np.full(nt, np.nan)
-
-    oracle = integrate_master(model, rho0, grid)
-    eta_oracle = integrate_master(model.scaled(1.0 - model.eta), rho0, grid)
-    dist = trace_distance(raw_mean, np.stack([oracle.at(t) for t in grid]))
-    rec_dist = trace_distance(rec_mean, np.stack([eta_oracle.at(t) for t in grid]))
     return EnsembleStatistics(
         times=times,
         mean_concurrence=conc.mean(axis=0),

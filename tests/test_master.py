@@ -349,6 +349,14 @@ class TestAnalyticConcurrence:
         with pytest.raises(ValueError):
             analytic_concurrence("lukewarm", 1.0, None, 0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, -1.0, [0.5, -1.0], np.inf], ids=["nan", "negative", "array", "inf"])
+    def test_closed_forms_reject_bad_times(self, t):
+        # NaN once passed both (a NaN curve), and t = -1 gave the state a population of -1.72
+        for call in (lambda: analytic_concurrence("zero_T", 1.0, None, t),
+                     lambda: analytic_bell_state("zero_T", 1.0, t)):
+            with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+                call()
+
 
 class TestDisentanglementTime:
     @pytest.mark.parametrize(
@@ -378,8 +386,9 @@ class TestDisentanglementTime:
 
 class TestTimeSeries:
     def test_rejects_unsorted_times(self):
-        with pytest.raises(ValueError):
-            TimeSeries(np.array([0.0, 0.0]), [1, 2])
+        for times in ([0.0, 0.0], [0.0, np.nan]):  # NaN is not increasing either
+            with pytest.raises(ValueError):
+                TimeSeries(np.array(times), [1, 2])
 
     def test_at_requires_grid_time(self):
         ts = TimeSeries(np.array([0.0, 0.1]), [1, 2])

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtraj.diffusive import MAX_SME_QUBITS
-from qtraj.master import LindbladModel, analytic_concurrence, disentanglement_time
+from qtraj.master import LindbladModel, analytic_bell_state, analytic_concurrence, disentanglement_time
 from qtraj.qcore import FieldErrors
 from qtraj.reservoir import DriveParams, balancing_drive, thermal_occupation
 from qtraj.runner import (
@@ -436,6 +436,28 @@ class TestRunEnsemble:
         assert np.max(stats.recovered_trace_dist) < 4 / np.sqrt(2000)
         # while the raw (unrecovered) mean follows the full-rate master
         assert np.max(stats.trace_dist_master) < 4 / np.sqrt(2000)
+
+    @pytest.mark.parametrize(
+        "unraveling, model, engine",
+        [
+            ("jump_canonical", LindbladModel(2, 1.0, 0.0, eta=0.5), "run_jump_trajectory"),
+            ("diffusive", LindbladModel(2, 1.0, 1.0), "run_diffusive_trajectory"),
+        ],
+        ids=["jump_canonical", "diffusive"],
+    )
+    def test_recovered_is_raw_without_a_frame(self, monkeypatch, unraveling, model, engine):
+        # no frame undoes a click, so the recovered columns are the raw mean's,
+        # against the full-rate master
+        from qtraj.entangle import concurrence
+
+        records = TestPureConcurrence._spy(monkeypatch, engine)
+        n_traj = 30 if unraveling == "jump_canonical" else 4
+        stats = run_ensemble(_config(model=model, unraveling=unraveling, n_trajectories=n_traj))
+        raw_sum = np.zeros((len(stats.times), 4, 4), dtype=complex)
+        for r in records:  # in index order, like the chunk
+            raw_sum += np.stack(r.samples)
+        assert np.array_equal(stats.recovered_trace_dist, stats.trace_dist_master)
+        assert np.array_equal(stats.recovered_concurrence, concurrence(raw_sum / n_traj))
 
     @pytest.mark.parametrize(
         "unraveling, n_traj, t_max",
@@ -917,13 +939,16 @@ class TestEveryBadFieldNamedOnce:
         [
             (lambda: disentanglement_time(np.nan), "gamma"),
             (lambda: analytic_concurrence("zero_T", np.nan, None, 1.0), "gamma"),
+            (lambda: analytic_bell_state("infinite_T", np.nan, 1.0), "gamma"),
+            (lambda: analytic_bell_state("infinite_T", -1.0, 1.0), "gamma"),
             (lambda: thermal_occupation(1.0, np.nan), "gamma_plus"),
             (lambda: balancing_drive(np.nan, 1.0), "gamma_minus"),
         ],
-        ids=["disentanglement_time", "analytic_concurrence", "thermal_occupation", "balancing_drive"],
+        ids=["disentanglement_time", "analytic_concurrence", "analytic_bell_state",
+             "analytic_bell_state_negative_gamma", "thermal_occupation", "balancing_drive"],
     )
     def test_helper_nan(self, call, field):
-        # each once returned NaN
+        # each once returned NaN, or for a negative argument a "state" with negative populations
         with pytest.raises(ValueError, match=f"^{field}: must be finite"):
             call()
 
@@ -1400,12 +1425,17 @@ class TestCli:
         ids=["diffusive", "jump_canonical"],
     )
     def test_recovered_view_without_a_frame_exit_code(self, capsys, argv):
-        # both once exited 0, printing the raw average against the (1-eta) gamma master
+        # nothing is undone: the recovered oracle is the raw mean's distance to the
+        # full-rate master, not to the (1-eta) gamma master (at eta = 1, rho0 itself)
         from qtraj.cli import main
 
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert err.startswith("config error: view: ") and "no frame to recover" in err and not out
+        columns = {}
+        for view in ("recovered", "trajectory"):
+            assert main([view if a == "recovered" else a for a in argv]) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith(CSV_HEADER) and not err
+            columns[view] = [line.split(",")[3] for line in out.splitlines()[1:]]
+        assert columns["recovered"] == columns["trajectory"]
 
     @pytest.mark.parametrize(
         "argv",
