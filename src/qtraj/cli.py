@@ -8,11 +8,10 @@ flags win over the file. One ``ConfigError`` lists every bad option before
 any work starts: unknown sections and keys, values that do not convert, a
 view other than ``trajectory`` or ``recovered``, an ``unraveling`` key that
 disagrees with the subcommand and its flags, and the model's and the run's
-own checks (the latter once every value converts).
-``figure3`` and ``params`` flags convert here too, but one that does not
-convert reaches the function as text, so that ``figure3`` (its own fields
-with the run's) and ``DriveParams`` (finite numbers, big_gamma > 0) name it
-with every other bad value in one error.
+own checks. A value that does not convert reaches the check that owns its
+field as text (``qcore.convert_or_text``), for ``figure3`` (its own fields with
+the run's) and ``DriveParams`` (finite numbers, big_gamma > 0) too, so that it
+is named with every other bad value in one error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 I/O error.
@@ -28,7 +27,7 @@ import numpy as np
 
 from .diffusive import PROTECTING_U
 from .master import LindbladModel
-from .qcore import InvariantViolation
+from .qcore import InvariantViolation, convert_or_text
 from .reservoir import (
     AdiabaticityWarning,
     DriveParams,
@@ -79,9 +78,9 @@ _OPTIONS = {
     "output": ("run", str, None, "--output", "CSV output path (default: stdout)"),
     "view": ("run", str, "trajectory", "--view",
              "which concurrence series the CSV carries: trajectory or recovered"),
-    "u11": ("run", complex, PROTECTING_U[0, 0], "--u11", "noise correlation u[--]"),
-    "u12": ("run", complex, PROTECTING_U[0, 1], "--u12", "noise correlation u[-+]"),
-    "u22": ("run", complex, PROTECTING_U[1, 1], "--u22", "noise correlation u[++]"),
+    "u11": ("run", complex, complex(PROTECTING_U[0, 0]), "--u11", "noise correlation u[--]"),
+    "u12": ("run", complex, complex(PROTECTING_U[0, 1]), "--u12", "noise correlation u[-+]"),
+    "u22": ("run", complex, complex(PROTECTING_U[1, 1]), "--u22", "noise correlation u[++]"),
 }
 _U_KEYS = ("u11", "u12", "u22")
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"unraveling"}
@@ -92,18 +91,12 @@ _PARAMS = {"omega": float, "big_gamma": float, "gamma_minus": float}
 
 
 def _converted(args: argparse.Namespace, converts: dict) -> dict:
-    """The command's arguments, each flag through its conversion.
-
-    A value that does not convert stays text, so that the called function,
-    which rejects text, names it with every other bad field in one error.
-    """
-    def convert(key, value):
-        try:
-            return converts[key](value) if key in converts else value
-        except ValueError:
-            return value
-
-    return {key: convert(key, value) for key, value in vars(args).items() if key != "command"}
+    """The command's arguments, each flag through its conversion; one that does not convert stays text."""
+    return {
+        key: convert_or_text(converts[key], value) if key in converts else value
+        for key, value in vars(args).items()
+        if key != "command"
+    }
 
 
 def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfig, str, str | None]:
@@ -127,33 +120,28 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
                     errors.add(f"unknown key {key!r} in [{section}]")
     given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
 
-    values = {}
-    for key, (_, convert, default, _, _) in _OPTIONS.items():
-        try:
-            values[key] = convert(given[key]) if key in given else default
-        except ValueError as exc:
-            errors.add(f"{key}: {exc}")
+    values = {
+        key: convert_or_text(convert, given[key]) if key in given else default
+        for key, (_, convert, default, _, _) in _OPTIONS.items()
+    }
     if values["view"] not in _VIEWS:
         errors.add(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
     if values["unraveling"] not in (None, unraveling):
         errors.add(
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"
         )
-    model_keys = [k for k, spec in _OPTIONS.items() if spec[0] == "model"]
-    model = config = None
-    if all(k in values for k in model_keys):
-        # the model names its own fields, which stand for the run's model entry
-        model = errors.check(LindbladModel, *(values[k] for k in model_keys), field="model")
-    if len(values) == len(_OPTIONS):
-        # any u key reaches validate(), which rejects it outside the general SME; the
-        # entries not given, or every entry without one, are those of the protecting u
-        u = None
-        if any(k in given for k in _U_KEYS):
-            u11, u12, u22 = (values[k] for k in _U_KEYS)
-            u = np.array([[u11, u12], [u12, u22]], dtype=complex)
-        run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
-        config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
-        errors.add(*config.field_errors())  # every option converted: the run's fields too
+    # the model names its own fields, which stand for the run's model entry
+    model_values = (v for k, v in values.items() if _OPTIONS[k][0] == "model")
+    model = errors.check(LindbladModel, *model_values, field="model")
+    # any u key reaches validate(), which rejects it outside the general SME; the
+    # entries not given, or every entry without one, are those of the protecting u
+    u = None
+    if any(k in given for k in _U_KEYS):
+        u11, u12, u22 = (values[k] for k in _U_KEYS)
+        u = [[u11, u12], [u12, u22]]
+    run = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
+    config = ExperimentConfig(model=model, unraveling=unraveling, u=u, **run)
+    errors.add(*config.field_errors())
     errors.raise_any()
     return config, values["view"], values["output"]
 

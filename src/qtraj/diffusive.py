@@ -19,8 +19,9 @@ L_m = sum_i sqrt(gamma_i) conj(C_im) sigma_i, with sum_m D[L_m] = sum_i gamma_i 
 The u = [[0, -1], [-1, 0]] choice makes the noise term a commutator with a
 local stochastic Hamiltonian, so every trajectory evolves by local unitaries:
 purity and entanglement are exactly preserved and the accumulated unitary can
-be undone at the end. That exact path is ``step_protecting_unitary``; the
-general engine handles any admissible u.
+be undone at the end. ``run_protecting_unitary_trajectory`` forms that exact
+path (``step_protecting_unitary`` is its per-step reference); the general
+engine handles any admissible u.
 
 On the exact path rho(t) = F(t) rho0 F(t)†, with F(t) = U_t ... U_1 a tensor
 product of per-qubit SU(2) steps. ``run_protecting_unitary_trajectory`` forms

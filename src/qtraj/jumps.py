@@ -173,8 +173,8 @@ def jump_probabilities(
 ) -> tuple[np.ndarray, float]:
     """Click probabilities p_i = tr(J_i† J_i rho) dt and p_nj = 1 - sum(p)."""
     p = _JumpKernel(jumps, rho.shape[0], 1.0, dt).probabilities(rho)
-    if np.any(p < -1e-12):
-        raise InvariantViolation(f"negative jump probability: {p.min():.3e}")
+    if not np.all(p >= -1e-12):  # NaN fails too
+        raise InvariantViolation(f"jump probability {p.min():.3e} is negative or NaN")
     p = np.maximum(p, 0.0)
     return p, 1.0 - p.sum()
 

@@ -38,8 +38,8 @@ MAX_QUBITS = 10
 def _as_rates(value, n_qubits, name: str) -> tuple[float, ...]:
     """One finite rate >= 0 per qubit; a scalar applies to every qubit.
 
-    ``n_qubits`` is None when it is not an integer <= ``MAX_QUBITS``; the count
-    is then not checked.
+    ``n_qubits`` is None when it fails its own check; the count is then not
+    checked.
     """
     per_qubit = isinstance(value, (list, tuple)) or np.ndim(value) > 0
     rates = tuple(float(number(name, v, low=0)) for v in (value if per_qubit else [value]))
@@ -135,7 +135,7 @@ class TimeSeries:
     def at(self, t: float):
         """Value at grid time t (must lie on the grid within ``_GRID_TOL``)."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > _GRID_TOL:
+        if not abs(self.times[idx] - t) <= _GRID_TOL:  # NaN fails too
             raise KeyError(f"t={t} is not on the time grid")
         return self.values[idx]
 

@@ -147,6 +147,15 @@ def number(field: str, value, integer: bool = False, low=None, high=None, above=
     raise FieldErrors(f"{field}: must be {what}, got {shown}")
 
 
+def convert_or_text(convert, text):
+    """``convert(text)``, or ``text`` itself on a ValueError: outside text that does
+    not convert reaches the check that owns its field, which names it as text."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
+
+
 def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int]]:
     """Step count of the grid 0, dt, ..., t_max and the step index of each sample time.
 

@@ -71,6 +71,7 @@ from .qcore import (
     InvariantViolation,
     bell_state,
     computational_ket,
+    convert_or_text,
     density,
     number,
     step_grid,
@@ -135,11 +136,7 @@ def default_workers() -> int:
     """``QTRAJ_WORKERS``, else the CPUs this process may use; a bad variable is a named ValueError."""
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV}: not an integer: {env!r}") from None
-        return number(WORKERS_ENV, val, True, 1)
+        return number(WORKERS_ENV, convert_or_text(int, env), True, 1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -445,11 +442,11 @@ def csv_text(stats: EnsembleStatistics, view: str = "trajectory") -> str:
 
 
 def emit_csv(stats: EnsembleStatistics, path, view: str = "trajectory") -> Path:
-    """Write the CSV schema (newline-terminated rows) to ``path``."""
-    path = Path(path)
+    """Write the CSV schema (newline-terminated rows) to ``path``; a bad view leaves it untouched."""
+    path, text = Path(path), csv_text(stats, view)  # formed before open() truncates the file
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(csv_text(stats, view))
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path

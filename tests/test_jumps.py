@@ -37,6 +37,7 @@ from qtraj.qcore import (
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
+    InvariantViolation,
     bell_state,
     computational_ket,
     density,
@@ -219,6 +220,9 @@ class TestJumpProbabilities:
         jumps = protecting_jumps(LindbladModel(2, 1.0, 1.0))
         with pytest.raises(ValueError, match="reduce dt"):
             jump_probabilities(jumps, bell_rho, 0.2)
+        # a NaN state once passed the negativity test and came back as (nan, ..., nan)
+        with pytest.raises(InvariantViolation, match="jump probability nan is negative or NaN"):
+            jump_probabilities(jumps, np.full_like(bell_rho, np.nan), 1e-3)
 
 
 class TestStepJump:

@@ -395,3 +395,5 @@ class TestTimeSeries:
         assert ts.at(0.1) == 2
         with pytest.raises(KeyError):
             ts.at(0.05)
+        with pytest.raises(KeyError):  # NaN once returned the first stored value
+            ts.at(np.nan)

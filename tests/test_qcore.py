@@ -270,7 +270,9 @@ class TestFieldErrors:
     def test_the_one_error_list(self):
         # a second collector would join its own entries, or split another's message;
         # a range message outside number would be a hand-rolled bound, worded its own
-        # way. The array checks (u, master and curve times, a ket) keep theirs
+        # way, and so would a conversion failure: text that does not convert reaches
+        # the check that owns its field. The array checks (u, master and curve
+        # times, a ket) keep theirs
         qcore_source = Path(qtraj.qcore.__file__).read_text()
         collector, rule = inspect.getsource(FieldErrors), inspect.getsource(number)
         assert collector in qcore_source and rule in qcore_source
@@ -282,6 +284,8 @@ class TestFieldErrors:
                 assert pattern not in text, f"{path.name} holds {pattern}"
             subjects = set(range_message.findall(text.replace(rule, "")))
             assert subjects <= arrays, f"{path.name} words a range rule for {subjects - arrays}"
+            for phrase in ("not an integer", "invalid literal", "could not convert"):
+                assert phrase not in text, f"{path.name} words a conversion failure: {phrase!r}"
 
 
 class TestNumber:

@@ -248,7 +248,7 @@ class TestConfigValidation:
             _config(workers=None, n_trajectories=0).validate()
         assert str(err.value) == (
             "n_trajectories: must be an integer in [1, 4294967296], got 0; "
-            "QTRAJ_WORKERS: not an integer: 'zero'"
+            "QTRAJ_WORKERS: must be an integer >= 1, got 'zero'"
         )
         _config(workers=2).validate()  # an explicit count never reads the variable
         _config(unraveling="none", workers=None).validate()  # nor does the master alone
@@ -577,9 +577,12 @@ class TestRunEnsemble:
 
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert default_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV, "zero")
-        with pytest.raises(ConfigError):
-            default_workers()
+        # text that is not an integer and an integer below 1: one entry each, in number's grammar
+        for env, shown in (("zero", "'zero'"), ("0", "0")):
+            monkeypatch.setenv(WORKERS_ENV, env)
+            with pytest.raises(FieldErrors) as err:
+                default_workers()
+            assert err.value.entries == [f"QTRAJ_WORKERS: must be an integer >= 1, got {shown}"]
 
     def test_default_workers_follow_affinity(self, monkeypatch):
         import os
@@ -1084,6 +1087,12 @@ class TestCsv:
         stats = run_ensemble(_config(n_trajectories=5))
         with pytest.raises(OSError, match="no/such"):
             emit_csv(stats, tmp_path / "no/such/dir/out.csv")
+        # a view that forms no text once emptied the file before raising
+        path = tmp_path / "kept.csv"
+        path.write_text("precious")
+        with pytest.raises(ValueError, match="unknown view"):
+            emit_csv(stats, path, view="bogus")
+        assert path.read_text() == "precious"
 
 
 class TestFigure3:
@@ -1132,7 +1141,7 @@ class TestFigure3:
         from qtraj.runner import WORKERS_ENV
 
         monkeypatch.setenv(WORKERS_ENV, "zero")
-        with pytest.raises(ConfigError, match="QTRAJ_WORKERS: not an integer: 'zero'"):
+        with pytest.raises(ConfigError, match="^QTRAJ_WORKERS: must be an integer >= 1, got 'zero'$"):
             figure3(tmp_path, n_trajectories=10)
         assert not list(tmp_path.iterdir())
 
@@ -1462,6 +1471,16 @@ class TestCli:
              ("eta: must be finite and in [0, 1]", "dt: must be finite and > 0")),
             (["master", "--n-qubits", "0", "--dt", "-1"],
              ("n_qubits: must be an integer in [1, 10]", "dt: must be finite and > 0")),
+            # a value that does not convert once hid every other bad field
+            (["jump", "--n-traj", "x", "--dt", "-1", "--seed", "-3"],
+             ("n_trajectories: must be an integer >= 1, got 'x'", "dt: must be finite and > 0",
+              "master_seed: must be an integer >= 0, got -3")),
+            (["jump", "--n-qubits", "x", "--eta", "5", "--gamma-minus", "1 q"],
+             ("n_qubits: must be an integer >= 1, got 'x'", "eta: must be finite and in [0, 1]",
+              "gamma_minus: must be a real number, got '1 q'")),
+            (["diffusive", "--u12", "q", "--t-max", "x"],
+             ("u: noise correlation must be a 2x2 array of numbers, got [[0j, 'q'], ['q', 0j]]",
+              "t_max: must be a real number, got 'x'")),
         ],
     )
     def test_model_and_run_errors_in_one_line(self, capsys, argv, words):
@@ -1472,6 +1491,19 @@ class TestCli:
         out, err = capsys.readouterr()
         assert not out and len(err.splitlines()) == 1
         assert all(word in err for word in words), err
+
+    @pytest.mark.parametrize("flag, value", [("--n-traj", "2.5"), ("--dt", "x"), ("--seed", "s")])
+    def test_unconverted_flag_same_entry_under_jump_and_figure3(self, tmp_path, capsys, flag, value):
+        # one rule for text that does not convert: the check that owns the field names it
+        from qtraj.cli import main
+
+        errs = []
+        for argv in (["jump"], ["figure3", "--output-dir", str(tmp_path / "fig3")]):
+            assert main([*argv, flag, value]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and len(errs[0].splitlines()) == 1, errs
+        assert f"got '{value}'" in errs[0]
+        assert not (tmp_path / "fig3").exists()
 
     def test_figure3_non_finite_t_max_exit_code(self, tmp_path):
         out = tmp_path / "fig3"
