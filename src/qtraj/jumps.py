@@ -18,17 +18,18 @@ still happens physically, the observer just may not see it.
 
 Sampling spends one uniform per step, partitioned over sub-segments
 [eta*p_1, (1-eta)*p_1, eta*p_2, ...] in fixed operator order (qubit-major,
-label-minor), so runs are reproducible bit-for-bit for a given seed. Every
-single-qubit set has diagonal M and J†J (J = a sigma_- + b sigma_+ gives
-J†J = |a|^2 sigma_+ sigma_- + |b|^2 sigma_- sigma_+), and the engine skips
-ahead between its clicks over the pre-drawn uniforms; at balanced rates M is
+label-minor), so runs are reproducible bit-for-bit for a given seed. M is
+Hermitian, so it is diagonal in the eigenbasis of sum J†J, and for every jump
+set the engine skips ahead between its clicks over the pre-drawn uniforms
+(Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Every single-qubit set is
+diagonal already (J = a sigma_- + b sigma_+ gives J†J = |a|^2 sigma_+ sigma_-
++ |b|^2 sigma_- sigma_+) and is never rotated; at balanced rates M is
 proportional to the identity and the state waits unchanged for the next
-click (Dalibard, Castin and Molmer, PRL 68, 580 (1992)). Within a no-click
-run the state scales by powers of diag(M)^2, tabulated once per kernel,
-and every sample that falls in the run is formed in one broadcast product.
-Other sets, e.g. collective jumps, take the per-step loop; both give the same
-clicks: the walk decides whether a step clicks, the kernel which click. A
-kernel reads only (jumps, dim, eta, dt) and is memoized by their value, so the
+click. Within a no-click run the state scales, in that basis, by powers of
+M's diagonal squared, tabulated once per kernel, and every sample that falls
+in the run is formed in one broadcast product. The walk decides whether a
+step clicks, the kernel which click, in the computational basis. A kernel
+reads only (jumps, dim, eta, dt) and is memoized by their value, so the
 trajectories of an ensemble share one and pay only for their draws and clicks.
 """
 
@@ -165,6 +166,8 @@ def protecting_jumps(model: LindbladModel) -> list[JumpOperator]:
 
 def no_jump_operator(jumps: list[JumpOperator], dt: float) -> np.ndarray:
     """M = 1 - (dt/2) sum_i J_i† J_i."""
+    if not jumps:
+        raise ValueError("no jumps: the dimension of M is unknown without a jump operator")
     return _JumpKernel(jumps, jumps[0].matrix.shape[0], 1.0, dt).m_op
 
 
@@ -207,19 +210,21 @@ class _JumpKernel:
         self.e_flat = np.ascontiguousarray(
             self.e_stack.transpose(0, 2, 1).reshape(len(jumps), self.dim * self.dim)
         )
-        self.m_op = eye - 0.5 * dt * self.e_stack.sum(axis=0)
+        e_total = self.e_stack.sum(axis=0)
+        self.m_op = eye - 0.5 * dt * e_total
         # balanced rates make M proportional to the identity: no-jump is a no-op
         self.m_scalar = np.max(np.abs(self.m_op - self.m_op[0, 0] * eye)) < 1e-15
-        # diagonal J†J (hence diagonal M) selects the skip-ahead scan
-        off = ~np.eye(self.dim, dtype=bool)
-        self.m_diagonal = (
-            not self.e_stack[:, off].any()
-            and abs(self.m_op.diagonal().imag).max(initial=0.0) < 1e-15
-        )
+        # M is diagonal in the eigenbasis of sum J†J, and in the computational
+        # basis (basis None) unless M has an off-diagonal entry, as collective jumps give
+        if self.m_op[~np.eye(self.dim, dtype=bool)].any():
+            self.e_sum, self.basis = np.linalg.eigh(e_total)
+        else:
+            self.e_sum, self.basis = e_total.diagonal().real, None
+        self.m_diag = 1.0 - 0.5 * dt * self.e_sum  # M's diagonal in that basis
         self._powers = np.empty((0, self.dim))
 
     def powers(self, n_steps: int) -> np.ndarray:
-        """Rows 0..n_steps of diag(M)**(2o), the o-fold running product; read-only.
+        """Rows 0..n_steps of m_diag**(2o), the o-fold running product; read-only.
 
         One table serves every trajectory of the kernel. A longer grid rebuilds
         it and a shorter one reads a prefix: row o does not depend on the length.
@@ -227,7 +232,7 @@ class _JumpKernel:
         if len(self._powers) <= n_steps:
             table = np.empty((n_steps + 1, self.dim))
             table[0] = 1.0
-            m2 = self.m_op.diagonal().real ** 2
+            m2 = self.m_diag**2
             np.multiply.accumulate(np.broadcast_to(m2, (n_steps, self.dim)), axis=0, out=table[1:])
             table.flags.writeable = False
             self._powers = table
@@ -306,8 +311,10 @@ def _kernel_of(ops: tuple, dim: int, eta: float, dt: float) -> _JumpKernel:
         for qubit, label, dtype, shape, raw in ops
     ]
     kernel = _JumpKernel(jumps, dim, eta, dt)
-    for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op):
-        arr.flags.writeable = False
+    for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op, kernel.basis,
+                kernel.e_sum, kernel.m_diag):
+        if arr is not None:
+            arr.flags.writeable = False
     return kernel
 
 
@@ -420,31 +427,32 @@ def run_jump_trajectory(
     ``sample_times`` (optional, on the step grid) collects state snapshots into
     the returned record. The uniform draws for all steps are generated up
     front from the trajectory's own Philox stream, so results are independent
-    of how trajectories are scheduled across workers. Jump sets with diagonal
-    M and J†J take the skip-ahead scan, every other set the per-step loop.
+    of how trajectories are scheduled across workers. Every jump set takes
+    the one skip-ahead scan, in the basis in which M is diagonal.
     """
     n_steps, steps = step_grid(dt, t_max, sample_times)
     check_rate_step(model, dt)
     kernel = _kernel(jumps, model, dt)
     us = _trajectory_rng(seed).random(n_steps)
-    walk = _scan if kernel.m_diagonal else _step_loop
-    state, events, samples = walk(kernel, rho0.astype(complex).copy(), us, steps)
+    state, events, samples = _scan(kernel, rho0.astype(complex).copy(), us, steps)
     validate_density_matrix(state, context="trajectory final state")
     return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
 def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
-    """Skip-ahead walk for diagonal M and J†J; returns (state, events, samples).
+    """Skip-ahead walk for any jump set; returns (state, events, samples).
 
-    Between clicks the populations scale by elementwise powers of diag(M)^2,
-    so the click search over a whole no-jump run is one vectorized scan. When
+    Between clicks the populations in the kernel's basis scale by elementwise
+    powers of m_diag^2, so the click search over a whole no-jump run is one
+    vectorized scan. The run's samples and its hit state are scaled in that
+    basis and rotated back; clicks are taken in the computational basis. When
     M is proportional to the identity the state does not move between clicks
     and the click probability is constant until the next one.
     """
     n_steps = len(us)
+    basis = kernel.basis
     if not kernel.m_scalar:
-        table = kernel.powers(n_steps)  # row o: diag(M)**(2o); every run reads a prefix
-    e_sum = kernel.e_stack.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # diag(sum J†J)
+        table = kernel.powers(n_steps)  # row o: m_diag**(2o); every run reads a prefix
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []
     si = 0  # next sample index
@@ -455,9 +463,10 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
             p = kernel.probabilities(state)  # constant until the click: reused there
             ptot = p.sum()
         else:
-            d = state.diagonal().real
-            ahead = table[:horizon]  # row o: diag(M)**(2o)
-            ptot = (ahead @ (e_sum * d)) * (kernel.dt / (ahead @ d))
+            rot = state if basis is None else basis.conj().T @ state @ basis
+            d = rot.diagonal().real
+            ahead = table[:horizon]  # row o: m_diag**(2o)
+            ptot = (ahead @ (kernel.e_sum * d)) * (kernel.dt / (ahead @ d))
             _check_step_prob(ptot.max(initial=0.0))
         hits = np.flatnonzero(us[pos:] < ptot)
         off = int(hits[0]) if hits.size else horizon
@@ -471,8 +480,9 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         if not kernel.m_scalar:
             moved = offs > 0
             powers = table[offs[moved]]
-            scaled = state * (powers[:, :, None] * powers[:, None, :]) ** 0.5
-            states[moved] = scaled / scaled.trace(axis1=1, axis2=2).real[:, None, None]
+            scaled = rot * (powers[:, :, None] * powers[:, None, :]) ** 0.5
+            scaled = scaled / scaled.trace(axis1=1, axis2=2).real[:, None, None]
+            states[moved] = scaled if basis is None else basis @ scaled @ basis.conj().T
         samples.extend(states[:-1])
         si = sj
         if not hits.size:
@@ -486,20 +496,4 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
         pos += off + 1
     samples.extend(state.copy() for _ in steps[si:])
-    return state, events, samples
-
-
-def _step_loop(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
-    """Per-step reference walk for any jump set; returns (state, events, samples)."""
-    events: list[JumpEvent] = []
-    samples: list[np.ndarray] = []
-    wanted = set(steps)
-    if 0 in wanted:
-        samples.append(state.copy())
-    for step in range(len(us)):
-        state, event = kernel.step(state, us[step], (step + 1) * kernel.dt)
-        if event is not None:
-            events.append(event)
-        if step + 1 in wanted:
-            samples.append(state.copy())
     return state, events, samples

@@ -19,23 +19,23 @@ it is conjugation by the inverse.
 import numpy as np
 
 from .jumps import JumpEvent
-from .qcore import PAULI_BITS, PAULI_BY_BITS, tensor_product
+from .qcore import PAULI_BITS, PAULI_BY_BITS, check_qubit, tensor_product
 
 
-def frame_from_events(
-    events: list[JumpEvent], n_qubits: int, include_undetected: bool = False
-) -> np.ndarray:
+def frame_from_events(events: list[JumpEvent], n_qubits: int) -> np.ndarray:
     """The Pauli frames after every prefix of a click record, ``(len(events)+1, n, 2, 2)``.
 
     Row k folds the first k events; row 0 is the identity. The observer only
-    has detected clicks; ``include_undetected`` exists for oracle checks
-    against the true trajectory. Only Pauli-type labels ("x"/"y") are
-    invertible local unitaries; canonical decay/pump clicks admit no frame
-    recovery and are rejected.
+    has detected clicks, so undetected ones leave the frame as it was. Only
+    Pauli-type labels ("x"/"y") are invertible local unitaries; canonical
+    decay/pump clicks admit no frame recovery and are rejected.
     """
     bits = np.zeros((len(events) + 1, n_qubits, 2), dtype=np.uint8)
+    if events:  # one check per record: its lowest qubit if negative, else its highest
+        lowest = min(e.qubit for e in events)
+        check_qubit(lowest if lowest < 0 else max(e.qubit for e in events), n_qubits)
     for k, event in enumerate(events):
-        if not (event.detected or include_undetected):
+        if not event.detected:
             continue
         if event.label not in ("x", "y"):
             raise ValueError(

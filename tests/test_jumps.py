@@ -1,5 +1,7 @@
 """Jump engine: operator sets, transforms, stepping, whole trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +20,6 @@ from qtraj.jumps import (
     _JumpKernel,
     _kernel,
     _scan,
-    _step_loop,
     _trajectory_rng,
     canonical_jumps,
     check_rate_step,
@@ -50,18 +51,36 @@ from qtraj.recovery import apply_frame, frame_from_events
 
 
 def _per_step(model, jumps, rho0, dt, t_max, seed, sample_times):
-    """The trajectory on the per-step reference loop and the same draws."""
+    """The trajectory as one ``_JumpKernel.step`` per uniform of the same draws."""
     n_steps, steps = step_grid(dt, t_max, sample_times)
     us = _trajectory_rng(seed).random(n_steps)
     kernel = _JumpKernel(jumps, model.dim, model.eta, dt)
-    state, events, samples = _step_loop(kernel, rho0.astype(complex), us, steps)
+    state = rho0.astype(complex)
+    wanted = set(steps)
+    samples = [state.copy()] if 0 in wanted else []
+    events = []
+    for step, u in enumerate(us):
+        state, event = kernel.step(state, u, (step + 1) * dt)
+        if event is not None:
+            events.append(event)
+        if step + 1 in wanted:
+            samples.append(state.copy())
     return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
-def _collective_jumps():
+def _collective_jumps(rate=1.0):
     """Collective decay sigma_- x 1 + 1 x sigma_-: its J†J is not diagonal."""
     op = tensor_product([SIGMA_MINUS, np.eye(2)]) + tensor_product([np.eye(2), SIGMA_MINUS])
-    return [JumpOperator(op, 0, "collective")]
+    return [JumpOperator(np.sqrt(rate) * op, 0, "collective")]
+
+
+def _random_nonlocal_jumps(rate=5.0):
+    """Two fixed random two-qubit jumps, each of spectral norm sqrt(rate): M is dense."""
+    ops = np.random.default_rng(2027).normal(size=(2, 4, 4, 2)) @ [1.0, 1.0j]
+    return [
+        JumpOperator(np.sqrt(rate) * op / np.linalg.norm(op, 2), 0, label)
+        for op, label in zip(ops, ("a", "b"))
+    ]
 
 
 class _FixedUniform:
@@ -314,6 +333,13 @@ class TestNoJumpOperator:
         m = no_jump_operator(canonical_jumps(model), 1e-3)
         assert np.max(np.abs(m - m[0, 0] * np.eye(2))) > 1e-5
 
+    def test_empty_set_rejected(self):
+        # zero rates drop every channel; the empty list once raised a bare IndexError
+        jumps = canonical_jumps(LindbladModel(2, 0.0, 0.0))
+        assert jumps == []
+        with pytest.raises(ValueError, match="dimension of M is unknown without a jump"):
+            no_jump_operator(jumps, 1e-3)
+
 
 _ENGINES = {
     "jump": lambda model, rho, times: run_jump_trajectory(
@@ -386,7 +412,7 @@ class TestTrajectories:
         for state in rec.samples:
             assert abs(concurrence(state) - 1.0) < 1e-9
         # Eq-5 product form: the final state is the frame conjugation of rho0
-        frame = frame_from_events(rec.events, 2, include_undetected=True)[-1]
+        frame = frame_from_events([replace(e, detected=True) for e in rec.events], 2)[-1]
         assert np.max(np.abs(rec.final_state - apply_frame(bell_rho, frame))) < 1e-12
 
     def test_detected_count_poisson_rate(self, bell_rho):
@@ -475,15 +501,21 @@ class TestTrajectories:
                 run_jump_trajectory(model, make_jumps(model), bell_rho, 1e-3, 0.3, 1, sample_times=times)
 
     def test_path_chosen_from_jump_set(self, rng, bell_rho):
-        # every single-qubit set has diagonal M and J†J and takes the scan;
-        # a collective set takes the per-step loop
+        # every single-qubit set has diagonal M and scans unrotated; a
+        # collective set scans in the eigenbasis of sum J†J, where M is diagonal
         model = LindbladModel(2, 1.0, 0.3)
         u = UnravelingTransform(random_unitary(2, rng))
         base = canonical_jumps(model)
         mixed = transform_jumps(base[:2], u) + transform_jumps(base[2:], u)
         for jumps in (canonical_jumps(model), protecting_jumps(LindbladModel(2, 1.0, 1.0)), mixed):
-            assert _JumpKernel(jumps, model.dim, model.eta, 1e-3).m_diagonal
-        assert not _JumpKernel(_collective_jumps(), model.dim, model.eta, 1e-3).m_diagonal
+            kernel = _JumpKernel(jumps, model.dim, model.eta, 1e-3)
+            assert kernel.basis is None
+            assert np.array_equal(kernel.m_diag, kernel.m_op.diagonal().real)
+        for jumps in (_collective_jumps(), _random_nonlocal_jumps()):
+            kernel = _JumpKernel(jumps, model.dim, model.eta, 1e-3)
+            v = kernel.basis
+            assert v is not None
+            assert np.max(np.abs(v.conj().T @ kernel.m_op @ v - np.diag(kernel.m_diag))) < 1e-15
         times = [0.0, 0.2, 0.3]
         for seed in (3, 4):
             fast = run_jump_trajectory(model, mixed, bell_rho, 1e-3, 0.3, seed, sample_times=times)
@@ -514,6 +546,9 @@ _SCAN_SETS = {
     "canonical_finite_T": (LindbladModel(2, 5.0, 2.0, eta=0.7), canonical_jumps, 1e-12),
     # balanced rates: M is scalar, so samples are plain copies, bit for bit
     "protecting": (LindbladModel(2, 5.0, 5.0, eta=0.7), protecting_jumps, 0.0),
+    # M has off-diagonal entries: the scan runs in the eigenbasis of sum J†J
+    "collective": (LindbladModel(2, 5.0, 0.0, eta=0.7), lambda model: _collective_jumps(5.0), 1e-12),
+    "random_nonlocal": (LindbladModel(2, 5.0, 0.0, eta=0.7), lambda model: _random_nonlocal_jumps(), 1e-12),
 }
 
 
@@ -650,7 +685,10 @@ class TestKernelMemo:
         model = LindbladModel(2, 1.0, 0.25)
         kernel = _kernel(canonical_jumps(model), model, 1e-3)
         assert kernel is _kernel(canonical_jumps(model), model, 1e-3)
-        for arr in (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op):
+        rotated = _kernel(_collective_jumps(), model, 1e-3)
+        assert kernel.basis is None and rotated.basis is not None
+        arrays = (kernel.j_stack, kernel.e_stack, kernel.e_flat, kernel.m_op, kernel.e_sum, kernel.m_diag)
+        for arr in arrays + (rotated.basis, rotated.e_sum, rotated.m_diag):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
         for op in kernel.jumps:

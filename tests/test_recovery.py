@@ -3,6 +3,8 @@
 Frames are ``(..., n, 2, 2)`` arrays of per-qubit unitaries.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,13 @@ class TestPauliFrame:
         with pytest.raises(ValueError, match="no frame recovery"):
             frame_from_events([_event("minus")], 1)
 
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_qubit_out_of_range_rejected(self, qubit):
+        # -1 once folded silently into the last qubit's frame, and 2 raised a bare IndexError
+        events = [_event("x", qubit=0, time=0.1), _event("x", qubit=qubit, time=0.2)]
+        with pytest.raises(IndexError, match=f"qubit index {qubit} out of range for 2 qubits"):
+            frame_from_events(events, 2)
+
     def test_frame_from_events_filters(self):
         events = [
             _event("x", qubit=0, time=0.1),
@@ -74,7 +83,7 @@ class TestPauliFrame:
             _event("y", qubit=0, time=0.5),
         ]
         assert np.array_equal(frame_from_events(events, 2)[-1], _pauli("Z", "I"))
-        everything = frame_from_events(events, 2, include_undetected=True)
+        everything = frame_from_events([replace(e, detected=True) for e in events], 2)
         assert np.array_equal(everything[-1], _pauli("Z", "Y"))
         # the frame at t = 0.3 is the row after the clicks at or before it
         row = np.searchsorted([e.time for e in events], 0.3, side="right")
@@ -137,15 +146,17 @@ def _equal_up_to_phase(a, b, tol=1e-15):
 class TestFoldAndBatch:
     @settings(max_examples=200, deadline=None)
     @given(click_records(), st.booleans())
-    def test_prefix_rows_are_left_products(self, record, include_undetected):
+    def test_prefix_rows_are_left_products(self, record, all_detected):
         n, events, times = record
-        frames = frame_from_events(events, n, include_undetected=include_undetected)
+        if all_detected:
+            events = [replace(e, detected=True) for e in events]
+        frames = frame_from_events(events, n)
         assert frames.shape == (len(events) + 1, n, 2, 2)
         rows = np.searchsorted([e.time for e in events], times, side="right")
         for t, row in zip(times, rows):
             expected = _identity(n)
             for e in events:
-                if e.time <= t and (e.detected or include_undetected):
+                if e.time <= t and e.detected:
                     expected[e.qubit] = pauli_matrix(e.label.upper()) @ expected[e.qubit]
             for q in range(n):
                 assert _equal_up_to_phase(frames[row, q], expected[q])
@@ -156,7 +167,7 @@ class TestFoldAndBatch:
         n, events, times = record
         rng = np.random.default_rng(seed)
         rows = np.searchsorted([e.time for e in events], times, side="right")
-        paulis = frame_from_events(events, n, include_undetected=True)[rows]
+        paulis = frame_from_events([replace(e, detected=True) for e in events], n)[rows]
         unitaries = np.array(
             [[random_unitary(2, rng) for _ in range(n)] for _ in times]
         )

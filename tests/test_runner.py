@@ -1,5 +1,6 @@
 """Ensemble orchestration, CSV contract, determinism, CLI surface."""
 
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qtraj
 from qtraj.diffusive import MAX_SME_QUBITS
 from qtraj.master import LindbladModel, analytic_bell_state, analytic_concurrence, disentanglement_time
 from qtraj.qcore import FieldErrors
@@ -1221,9 +1223,12 @@ class TestFigure3:
 
 class TestCli:
     def _run(self, *args):
+        # the child imports the qtraj under test, whether or not PYTHONPATH names it
+        src = str(Path(qtraj.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, "-m", "qtraj.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path},
         )
 
     def test_params_output(self):
