@@ -10,7 +10,6 @@ with detector efficiency.
 
 from .diffusive import (
     PROTECTING_U,
-    CurrentSample,
     check_noise_correlation,
     combine_currents,
     current_expectations,

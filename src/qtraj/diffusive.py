@@ -74,19 +74,19 @@ The measurement currents per channel are
 with dxi = C dw: the channel image Y = C (<L + L†> + dw/dt) of the real records.
 For the protecting u at balanced rates the deterministic part cancels
 identically (sqrt(gamma) <sigma_- - sigma_+†> = 0): the records are pure
-noise. The two real photocurrent differences relate to the complex pair by
-the exact linear bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34.
+noise. ``step_diffusive`` returns each qubit's pair (Y_-, Y_+) as a row of one
+(n, 2) complex array. The two photocurrent differences relate to the pair by
+the exact linear bijection Y_- = I12 + i I34, Y_+ = -I12 + i I34; they are
+real exactly when Y_+ = -Y_-*, which the protecting u gives at any rates.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .jumps import TrajectoryRecord, _trajectory_rng, check_protecting_rates
 from .master import LindbladModel, channel_operators
 from .qcore import (
-    check_qubit,
     from_pauli_coordinates,
     pauli_coordinates,
     pauli_strings,
@@ -109,21 +109,6 @@ _BLOCK_BYTES = 1 << 20
 # coordinates, the step maps' products A_m A_l) grows as 16**n: one trajectory
 # needs about 0.07-0.23 GiB at 4 qubits, 1.6-5.5 GiB at 5 and 35-122 GiB at 6
 MAX_SME_QUBITS = 4
-
-
-@dataclass(frozen=True)
-class CurrentSample:
-    """One qubit's measurement record over one step (units of sqrt(rate)).
-
-    ``i12``/``i34`` are the real homodyne difference currents; the complex
-    pair is recovered exactly via combine_currents whenever y_plus = -y_minus*
-    (true for protecting-u records, where the currents are real).
-    """
-
-    y_minus: complex
-    y_plus: complex
-    i12: float
-    i34: float
 
 
 def _noise_correlation(u) -> tuple[np.ndarray, np.ndarray]:
@@ -299,30 +284,25 @@ def _current_means(state: np.ndarray, model: LindbladModel, u) -> np.ndarray:
     return e + e.conj() @ np.transpose(u)  # <sigma†> = <sigma>* for a Hermitian state
 
 
-def current_expectations(state: np.ndarray, model: LindbladModel, u, qubit: int) -> tuple[complex, complex]:
-    """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means."""
-    check_qubit(qubit, model.n_qubits)
-    det = _current_means(state, model, check_noise_correlation(u))[qubit]
-    return complex(det[0]), complex(det[1])
+def current_expectations(state: np.ndarray, model: LindbladModel, u) -> np.ndarray:
+    """sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>: both currents' means.
+
+    One (n, 2) array, row i qubit i's (Y_-, Y_+); u is checked first (None is PROTECTING_U).
+    """
+    return _current_means(state, model, check_noise_correlation(u))
 
 
-def homodyne_currents(y_minus: complex, y_plus: complex) -> tuple[complex, complex]:
-    """(I12, I34) from the complex pair; exact linear bijection."""
+def homodyne_currents(y_minus, y_plus):
+    """(I12, I34) from the complex pair; exact linear bijection, elementwise over arrays.
+
+    Both are real exactly when Y_+ = -Y_-*, as for the protecting u; otherwise complex.
+    """
     return (y_minus - y_plus) / 2.0, -0.5j * (y_minus + y_plus)
 
 
-def combine_currents(i12: complex, i34: complex) -> tuple[complex, complex]:
+def combine_currents(i12, i34):
     """Inverse of homodyne_currents: Y_- = I12 + i I34, Y_+ = -I12 + i I34."""
     return i12 + 1j * i34, -i12 + 1j * i34
-
-
-def _currents(ctx: _SMEContext, means: np.ndarray, dw: np.ndarray, dt: float) -> list[CurrentSample]:
-    # the means plus the channel image dxi / dt = C dw / dt of the real increments
-    ym, yp = (means + (ctx.c @ dw / dt).reshape(-1, 2)).T
-    return [
-        CurrentSample(complex(a), complex(b), float(c.real), float(d.real))
-        for a, b, c, d in zip(ym, yp, *homodyne_currents(ym, yp))
-    ]
 
 
 def step_diffusive(
@@ -331,12 +311,17 @@ def step_diffusive(
     u,
     rng: np.random.Generator,
     dt: float,
-) -> tuple[np.ndarray, list[CurrentSample]]:
-    """Advance one diffusive step and emit the per-qubit measurement currents."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one diffusive step; return the new state and the step's currents.
+
+    The currents are an (n, 2) complex array, row i qubit i's pair (Y_-, Y_+):
+    the means of ``current_expectations`` on the state before the step plus
+    the channel image C dw / dt of the step's real increments.
+    """
     check_perfect_detection(model)
     ctx = _SMEContext(model, u)  # checks u
     dw = rng.standard_normal(ctx.n_noise) * math.sqrt(dt)
-    currents = _currents(ctx, _current_means(state, model, ctx.u), dw, dt)
+    currents = _current_means(state, model, ctx.u) + (ctx.c @ dw / dt).reshape(-1, 2)
     return from_pauli_coordinates(sme_update(pauli_coordinates(state), ctx, dw, dt)), currents
 
 

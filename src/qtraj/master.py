@@ -168,15 +168,15 @@ def integrate_master(model: LindbladModel, rho0: np.ndarray, times) -> TimeSerie
     with G = gm + gp, the excited population relaxes as
     p(t) = e^{-G t} p(0) + (1 - e^{-G t}) gp / G and the coherences decay as
     e^{-G t / 2}. The channels are applied one qubit at a time, to all times
-    at once. ``times`` must be >= 0 and strictly increasing (``TimeSeries``
-    enforces the order); every returned state is checked for trace,
-    Hermiticity and positivity.
+    at once. ``times`` must be finite, >= 0 (the closed forms' rule, naming
+    the first bad time) and strictly increasing (``TimeSeries`` enforces the
+    order); every returned state is checked for trace, Hermiticity and
+    positivity.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"times must be a non-empty 1-d grid, got shape {times.shape}")
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise ValueError(f"times must be finite and >= 0, got min {times.min()}")
+    _closed_form_times(times)
     rho0 = check_initial_state(rho0, model.dim)
 
     n = model.n_qubits
@@ -205,11 +205,11 @@ def integrate_master(model: LindbladModel, rho0: np.ndarray, times) -> TimeSerie
 
 
 def _closed_form_times(t) -> np.ndarray:
-    """The closed forms' times as a float array, each finite and >= 0 (NaN fails)."""
+    """The closed forms' and the master's times as a float array, each finite and >= 0 (NaN fails)."""
     t = np.asarray(t, dtype=float)
     ok = np.isfinite(t) & (t >= 0)
     if not ok.all():
-        raise ValueError(f"t must be finite and >= 0, got {t[~ok].flat[0]}")
+        raise ValueError(f"times must be finite and >= 0, got {t[~ok].flat[0]}")
     return t
 
 

@@ -34,6 +34,7 @@ explicit initial matrix, even a rank-one one, the recovered-then-averaged
 state, its chunk-blocked stderr and the master-only series.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -507,13 +508,19 @@ def figure3(
     errors.check(number, "t_max", t_max)
     gamma_ok = errors.check(number, "gamma", gamma, above=0, field="model") is not None
     times = None
-    # a spacing below dt would repeat grid times; judged before the times are allocated
+    # the spacing is a whole number of steps, judged before the times are allocated:
+    # below dt it would repeat grid times, off the grid it would leave it
+    grid = errors.check(step_grid, dt, t_max)
     if (
-        errors.check(step_grid, dt, t_max) is not None
+        grid is not None
         and spacing_ok
         and errors.check(number, "sample_spacing", sample_spacing, low=dt) is not None
     ):
-        times = np.round(np.arange(0.0, t_max + sample_spacing / 2, sample_spacing), 12)
+        # the remainder is exact and, unlike spacing / dt, cannot overflow
+        if abs(math.remainder(sample_spacing, dt)) > 1e-9 + 1e-9 * sample_spacing:
+            errors.add(f"sample_spacing: {sample_spacing} is not a whole number of steps (dt={dt})")
+        else:  # every whole spacing up to t_max
+            times = np.round(np.arange(0, grid[0] + 1, np.round(sample_spacing / dt)) * dt, 12)
     series = []
     for name, gamma_plus, eta, unraveling, view in (
         ("a_infinite_T_master", gamma, 1.0, "none", "trajectory"),

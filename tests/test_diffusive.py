@@ -146,8 +146,8 @@ class TestNoiseFactor:
         model = LindbladModel(2, 1.0, 1.0)
         step_diffusive(bell_rho, model, None, np.random.default_rng(0), 1e-3)
         assert len(calls) == 1
-        assert current_expectations(bell_rho, model, None, 1) == current_expectations(
-            bell_rho, model, PROTECTING_U, 1
+        assert np.array_equal(
+            current_expectations(bell_rho, model, None), current_expectations(bell_rho, model, PROTECTING_U)
         )
         assert len(calls) == 3
 
@@ -173,21 +173,19 @@ class TestStepDiffusive:
         model = LindbladModel(2, 0.0, 0.0)
         state, currents = step_diffusive(bell_rho, model, PROTECTING_U, rng, 1e-3)
         assert np.max(np.abs(state - bell_rho)) < 1e-14
-        assert len(currents) == 2
-        assert abs(currents[0].y_minus) > 0  # pure noise, almost surely nonzero
+        assert currents.shape == (2, 2)  # one (Y_-, Y_+) row per qubit
+        assert np.all(np.abs(currents) > 0)  # pure noise, almost surely nonzero
 
     def test_protecting_current_expectations_vanish(self, rng):
         model = LindbladModel(2, 1.0, 1.0)
         for _ in range(100):
             rho = random_density_matrix(4, rng)
-            det_m, det_p = current_expectations(rho, model, PROTECTING_U, 0)
-            assert abs(det_m) < 1e-14 and abs(det_p) < 1e-14
+            assert np.max(np.abs(current_expectations(rho, model, PROTECTING_U))) < 1e-14
 
     def test_nonprotecting_expectations_generally_nonzero(self, rng):
         model = LindbladModel(1, 1.0, 1.0)
         rho = random_density_matrix(2, rng)
-        det_m, _ = current_expectations(rho, model, np.zeros((2, 2)), 0)
-        assert abs(det_m) > 1e-3
+        assert abs(current_expectations(rho, model, np.zeros((2, 2)))[0, 0]) > 1e-3
 
     def test_mean_increment_matches_rhs(self, rng, bell_rho):
         # noise and second-order terms are mean-zero by construction; the
@@ -213,20 +211,13 @@ class TestStepDiffusive:
         with pytest.raises(ValueError, match="eta"):
             run_diffusive_trajectory(model, PROTECTING_U, bell_rho, 1e-3, 0.01, 1)
         # the current means do not depend on eta
-        assert current_expectations(bell_rho, model, np.zeros((2, 2)), 0) == current_expectations(
-            bell_rho, LindbladModel(2, 1.0, 1.0), np.zeros((2, 2)), 0
+        assert np.array_equal(
+            current_expectations(bell_rho, model, np.zeros((2, 2))),
+            current_expectations(bell_rho, LindbladModel(2, 1.0, 1.0), np.zeros((2, 2))),
         )
 
 
 class TestCurrentMeans:
-    @pytest.mark.parametrize("qubit", [-1, 2])
-    def test_qubit_out_of_range(self, qubit):
-        # qubit -1 once returned qubit 1's means, and qubit 2 raised numpy's bare IndexError
-        model = LindbladModel(2, [1.0, 0.3], [0.2, 0.7])
-        rho = random_density_matrix(4, np.random.default_rng(3))
-        with pytest.raises(IndexError, match=rf"^qubit index {qubit} out of range for 2 qubits$"):
-            current_expectations(rho, model, None, qubit)
-
     @staticmethod
     def _closed_form(rho, model, u, qubit):
         # sqrt(gamma_i) <sigma_i> + sum_j u_ij sqrt(gamma_j) <sigma_j†>, channels (-, +)
@@ -243,9 +234,7 @@ class TestCurrentMeans:
         # the u-term carries the rate of the channel it reads: at zero and low
         # temperature the protecting records are not pure noise
         plus = density((computational_ket("0") + computational_ket("1")) / np.sqrt(2.0))
-        det_m, det_p = current_expectations(
-            plus, LindbladModel(1, 1.0, gamma_plus), PROTECTING_U, 0
-        )
+        ((det_m, det_p),) = current_expectations(plus, LindbladModel(1, 1.0, gamma_plus), PROTECTING_U)
         assert abs(det_m - expected) < 1e-14 and abs(det_p + expected) < 1e-14
 
     @settings(max_examples=60, deadline=None)
@@ -264,13 +253,9 @@ class TestCurrentMeans:
         _, currents = step_diffusive(rho, model, u, np.random.default_rng(seed), dt)
         ctx = _SMEContext(model, u)
         dxi = (ctx.c @ np.random.default_rng(seed).standard_normal(ctx.n_noise)).reshape(n, 2)
-        for qubit in range(n):
-            want = self._closed_form(rho, model, u, qubit)
-            got = np.array(current_expectations(rho, model, u, qubit))
-            assert np.max(np.abs(got - want)) < 1e-14
-            c = currents[qubit]
-            stepped = np.array([c.y_minus, c.y_plus]) - dxi[qubit] / dt
-            assert np.max(np.abs(stepped - want)) < 1e-14
+        want = np.array([self._closed_form(rho, model, u, qubit) for qubit in range(n)])
+        assert np.max(np.abs(current_expectations(rho, model, u) - want)) < 1e-14
+        assert np.max(np.abs(currents - dxi / dt - want)) < 1e-14
 
 
 class TestSchemeReference:
@@ -492,11 +477,20 @@ class TestCurrents:
     def test_protecting_records_are_real(self, rng, bell_rho):
         model = LindbladModel(2, 1.0, 1.0)
         _, currents = step_diffusive(bell_rho, model, PROTECTING_U, rng, 1e-3)
-        for c in currents:
-            # Y+ = -conj(Y-): the homodyne pair is exactly real
-            assert abs(c.y_plus + np.conj(c.y_minus)) < 1e-12
-            i12, i34 = homodyne_currents(c.y_minus, c.y_plus)
-            assert abs(i12.imag) < 1e-12 and abs(i34.imag) < 1e-12
+        y_minus, y_plus = currents.T
+        # Y+ = -conj(Y-) on every qubit: the homodyne pair is exactly real
+        assert np.max(np.abs(y_plus + np.conj(y_minus))) < 1e-12
+        i12, i34 = homodyne_currents(y_minus, y_plus)
+        assert np.max(np.abs(i12.imag)) < 1e-12 and np.max(np.abs(i34.imag)) < 1e-12
+
+    def test_general_u_pair_keeps_both_parts(self, rng, bell_rho):
+        # for u = 0 the pair is complex in general: a real-only copy once dropped Im I12 and Im I34
+        model = LindbladModel(2, 1.0, 0.5)
+        _, currents = step_diffusive(bell_rho, model, np.zeros((2, 2)), rng, 1e-3)
+        i12, i34 = homodyne_currents(*currents.T)
+        assert np.min(np.abs(i12.imag)) > 0 and np.min(np.abs(i34.imag)) > 0
+        back = np.stack(combine_currents(i12, i34), axis=-1)
+        assert np.max(np.abs(back - currents)) <= 1e-12 * np.max(np.abs(currents))
 
 
 @st.composite

@@ -64,6 +64,9 @@ RUNS = {
     "zeroT_canonical": _ensemble(LindbladModel(2, 1.0, 0.0), "jump_canonical", 64),
     "sme_protecting": _ensemble(BALANCED, "diffusive", 16, u=PROTECTING_U),
     "protect_diffusion": _ensemble(BALANCED, "diffusive_protecting_unitary", 32),
+    # the general-u SME off the protecting u: four noise channels per qubit, unbalanced rates
+    "sme_general_u": _ensemble(LindbladModel(2, (1.0, 0.5), (0.25, 0.75)), "diffusive", 6,
+                               t_max=0.2, u=np.zeros((2, 2))),
     "master": _ensemble(BALANCED, "none", 1),
     "three_qubit_jump": _ensemble(LindbladModel(3, 1.0, 1.0, eta=0.8), "jump_protecting", 32,
                                   initial_state="excited"),

@@ -233,6 +233,12 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError, match="times"):
             integrate_master(LindbladModel(2, 1.0, 1.0), bell_rho, times)
 
+    @pytest.mark.parametrize("times, bad", [([0.0, np.inf], "inf"), ([0.0, np.nan], "nan"), ([-1.0, 0.5], "-1.0")])
+    def test_bad_time_named(self, bell_rho, times, bad):
+        # the closed forms' rule: [0, inf] once read "got min 0.0", a valid time
+        with pytest.raises(ValueError, match=rf"^times must be finite and >= 0, got {bad}$"):
+            integrate_master(LindbladModel(2, 1.0, 1.0), bell_rho, times)
+
     @pytest.mark.parametrize(
         "rho0",
         [
@@ -354,7 +360,7 @@ class TestAnalyticConcurrence:
         # NaN once passed both (a NaN curve), and t = -1 gave the state a population of -1.72
         for call in (lambda: analytic_concurrence("zero_T", 1.0, None, t),
                      lambda: analytic_bell_state("zero_T", 1.0, t)):
-            with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+            with pytest.raises(ValueError, match="^times must be finite and >= 0"):
                 call()
 
 

@@ -1187,6 +1187,23 @@ class TestFigure3:
         assert str(err.value).startswith("sample_spacing: must be finite and >= 0.001, got ")
         assert not out.exists()
 
+    def test_off_grid_spacing_named_before_the_times(self, tmp_path):
+        # it once reached the runs' grid check as "sample_times: 0.0015 is not on the step grid"
+        out = tmp_path / "fig3"
+        with pytest.raises(ConfigError) as err:
+            figure3(out, sample_spacing=0.0015, t_max=0.003, n_trajectories=0)
+        assert str(err.value) == (
+            "sample_spacing: 0.0015 is not a whole number of steps (dt=0.001); "
+            "n_trajectories: must be an integer in [1, 4294967296], got 0"
+        )
+        assert not out.exists()
+
+    def test_times_stop_at_t_max(self, tmp_path):
+        # a t_max that is no whole number of spacings once put 0.006 past t_max = 0.005
+        paths = figure3(tmp_path, sample_spacing=0.003, t_max=0.005, n_trajectories=2, workers=1)
+        for path in paths:
+            assert parse_csv(path)["time"].tolist() == [0.0, 0.003]
+
     def test_ints_beyond_float_named(self, tmp_path):
         # 10**400 once raised TypeError from np.isfinite, and OverflowError as t_max
         out = tmp_path / "fig3"
@@ -1307,6 +1324,14 @@ class TestCli:
         assert res.returncode == 2
         assert "sample_spacing" in res.stderr and "Traceback" not in res.stderr
         assert not list(tmp_path.iterdir())
+
+    def test_figure3_off_grid_spacing_exit_code(self, tmp_path):
+        # figure3 has no sample_times flag, yet its error once named that field
+        out = tmp_path / "fig3"
+        res = self._run("figure3", "--output-dir", str(out), "--sample-spacing", "0.0015", "--t-max", "0.003")
+        assert res.returncode == 2
+        assert res.stderr == "config error: sample_spacing: 0.0015 is not a whole number of steps (dt=0.001)\n"
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
