@@ -14,7 +14,6 @@ from .diffusive import (
     combine_currents,
     current_expectations,
     homodyne_currents,
-    noise_factor,
     run_diffusive_trajectory,
     run_protecting_unitary_trajectory,
     step_diffusive,

@@ -36,6 +36,7 @@ from .reservoir import (
     thermal_occupation,
 )
 from .runner import (
+    VIEWS,
     ConfigError,
     ExperimentConfig,
     csv_text,
@@ -43,8 +44,6 @@ from .runner import (
     figure3,
     run_ensemble,
 )
-
-_VIEWS = ("trajectory", "recovered")
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -77,7 +76,7 @@ _OPTIONS = {
     "workers": ("run", int, None, "--workers", None),
     "output": ("run", str, None, "--output", "CSV output path (default: stdout)"),
     "view": ("run", str, "trajectory", "--view",
-             "which concurrence series the CSV carries: trajectory or recovered"),
+             f"which concurrence series the CSV carries: {' or '.join(VIEWS)}"),
     "u11": ("run", complex, complex(PROTECTING_U[0, 0]), "--u11", "noise correlation u[--]"),
     "u12": ("run", complex, complex(PROTECTING_U[0, 1]), "--u12", "noise correlation u[-+]"),
     "u22": ("run", complex, complex(PROTECTING_U[1, 1]), "--u22", "noise correlation u[++]"),
@@ -124,8 +123,8 @@ def _resolve(args: argparse.Namespace, unraveling: str) -> tuple[ExperimentConfi
         key: convert_or_text(convert, given[key]) if key in given else default
         for key, (_, convert, default, _, _) in _OPTIONS.items()
     }
-    if values["view"] not in _VIEWS:
-        errors.add(f"view: unknown {values['view']!r}, expected one of {_VIEWS}")
+    if values["view"] not in VIEWS:
+        errors.add(f"view: unknown {values['view']!r}, expected one of {tuple(VIEWS)}")
     if values["unraveling"] not in (None, unraveling):
         errors.add(
             f"unraveling: {values['unraveling']} disagrees with the command line ({unraveling})"

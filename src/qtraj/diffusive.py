@@ -112,12 +112,13 @@ MAX_SME_QUBITS = 4
 
 
 def _noise_correlation(u) -> tuple[np.ndarray, np.ndarray]:
-    """The one rule for u (None is PROTECTING_U): u as complex and the factor of its covariance.
+    """The one rule for u (None is PROTECTING_U): u as complex and its noise factor C.
 
-    With dxi = C dw, C C† = 1 and C Cᵀ = u, the parts (Re dxi, Im dxi) have
-    covariance (1/2) [[1 + Re u, Im u], [Im u, 1 - Re u]], here interleaved and
-    read from the upper triangle of u, so exactly symmetric. Its eigenvalues
-    (1 +- s_i) / 2, s_i the singular values of u, give ||u||_2 = 1 - 2 lambda_min.
+    C is the complex (2, m) factor of dxi = C dw, with C C† = 1 and C Cᵀ = u.
+    The parts (Re dxi, Im dxi) have covariance (1/2) [[1 + Re u, Im u], [Im u, 1 - Re u]],
+    here interleaved and read from the upper triangle of u, so exactly symmetric.
+    Its eigenvalues (1 +- s_i) / 2, s_i the singular values of u, give
+    ||u||_2 = 1 - 2 lambda_min, and each of the m nonzero ones a column of C.
     """
     try:
         u = np.asarray(PROTECTING_U if u is None else u, dtype=complex)
@@ -135,25 +136,15 @@ def _noise_correlation(u) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(c.transpose(2, 0, 3, 1).reshape(4, 4))
     if 1.0 - 2.0 * w[0] > 1.0 + 1e-12:
         raise ValueError(f"noise correlation two-norm {1.0 - 2.0 * w[0]:.12g} exceeds 1")
-    # the null eigenvalues of a rank-deficient u come back as rounding noise: make them exact
-    w[w <= 1e-12 * w[-1]] = 0.0
-    return u, v @ np.diag(np.sqrt(w))
+    # the null eigenvalues of a rank-deficient u come back as rounding noise: drop their columns
+    kept = w > 1e-12 * w[-1]
+    l = v[:, kept] * np.sqrt(w[kept])  # rows (Re, Im) of dxi_-, then of dxi_+
+    return u, l[0::2] + 1j * l[1::2]
 
 
 def check_noise_correlation(u: np.ndarray) -> np.ndarray:
     """Validate finiteness, symmetry and the two-norm bound; returns the array as complex."""
     return _noise_correlation(u)[0]
-
-
-def noise_factor(u: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T equal to the real covariance implied by u.
-
-    Stacking real/imaginary parts of (dxi_-, dxi_+) as L @ (independent
-    standard increments) reproduces dxi_i dxi_j* = delta_ij dt and
-    dxi_i dxi_j = u_ij dt. The covariance is positive semidefinite exactly
-    when ||u||_2 <= 1, which is checked on its spectrum first.
-    """
-    return _noise_correlation(u)[1]
 
 
 def check_perfect_detection(model: LindbladModel) -> None:
@@ -181,8 +172,9 @@ class _SMEContext:
     (dxi = C dw). C C† = 1 and C Cᵀ = u, so sum_m D[L_m] = sum_c gamma_c D[sigma_c].
     On the Pauli coordinates r_k = tr(P_k rho), ``a[m]`` is rho -> L_m rho + rho L_m†
     and ``drift`` is rho -> sum_m D[L_m] rho, both real d²×d² matrices with
-    entries tr(P_j Phi(P_k)) / d. The currents read only ``c``; the rows of
-    the stepping maps are formed from ``a`` and ``drift`` by ``_step_maps``.
+    entries tr(P_j Phi(P_k)) / d. The currents of ``step_diffusive`` read
+    ``u`` and ``c``; the rows of the stepping maps are formed from ``a`` and
+    ``drift`` by ``_step_maps``.
     """
 
     def __init__(self, model: LindbladModel, u=None):
@@ -190,10 +182,7 @@ class _SMEContext:
         sig = channel_operators(model.n_qubits)  # (2n, d, d)
 
         # one u for every qubit: the per-qubit noise block is shared
-        self.u, l = _noise_correlation(u)  # the checked u, which the currents read
-        block = np.stack([l[0] + 1j * l[1], l[2] + 1j * l[3]])
-        # rank-deficient correlations leave exactly-zero factor columns
-        block = block[:, np.abs(block).sum(axis=0) > 0.0]
+        self.u, block = _noise_correlation(u)  # the checked u and its (2, m) factor C
         self.c = np.kron(np.eye(model.n_qubits), block)  # (2n, n_noise)
         self.n_noise = m = self.c.shape[1]
         ops = np.einsum("c,cm,cab->mab", np.sqrt(model.rates), self.c.conj(), sig)

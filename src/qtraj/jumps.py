@@ -33,6 +33,7 @@ reads only (jumps, dim, eta, dt) and is memoized by their value, so the
 trajectories of an ensemble share one and pay only for their draws and clicks.
 """
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -386,31 +387,38 @@ def trajectory_seeds(master_seed: int, indices) -> np.ndarray:
     return low | high << np.uint64(32)
 
 
-_STREAM = np.random.Philox(key=0)
-_STREAM_RNG = np.random.Generator(_STREAM)
-# the state np.random.Philox(key=seed) starts in, key[0] set per trajectory:
-# counter 0 and the buffer spent, so that no earlier draw leaks a word or a half word
-_STREAM_STATE = {
-    "bit_generator": "Philox",
-    "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
-    "buffer": np.zeros(4, np.uint64),
-    "buffer_pos": 4,
-    "has_uint32": 0,
-    "uinteger": 0,
-}
+class _Stream(threading.local):
+    """One Philox stream and its generator per thread, built on first use there."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(key=0)
+        self.rng = np.random.Generator(self.bits)
+        # the state np.random.Philox(key=seed) starts in, key[0] set per trajectory:
+        # counter 0 and the buffer spent, so that no earlier draw leaks a word or a half word
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+_STREAM = _Stream()
 
 
 def _trajectory_rng(seed: int) -> np.random.Generator:
     """The Philox stream keyed ``[seed, 0]`` at counter 0, as ``np.random.Philox(key=seed)``.
 
-    One module-level stream is re-keyed by assigning its state, which costs
-    half of building a new Philox and Generator. The generator is valid until
-    the next ``_trajectory_rng`` call, from any thread: every engine draws its
-    whole array before anything else runs. A forked worker re-keys its own copy.
+    The calling thread's stream is re-keyed by assigning its state, which
+    costs half of building a new Philox and Generator. The generator is valid
+    until the same thread's next ``_trajectory_rng`` call: every engine draws
+    its whole array before anything else runs. A forked worker re-keys its own copy.
     """
-    _STREAM_STATE["state"]["key"][0] = seed
-    _STREAM.state = _STREAM_STATE
-    return _STREAM_RNG
+    _STREAM.state["state"]["key"][0] = seed
+    _STREAM.bits.state = _STREAM.state
+    return _STREAM.rng
 
 
 def run_jump_trajectory(

@@ -9,7 +9,7 @@ configuration at any parallelism degree. Per-trajectory random streams are
 counter-based Philox keyed by (master_seed, trajectory_index), so results do
 not depend on scheduling either. A chunk derives all of its keys at once
 (``jumps.trajectory_seeds``, bit for bit ``trajectory_seed``), and each
-trajectory re-keys one Philox stream rather than building a generator.
+trajectory re-keys its thread's Philox stream rather than building a generator.
 
 Inside a chunk the engine runs once per trajectory, in index order, and its
 samples fill one row of a block of 8 trajectories. Each block then takes one
@@ -226,6 +226,13 @@ def resolve_initial_state(spec, n_qubits: int) -> tuple[np.ndarray, bool]:
         raise ValueError(str(exc)) from None
 
 
+# the CSV's views: each one's concurrence series, stderr and oracle distance
+VIEWS = {
+    "trajectory": ("mean_concurrence", "stderr", "trace_dist_master"),
+    "recovered": ("recovered_concurrence", "recovered_stderr", "recovered_trace_dist"),
+}
+
+
 @dataclass
 class EnsembleStatistics:
     """Per-sample-time ensemble summaries.
@@ -253,11 +260,9 @@ class EnsembleStatistics:
     n: np.ndarray
 
     def columns(self, view: str = "trajectory"):
-        if view == "trajectory":
-            return self.mean_concurrence, self.stderr, self.trace_dist_master
-        if view == "recovered":
-            return self.recovered_concurrence, self.recovered_stderr, self.recovered_trace_dist
-        raise ValueError(f"unknown view {view!r} (use trajectory/recovered)")
+        if view not in VIEWS:
+            raise ValueError(f"unknown view {view!r}, expected one of {tuple(VIEWS)}")
+        return tuple(getattr(self, name) for name in VIEWS[view])
 
 
 def _sample_clock(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from qtraj.diffusive import (
     combine_currents,
     current_expectations,
     homodyne_currents,
-    noise_factor,
     protecting_unitary,
     run_diffusive_trajectory,
     run_protecting_unitary_trajectory,
@@ -59,50 +58,52 @@ def _admissible_u(rng):
 _rates = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
 
 
+def _factor(u) -> np.ndarray:
+    return diffusive._noise_correlation(u)[1]
+
+
 class TestNoiseFactor:
     def test_uncorrelated_channels(self):
-        l = noise_factor(np.zeros((2, 2)))
-        # independent complex increments: each real part has variance dt/2
-        assert np.allclose(l @ l.T, 0.5 * np.eye(4), atol=1e-12)
+        c = _factor(np.zeros((2, 2)))
+        # independent complex increments: dxi_i dxi_j* = delta_ij dt, dxi_i dxi_j = 0
+        assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
+        assert np.allclose(c @ c.T, 0.0, atol=1e-12)
 
     def test_protecting_covariance_structure(self):
-        l = noise_factor(PROTECTING_U)
-        cov = l @ l.T
+        c = _factor(PROTECTING_U)
         # from dxi_- = (dW1 + i dW2)/sqrt2, dxi_+ = (-dW1 + i dW2)/sqrt2:
-        expected = 0.5 * np.array(
-            [
-                [1, 0, -1, 0],
-                [0, 1, 0, 1],
-                [-1, 0, 1, 0],
-                [0, 1, 0, 1],
-            ]
-        )
-        assert np.allclose(cov, expected, atol=1e-12)
+        assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
+        assert np.allclose(c @ c.T, PROTECTING_U, atol=1e-12)
 
     def test_factor_reproduces_covariance_for_random_u(self, rng):
         us = [_random_symmetric_u(rng, norm=rng.uniform(0.1, 1.0)) for _ in range(25)]
         v = random_unitary(2, rng)
         for u in us + [v @ np.diag([1.0, 0.5]) @ v.T]:  # the last: rank-deficient, rotated
-            l = noise_factor(u)
-            cov = l @ l.T
-            # reconstruct the complex correlations from the real covariance
-            dxi_cov = np.empty((2, 2), dtype=complex)
-            dxi_rel = np.empty((2, 2), dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    a, b, c, d = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-                    dxi_cov[i, j] = cov[a, c] + cov[b, d] + 1j * (cov[b, c] - cov[a, d])
-                    dxi_rel[i, j] = cov[a, c] - cov[b, d] + 1j * (cov[b, c] + cov[a, d])
-            assert np.allclose(dxi_cov, np.eye(2), atol=1e-10)
-            assert np.allclose(dxi_rel, u, atol=1e-10)
+            c = _factor(u)
+            assert c.dtype == complex and c.shape[0] == 2
+            assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-10)
+            assert np.allclose(c @ c.T, u, atol=1e-10)
+
+    def test_one_column_per_nonzero_covariance_eigenvalue(self):
+        # the covariance of V diag(s) V^T has eigenvalues (1 +- s_i) / 2: one null
+        # eigenvalue per unit singular value, whose column C drops
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            v = random_unitary(2, rng)
+            for s, m in [((0.0, 0.0), 4), ((1.0, 1.0), 2), ((1.0, 0.5), 3), ((0.7, 0.2), 4)]:
+                u = v @ np.diag(s) @ v.T
+                c = _factor(u)
+                assert c.shape == (2, m)
+                assert np.max(np.abs(c @ c.conj().T - np.eye(2))) < 1e-14
+                assert np.max(np.abs(c @ c.T - u)) < 1e-14
+        assert _factor(PROTECTING_U).shape == (2, 2)
 
     def test_sampled_moments_protecting(self):
         rng = np.random.default_rng(5)
-        l = noise_factor(PROTECTING_U)
+        c = _factor(PROTECTING_U)
         n, dt = 1_000_000, 1.0
-        z = rng.standard_normal((4, n))
-        v = l @ z * np.sqrt(dt)
-        dxi = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
+        z = rng.standard_normal((c.shape[1], n))
+        dxi = c @ z * np.sqrt(dt)
         tol = 4 * np.sqrt(2) * dt / np.sqrt(n)
         assert abs((dxi[0] * dxi[1]).mean() - PROTECTING_U[0, 1] * dt) < tol
         assert abs((dxi[0] * np.conj(dxi[0])).mean() - dt) < tol
@@ -127,8 +128,10 @@ class TestNoiseFactor:
             u = _random_symmetric_u(rng, norm=rng.uniform(0.0, 1.5))
             norm = np.linalg.norm(u, 2)
             if norm <= 1.0:
-                l = noise_factor(u)
-                assert abs(1.0 - 2.0 * np.linalg.eigvalsh(l @ l.T)[0] - norm) <= 1e-14
+                c = _factor(u)
+                # the real covariance of (Re dxi, Im dxi), which C's columns reproduce
+                parts = np.concatenate([c.real, c.imag])
+                assert abs(1.0 - 2.0 * np.linalg.eigvalsh(parts @ parts.T)[0] - norm) <= 1e-14
                 continue
             with pytest.raises(ValueError, match="two-norm") as err:
                 check_noise_correlation(u)
@@ -153,7 +156,7 @@ class TestNoiseFactor:
 
     def test_norm_violation_is_psd_failure(self):
         with pytest.raises(ValueError, match="two-norm"):
-            noise_factor(np.array([[0.0, -1.5], [-1.5, 0.0]]))
+            _factor(np.array([[0.0, -1.5], [-1.5, 0.0]]))
 
     def test_check_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

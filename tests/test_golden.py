@@ -58,6 +58,7 @@ def _figure3(workers: int) -> str:
 
 
 BALANCED = LindbladModel(2, 1.0, 1.0)
+V_NULL = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # a fixed unitary
 RUNS = {
     # the four bench workloads at small N
     "protect_jump": _ensemble(LindbladModel(2, 1.0, 1.0, eta=0.9), "jump_protecting", 64),
@@ -67,6 +68,10 @@ RUNS = {
     # the general-u SME off the protecting u: four noise channels per qubit, unbalanced rates
     "sme_general_u": _ensemble(LindbladModel(2, (1.0, 0.5), (0.25, 0.75)), "diffusive", 6,
                                t_max=0.2, u=np.zeros((2, 2))),
+    # a rank-deficient complex u = V diag(1, 0.5) V^T: its covariance has a rotated null
+    # eigenvector, which eigh returns as rounding noise: three noise channels per qubit
+    "sme_rank_deficient_u": _ensemble(LindbladModel(2, (1.0, 0.5), (0.25, 0.75)), "diffusive", 6,
+                                      t_max=0.2, u=V_NULL @ np.diag([1.0, 0.5]) @ V_NULL.T),
     "master": _ensemble(BALANCED, "none", 1),
     "three_qubit_jump": _ensemble(LindbladModel(3, 1.0, 1.0, eta=0.8), "jump_protecting", 32,
                                   initial_state="excited"),

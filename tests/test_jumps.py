@@ -1,5 +1,7 @@
 """Jump engine: operator sets, transforms, stepping, whole trajectories."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -743,3 +745,44 @@ class TestTrajectoryKeys:
         normals = _trajectory_rng(seed).standard_normal(k)
         fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal(k)
         assert np.array_equal(normals, fresh)
+
+    def test_streams_are_per_thread(self, bell_rho):
+        # every engine on disjoint seeds from 4 threads, switching as often as the
+        # interpreter allows, draws what a serial run of the same seeds draws
+        model = LindbladModel(2, 1.0, 1.0)
+        jumps = canonical_jumps(model)
+        engines = [
+            lambda seed: run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.2, seed, [0.1]),
+            lambda seed: run_diffusive_trajectory(model, PROTECTING_U, bell_rho, 1e-3, 0.02, seed, [0.01]),
+            lambda seed: run_protecting_unitary_trajectory(model, bell_rho, 1e-3, 0.2, seed, [0.1]),
+        ]
+
+        def record(engine, seed):
+            r = engine(seed)
+            return r.final_state.tobytes(), [s.tobytes() for s in r.samples], repr(r.events)
+
+        work = [[(e, 1000 * t + i) for i in range(30) for e in range(len(engines))] for t in range(4)]
+        serial = [[record(engines[e], seed) for e, seed in jobs] for jobs in work]
+        threaded, errors = [None] * len(work), []
+
+        def run(t):
+            try:
+                threaded[t] = [record(engines[e], seed) for e, seed in work[t]]
+            except BaseException as exc:  # re-raised in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(len(work))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]
+        mismatched = [(t, i) for t in range(len(work)) for i in range(len(work[t]))
+                      if threaded[t][i] != serial[t][i]]
+        assert not mismatched, f"{len(mismatched)} threaded trajectories drew another seed's stream"

@@ -1366,7 +1366,7 @@ class TestCli:
         assert csv("--config", ini) == csv_text(stats, "recovered")
         assert csv("--config", ini, "--view", "trajectory") == csv_text(stats, "trajectory")
         assert main(["jump", "--config", self._ini(tmp_path, "view = raw\n")]) == 2
-        assert "view" in capsys.readouterr().err
+        assert "view: unknown 'raw', expected one of ('trajectory', 'recovered')" in capsys.readouterr().err
 
     def test_config_output_key_and_flag_wins(self, tmp_path, capsys):
         from qtraj.cli import main
