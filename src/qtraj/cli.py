@@ -69,7 +69,8 @@ _OPTIONS = {
     "dt": ("run", float, 1e-3, "--dt", None),
     "t_max": ("run", float, 1.0, "--t-max", None),
     "n_trajectories": ("run", int, 1000, "--n-traj", None),
-    "master_seed": ("run", int, 0, "--seed", None),
+    "master_seed": ("run", int, 0, "--seed",
+                    "master seed, an integer >= 0: every trajectory's Philox stream derives from it"),
     "initial_state": ("run", str, "bell", "--initial-state", "bell, ground or excited"),
     "sample_times": ("run", _parse_times, None, "--sample-times",
                      "comma/space separated times on the dt grid"),

@@ -37,7 +37,6 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
 
 import numpy as np
 
@@ -332,59 +331,26 @@ def step_jump(
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
-    """Derive the counter-based per-trajectory stream key from (master_seed, index)."""
-    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+    """The Philox key of trajectory ``index`` of the run ``master_seed``."""
+    return trajectory_seeds(master_seed, [index])[0]
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), pool of 4 words
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _POOL = 0xCA01F9DD, 0x4973F715, 4
+def trajectory_seeds(master_seed: int, indices) -> list[int]:
+    """The Philox keys ``d << 64 | i`` of the trajectories ``indices``, as Python ints.
 
-
-def _hash_constants(const: int, mult: int):
-    """SeedSequence's running hash constant before and after each step, as uint32 pairs."""
-    while True:
-        after = const * mult & 0xFFFFFFFF
-        yield np.uint32(const), np.uint32(after)
-        const = after
-
-
-def trajectory_seeds(master_seed: int, indices) -> np.ndarray:
-    """``trajectory_seed(master_seed, i)`` for every ``i`` of ``indices``, as one uint64 array.
-
-    SeedSequence's hash of the entropy words (master_seed's 32-bit words,
-    little-endian, then i) in uint32 NumPy arithmetic, one array lane per
-    index: the hash constants do not depend on the data, so every lane takes
-    the same steps. Indices must be integers in [0, 2**32): a larger one
-    would be two entropy words.
+    ``np.random.Philox(key=k)`` splits such a key into the word pair (i, d):
+    key word 0 is the index and key word 1 the run's digest ``d``, the first
+    uint64 of ``SeedSequence(master_seed)``, taken once per call. Distinct
+    keys give independent Philox streams (Salmon et al., SC11), so no two
+    trajectories of a run share a stream. Indices must be integers in
+    [0, 2**32), the cap on a run's size.
     """
     idx = np.asarray(indices)
     if idx.size and not (idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < 2**32):
         raise ValueError(f"trajectory indices must be integers in [0, 2**32), got {indices!r}")
     master = int(number("master_seed", master_seed, True, 0))
-    words = [np.uint32(master >> s & 0xFFFFFFFF) for s in range(0, max(master.bit_length(), 1), 32)]
-    words.append(idx.astype(np.uint32))
-
-    def hashmix(value, constants):
-        xor, mult = next(constants)
-        value = (value ^ xor) * mult
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return out ^ out >> 16
-
-    mixing = _hash_constants(_INIT_A, _MULT_A)
-    with np.errstate(over="ignore"):  # uint32 products wrap, as in SeedSequence
-        pool = [hashmix(words[i] if i < len(words) else np.uint32(0), mixing) for i in range(_POOL)]
-        for src, dst in permutations(range(_POOL), 2):
-            pool[dst] = mix(pool[dst], hashmix(pool[src], mixing))
-        for word, dst in product(words[_POOL:], range(_POOL)):  # a master seed of 4+ words
-            pool[dst] = mix(pool[dst], hashmix(word, mixing))
-        # generate_state(1, uint64): pool words 0 and 1, the low word first
-        output = _hash_constants(_INIT_B, _MULT_B)
-        low, high = (hashmix(value, output).astype(np.uint64) for value in pool[:2])
-    return low | high << np.uint64(32)
+    digest = int(np.random.SeedSequence(master).generate_state(1, np.uint64)[0]) << 64
+    return [digest | i for i in idx.tolist()]
 
 
 class _Stream(threading.local):
@@ -393,7 +359,7 @@ class _Stream(threading.local):
     def __init__(self):
         self.bits = np.random.Philox(key=0)
         self.rng = np.random.Generator(self.bits)
-        # the state np.random.Philox(key=seed) starts in, key[0] set per trajectory:
+        # the state np.random.Philox(key=k) starts in, both key words set per trajectory:
         # counter 0 and the buffer spent, so that no earlier draw leaks a word or a half word
         self.state = {
             "bit_generator": "Philox",
@@ -408,15 +374,18 @@ class _Stream(threading.local):
 _STREAM = _Stream()
 
 
-def _trajectory_rng(seed: int) -> np.random.Generator:
-    """The Philox stream keyed ``[seed, 0]`` at counter 0, as ``np.random.Philox(key=seed)``.
+def _trajectory_rng(key: int) -> np.random.Generator:
+    """The Philox stream ``np.random.Philox(key=key)`` at counter 0, for a key in [0, 2**128).
 
-    The calling thread's stream is re-keyed by assigning its state, which
-    costs half of building a new Philox and Generator. The generator is valid
-    until the same thread's next ``_trajectory_rng`` call: every engine draws
-    its whole array before anything else runs. A forked worker re-keys its own copy.
+    The calling thread's stream is re-keyed with both key words, the low
+    64 bits (a trajectory's index) and the high 64 (its run's digest), by
+    assigning its state, which costs half of building a new Philox and
+    Generator. The generator is valid until the same thread's next
+    ``_trajectory_rng`` call: every engine draws its whole array before
+    anything else runs. A forked worker re-keys its own copy.
     """
-    _STREAM.state["state"]["key"][0] = seed
+    words = _STREAM.state["state"]["key"]
+    words[0], words[1] = key & 0xFFFFFFFFFFFFFFFF, key >> 64
     _STREAM.bits.state = _STREAM.state
     return _STREAM.rng
 

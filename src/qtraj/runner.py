@@ -6,10 +6,10 @@ state sums, and ``run_ensemble`` reduces them in chunk order: the mean, the
 two-pass stderr and the minimum over all concurrences at once, and the state
 sums added chunk by chunk. Ensemble output is therefore bitwise identical for a given
 configuration at any parallelism degree. Per-trajectory random streams are
-counter-based Philox keyed by (master_seed, trajectory_index), so results do
-not depend on scheduling either. A chunk derives all of its keys at once
-(``jumps.trajectory_seeds``, bit for bit ``trajectory_seed``), and each
-trajectory re-keys its thread's Philox stream rather than building a generator.
+counter-based Philox keyed by the word pair (trajectory_index, digest of
+master_seed), so results do not depend on scheduling either. A chunk takes the
+digest once (``jumps.trajectory_seeds``), and each trajectory re-keys its
+thread's Philox stream with both words rather than building a generator.
 
 Inside a chunk the engine runs once per trajectory, in index order, and its
 samples fill one row of a block of 8 trajectories. Each block then takes one
@@ -173,7 +173,7 @@ class ExperimentConfig:
             errors.add(f"unraveling: unknown {self.unraveling!r}, expected one of {UNRAVELINGS}")
         grid_ok = errors.check(step_grid, self.dt, self.t_max, self.sample_times) is not None
         for field, value, low, high in (
-            ("n_trajectories", self.n_trajectories, 1, 2**32),  # each index keys one 32-bit word
+            ("n_trajectories", self.n_trajectories, 1, 2**32),  # key index cap; no run that can finish nears it
             ("workers", 1 if self.workers is None else self.workers, 1, None),
             ("master_seed", self.master_seed, 0, None),
         ):
@@ -325,7 +325,7 @@ def _run_chunk(
     rec_sum = raw_sum if recovery is None else np.zeros_like(raw_sum)
     engine, lead = pick(model, config.u)
 
-    chunk_seeds = trajectory_seeds(config.master_seed, range(lo, hi)).tolist()  # Python ints
+    chunk_seeds = trajectory_seeds(config.master_seed, range(lo, hi))
     for start in range(lo, hi, _BLOCK):
         # one engine call per trajectory, in index order; the rest once per block
         stop = min(start + _BLOCK, hi)

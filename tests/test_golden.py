@@ -14,11 +14,14 @@ rewrites every file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of ``tests/golden/`` is then its list of moved cells.
+which prints, for each file, whether its text changed and how many lines
+moved in each ``# `` section; the diff of ``tests/golden/`` is then its list
+of moved cells.
 """
 
 import tempfile
 from dataclasses import fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +98,28 @@ def test_output_matches_golden_text(name, workers):
     )
 
 
+def _moved(old: str, new: str) -> str:
+    """Which lines of a golden text moved, counted per ``# `` section, line by line."""
+    counts: dict[str, int] = {}
+    section = ""
+    for before, after in zip_longest(old.splitlines(), new.splitlines()):
+        if (after or "").startswith("# "):
+            section = after[2:]
+        counts[section] = counts.get(section, 0) + (before != after)
+    total = sum(counts.values())
+    if not total:
+        return "unchanged"
+    return f"changed, {total} lines moved (" + ", ".join(f"{k}: {v}" for k, v in counts.items()) + ")"
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, text in RUNS.items():
-        (GOLDEN / f"{name}.txt").write_text(text(1), newline="\n")
+        path = GOLDEN / f"{name}.txt"
+        old = path.read_text() if path.exists() else ""
+        new = text(1)
+        path.write_text(new, newline="\n")
+        print(f"{path.name}: {_moved(old, new)}")
     VERSION_FILE.write_text(np.__version__ + "\n")
     print(f"wrote {len(RUNS)} golden files under {GOLDEN} (numpy {np.__version__})")
 

@@ -698,19 +698,20 @@ class TestKernelMemo:
 
 
 class TestTrajectoryKeys:
-    """One vectorized hash per chunk and one re-keyed stream, both pinned to numpy."""
+    """One digest per call and one re-keyed stream, both pinned to numpy."""
 
     @pytest.mark.parametrize(
         "master",
-        # 1 to 3 entropy words, and 2**100 + 9 takes SeedSequence's branch for
-        # more entropy words than its pool of 4
+        # 1 to 4 32-bit words of SeedSequence entropy
         [0, 1, 1905, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1, 2**70 + 3, 2**100 + 9],
     )
     def test_keys_match_seed_sequence(self, master):
+        # key word 0 the index, key word 1 the first uint64 of SeedSequence(master)
         indices = list(range(5000)) + [2**32 - 1]
         keys = trajectory_seeds(master, indices)
-        assert keys.dtype == np.uint64
-        assert keys.tolist() == [trajectory_seed(master, i) for i in indices]
+        digest = int(np.random.SeedSequence(master).generate_state(1, np.uint64)[0])
+        assert keys == [digest << 64 | i for i in indices]
+        assert keys == [trajectory_seed(master, i) for i in indices]
 
     @pytest.mark.parametrize("indices", [[2**32], [0, 2**40], [-1], [0.5]])
     def test_index_beyond_one_word_rejected(self, indices):
@@ -719,7 +720,7 @@ class TestTrajectoryKeys:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.integers(0, 2**64 - 1),
+        seed=st.integers(0, 2**128 - 1),
         earlier=st.lists(
             st.tuples(st.sampled_from(["random", "normal", "uint32"]), st.integers(1, 9)),
             max_size=4,
