@@ -31,6 +31,11 @@ in the run is formed in one broadcast product. The walk decides whether a
 step clicks, the kernel which click, in the computational basis. A kernel
 reads only (jumps, dim, eta, dt) and is memoized by their value, so the
 trajectories of an ensemble share one and pay only for their draws and clicks.
+Until its first click every trajectory from rho0 follows the same no-click
+run, so each kernel keeps that run (its click curve over the whole grid and
+its states at the sample steps and at the horizon) for the last rho0 and
+grid it saw: a trajectory reads its first click off the shared curve and
+copies the states before it, and only later runs are computed per trajectory.
 """
 
 import threading
@@ -222,6 +227,7 @@ class _JumpKernel:
             self.e_sum, self.basis = e_total.diagonal().real, None
         self.m_diag = 1.0 - 0.5 * dt * self.e_sum  # M's diagonal in that basis
         self._powers = np.empty((0, self.dim))
+        self._branch = None
 
     def powers(self, n_steps: int) -> np.ndarray:
         """Rows 0..n_steps of m_diag**(2o), the o-fold running product; read-only.
@@ -237,6 +243,20 @@ class _JumpKernel:
             table.flags.writeable = False
             self._powers = table
         return self._powers[: n_steps + 1]
+
+    def branch(self, state: np.ndarray, n_steps: int, steps: list[int]) -> "_Branch":
+        """The no-click run from ``state`` over a grid of ``n_steps`` sampled at ``steps``.
+
+        Every trajectory from one initial state follows it until its first
+        click, so one entry, keyed by the state's bytes and the grid, serves
+        them all. A new key replaces the entry, which is never changed in
+        place; a run that fails its step check is never stored.
+        """
+        key = (state.tobytes(), n_steps, tuple(steps))
+        branch = self._branch
+        if branch is None or branch.key != key:
+            branch = self._branch = _Branch(self, state, n_steps, steps, key)
+        return branch
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
@@ -377,6 +397,8 @@ _STREAM = _Stream()
 def _trajectory_rng(key: int) -> np.random.Generator:
     """The Philox stream ``np.random.Philox(key=key)`` at counter 0, for a key in [0, 2**128).
 
+    Every engine keys its stream here, so here its ``seed`` is checked: it
+    must be an integer in that range, else FieldErrors names ``seed``.
     The calling thread's stream is re-keyed with both key words, the low
     64 bits (a trajectory's index) and the high 64 (its run's digest), by
     assigning its state, which costs half of building a new Philox and
@@ -384,6 +406,7 @@ def _trajectory_rng(key: int) -> np.random.Generator:
     ``_trajectory_rng`` call: every engine draws its whole array before
     anything else runs. A forked worker re-keys its own copy.
     """
+    key = int(number("seed", key, True, 0, 2**128 - 1))
     words = _STREAM.state["state"]["key"]
     words[0], words[1] = key & 0xFFFFFFFFFFFFFFFF, key >> 64
     _STREAM.bits.state = _STREAM.state
@@ -416,58 +439,101 @@ def run_jump_trajectory(
     return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
 
+class _NoClickRun:
+    """The no-click evolution from ``state`` over the next ``horizon`` steps.
+
+    Between clicks the populations in the kernel's basis scale by elementwise
+    powers of m_diag^2, so ``curve[o]``, the total click probability of the
+    step after offset o, is one vectorized product, checked against
+    MAX_STEP_PROB; ``states(offs)`` scales the state in that basis and rotates
+    it back at every offset in one broadcast. When M is proportional to the
+    identity the state does not move, and ``curve`` is the sum of ``p``, its
+    click probabilities.
+    """
+
+    def __init__(self, kernel: _JumpKernel, state: np.ndarray, horizon: int):
+        self.kernel = kernel
+        self.state = state
+        self.p = self.rot = None
+        if kernel.m_scalar:
+            self.p = kernel.probabilities(state)  # constant until the click: reused there
+            self.curve = self.p.sum()
+        else:
+            basis = kernel.basis
+            self.rot = state if basis is None else basis.conj().T @ state @ basis
+            d = self.rot.diagonal().real
+            self.table = kernel.powers(horizon)  # row o: m_diag**(2o)
+            ahead = self.table[:horizon]
+            self.curve = (ahead @ (kernel.e_sum * d)) * (kernel.dt / (ahead @ d))
+            _check_step_prob(self.curve.max(initial=0.0))
+
+    def states(self, offs: np.ndarray) -> np.ndarray:
+        if self.kernel.m_scalar:
+            states = np.empty((len(offs),) + self.state.shape, dtype=complex)
+            states[...] = self.state  # np.broadcast_to(...).copy() costs 9x as much
+            return states
+        basis = self.kernel.basis
+        powers = self.table[offs]
+        scaled = self.rot * (powers[:, :, None] * powers[:, None, :]) ** 0.5
+        scaled /= scaled.trace(axis1=1, axis2=2).real[:, None, None]
+        states = scaled if basis is None else basis @ scaled @ basis.conj().T
+        states[offs == 0] = self.state  # offset 0 is the state itself, unscaled
+        return states
+
+
+class _Branch(_NoClickRun):
+    """The read-only run from one state over a whole grid, shared by its trajectories.
+
+    It holds the run's states at every sample step and at the horizon, and
+    hands out copies of them; a click's state is formed by the run's own
+    one-row broadcast.
+    """
+
+    def __init__(self, kernel: _JumpKernel, state: np.ndarray, n_steps: int, steps: list[int], key):
+        super().__init__(kernel, state.copy(), n_steps)
+        self.key = key
+        self.n_steps = n_steps
+        self.at_steps = super().states(np.array(steps + [n_steps]))
+        for arr in (self.state, self.p, self.rot, self.curve, self.at_steps):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+    def states(self, offs: np.ndarray) -> np.ndarray:
+        # offs: the sample steps up to the run's end, then its end
+        end = self.at_steps[-1:] if offs[-1] == self.n_steps else super().states(offs[-1:])
+        return np.concatenate([self.at_steps[: len(offs) - 1], end])
+
+
 def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
     """Skip-ahead walk for any jump set; returns (state, events, samples).
 
-    Between clicks the populations in the kernel's basis scale by elementwise
-    powers of m_diag^2, so the click search over a whole no-jump run is one
-    vectorized scan. The run's samples and its hit state are scaled in that
-    basis and rotated back; clicks are taken in the computational basis. When
-    M is proportional to the identity the state does not move between clicks
-    and the click probability is constant until the next one.
+    Each no-click run is searched for its click in one vectorized scan of its
+    curve; its samples and its hit state come from one broadcast, and clicks
+    are taken in the computational basis. The first run, from the initial
+    state, is the kernel's shared branch.
     """
     n_steps = len(us)
-    basis = kernel.basis
-    if not kernel.m_scalar:
-        table = kernel.powers(n_steps)  # row o: m_diag**(2o); every run reads a prefix
     events: list[JumpEvent] = []
     samples: list[np.ndarray] = []
     si = 0  # next sample index
     pos = 0
     while pos < n_steps:
         horizon = n_steps - pos
-        if kernel.m_scalar:
-            p = kernel.probabilities(state)  # constant until the click: reused there
-            ptot = p.sum()
-        else:
-            rot = state if basis is None else basis.conj().T @ state @ basis
-            d = rot.diagonal().real
-            ahead = table[:horizon]  # row o: m_diag**(2o)
-            ptot = (ahead @ (kernel.e_sum * d)) * (kernel.dt / (ahead @ d))
-            _check_step_prob(ptot.max(initial=0.0))
-        hits = np.flatnonzero(us[pos:] < ptot)
+        run = kernel.branch(state, n_steps, steps) if pos == 0 else _NoClickRun(kernel, state, horizon)
+        hits = np.flatnonzero(us[pos:] < run.curve)
         off = int(hits[0]) if hits.size else horizon
 
         # the states at the run's sample steps and at its end (the click step,
-        # or the horizon), all in one broadcast
+        # or the horizon)
         sj = bisect_right(steps, pos + off, si)
-        offs = np.array(steps[si:sj] + [pos + off]) - pos
-        states = np.empty((len(offs),) + state.shape, dtype=complex)
-        states[...] = state
-        if not kernel.m_scalar:
-            moved = offs > 0
-            powers = table[offs[moved]]
-            scaled = rot * (powers[:, :, None] * powers[:, None, :]) ** 0.5
-            scaled = scaled / scaled.trace(axis1=1, axis2=2).real[:, None, None]
-            states[moved] = scaled if basis is None else basis @ scaled @ basis.conj().T
+        states = run.states(np.array(steps[si:sj] + [pos + off]) - pos)
         samples.extend(states[:-1])
         si = sj
         if not hits.size:
             state = states[-1]
             break
         at_hit = states[-1]
-        if not kernel.m_scalar:
-            p = kernel.probabilities(at_hit)
+        p = run.p if kernel.m_scalar else kernel.probabilities(at_hit)
         k, detected = kernel.channel(p, us[pos + off])
         state = kernel.apply_jump(at_hit, k)
         events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))

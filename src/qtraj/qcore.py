@@ -163,9 +163,33 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
     with at most ``MAX_STEPS`` steps between them and the sample times, if
     given, are real numbers; then a ValueError unless t_max is on the grid and
     the sample times are non-empty, finite, on it and strictly increasing.
-    Every trajectory of an ensemble asks for the same grid, so grids are
-    memoized by value; each call gets its own list of steps.
+    Every trajectory of an ensemble asks for the same grid, so a checked grid
+    is memoized by its exact inputs: real dt and t_max with their types (True
+    is not 1), and no sample times or a real-dtype array of them by its dtype,
+    shape and bytes, so an array changed in place is checked again. Errors
+    are not memoized, other inputs are checked on every call, and each call
+    gets its own list of steps.
     """
+    real = isinstance(dt, numbers.Real) and isinstance(t_max, numbers.Real)
+    if real and sample_times is None:
+        n_steps, steps = _checked_grid(dt, t_max, None)
+    elif real and isinstance(sample_times, np.ndarray) and sample_times.dtype.kind in "biuf":
+        times = (sample_times.dtype.str, sample_times.shape, sample_times.tobytes())
+        n_steps, steps = _checked_grid(dt, t_max, times)
+    else:
+        n_steps, steps = _check_grid(dt, t_max, sample_times)
+    return n_steps, list(steps)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _checked_grid(dt, t_max, times) -> tuple[int, tuple[int, ...]]:
+    if times is not None:
+        dtype, shape, raw = times
+        times = np.frombuffer(raw, dtype).reshape(shape)
+    return _check_grid(dt, t_max, times)
+
+
+def _check_grid(dt, t_max, sample_times) -> tuple[int, tuple[int, ...]]:
     errors = FieldErrors()
     dt_ok = errors.check(number, "dt", dt, above=0) is not None
     # against a bad dt, t_max is judged on its own
@@ -183,22 +207,15 @@ def step_grid(dt: float, t_max: float, sample_times=None) -> tuple[int, list[int
                 f"sample_times: must be a real number or a 1-D sequence of them, got {sample_times!r}"
             )
     errors.raise_any()
-    if sample_times is not None:
-        sample_times = tuple(times.astype(float, copy=False).tolist())
-    n_steps, steps = _step_grid(float(dt), float(t_max), sample_times)
-    return n_steps, list(steps)
-
-
-@lru_cache(maxsize=32)
-def _step_grid(dt: float, t_max: float, sample_times) -> tuple[int, tuple[int, ...]]:
+    dt, t_max = float(dt), float(t_max)
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 + 1e-9 * t_max:
         raise ValueError(f"t_max: {t_max} is not on the step grid (dt={dt})")
     if sample_times is None:
         return n_steps, ()
-    if not sample_times:
+    if not times.size:
         raise ValueError("sample_times: must not be empty (omit them for the default times)")
-    times = np.array(sample_times)
+    times = times.astype(float, copy=False)
     k = np.round(times / dt)
     with np.errstate(invalid="ignore"):  # inf - inf: non-finite times fail the test
         on_grid = (0 <= k) & (k <= n_steps) & (np.abs(k * dt - times) <= 1e-9 + 1e-9 * np.abs(times))

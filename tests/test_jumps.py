@@ -21,6 +21,7 @@ from qtraj.jumps import (
     TrajectoryRecord,
     _JumpKernel,
     _kernel,
+    _kernel_of,
     _scan,
     _trajectory_rng,
     canonical_jumps,
@@ -40,7 +41,9 @@ from qtraj.qcore import (
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
+    FieldErrors,
     InvariantViolation,
+    _checked_grid,
     bell_state,
     computational_ket,
     density,
@@ -370,6 +373,28 @@ def test_every_engine_returns_one_record(engine, times, bell_rho):
         assert rec.frame is None and rec.sample_frames is None
 
 
+_BALANCED = LindbladModel(2, 1.0, 1.0)
+_SEEDED = {
+    "jump": lambda rho, seed: run_jump_trajectory(_BALANCED, protecting_jumps(_BALANCED), rho, 1e-3, 0.3, seed),
+    "sme": lambda rho, seed: run_diffusive_trajectory(_BALANCED, PROTECTING_U, rho, 1e-3, 0.3, seed),
+    "exact_unitary": lambda rho, seed: run_protecting_unitary_trajectory(_BALANCED, rho, 1e-3, 0.3, seed),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_SEEDED))
+@pytest.mark.parametrize(
+    "seed, words",
+    [(-1, rf"an integer in \[0, {2**128 - 1}\], got -1"),
+     (2**128, rf"an integer in \[0, {2**128 - 1}\], got {2**128}"),
+     (1.5, r"an integer >= 0, got 1.5"), (True, r"an integer >= 0, got True")],
+    ids=["negative", "past_two_words", "float", "bool"],
+)
+def test_every_engine_names_a_bad_seed(engine, seed, words, bell_rho):
+    # these once raised a bare OverflowError or TypeError naming no field
+    with pytest.raises(FieldErrors, match=rf"^seed: must be {words}$"):
+        _SEEDED[engine](bell_rho, seed)
+
+
 class TestTrajectories:
     def test_zero_rates_trivial(self, bell_rho):
         model = LindbladModel(2, 0.0, 0.0)
@@ -585,6 +610,133 @@ def test_scan_matches_per_step_loop(name, seed, inner, sample_clicks):
             assert np.array_equal(a, b)
         else:
             assert np.max(np.abs(a - b)) < tol
+
+
+_BRANCH_SETS = dict(
+    _SCAN_SETS,
+    # the paper's zero-temperature baseline: a click at most per qubit, most runs never leave rho0's branch
+    zeroT_canonical=(LindbladModel(2, 5.0, 0.0, eta=1.0), canonical_jumps, 1e-12),
+)
+
+
+def _scanned(kernel, rho0, seed, steps):
+    return _scan(kernel, rho0.astype(complex), _trajectory_rng(seed).random(_SCAN_STEPS), steps)
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_SETS))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    other=st.integers(0, 2**32 - 1),
+    inner=st.sets(st.integers(1, _SCAN_STEPS - 1), max_size=12),
+)
+def test_record_does_not_depend_on_the_branch_memo(name, seed, other, inner):
+    # a cold kernel builds rho0's branch for this seed; a warm one reads the
+    # branch another seed built, whose record is then scribbled over. Sample
+    # steps include 0, t_max and the steps on both sides of every click
+    model, make_jumps, _ = _BRANCH_SETS[name]
+    jumps = make_jumps(model)
+    rho0 = density(bell_state())
+    _, clicks, _ = _scanned(_JumpKernel(jumps, model.dim, model.eta, _SCAN_DT), rho0, seed, [0])
+    after = {int(round(e.time / _SCAN_DT)) for e in clicks}
+    steps = sorted({0, _SCAN_STEPS} | inner | after | {k - 1 for k in after})
+    cold = _scanned(_JumpKernel(jumps, model.dim, model.eta, _SCAN_DT), rho0, seed, steps)
+    warm_kernel = _JumpKernel(jumps, model.dim, model.eta, _SCAN_DT)
+    state, _, samples = _scanned(warm_kernel, rho0, other, steps)
+    for arr in samples + [state]:
+        arr[...] = np.nan
+    warm = _scanned(warm_kernel, rho0, seed, steps)
+    assert warm[1] == cold[1]
+    assert len(warm[2]) == len(cold[2]) == len(steps)
+    for a, b in zip(warm[2] + [warm[0]], cold[2] + [cold[0]]):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestBranchMemo:
+    def test_record_writes_leave_the_next_trajectory_alone(self, bell_rho):
+        # zero T: trajectory 0 (seed 3) never clicks, so all its samples are the branch's
+        model = LindbladModel(2, 1.0, 0.0, eta=1.0)
+        jumps, times = canonical_jumps(model), np.array([0.0, 0.1, 0.2])
+        first = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.2, 3, sample_times=times)
+        assert first.events == []
+        expected = [s.copy() for s in first.samples]
+        first.samples[0][...] = 0.0
+        first.samples[2][0, 0] = 7.0
+        first.final_state[...] = 0.0
+        again = run_jump_trajectory(model, jumps, bell_rho, 1e-3, 0.2, 3, sample_times=times)
+        for a, b in zip(again.samples, expected):
+            assert np.array_equal(a, b)
+        assert np.array_equal(again.final_state, expected[-1])
+
+    @pytest.mark.parametrize(
+        "model, make_jumps",
+        [(LindbladModel(2, 1.0, 0.0), canonical_jumps), (LindbladModel(2, 1.0, 1.0), protecting_jumps),
+         (LindbladModel(2, 1.0, 0.0), lambda model: _collective_jumps())],
+        ids=["diagonal", "scalar", "rotated"],
+    )
+    def test_memo_is_read_only_and_replaced_per_state(self, bell_rho, model, make_jumps):
+        kernel = _JumpKernel(make_jumps(model), model.dim, model.eta, 1e-3)
+        branch = kernel.branch(bell_rho.astype(complex), 300, [0, 100, 300])
+        assert kernel.branch(bell_rho.astype(complex), 300, [0, 100, 300]) is branch
+        arrays = [branch.state, branch.at_steps, branch.p, branch.rot, branch.curve]
+        for arr in [a for a in arrays if isinstance(a, np.ndarray)]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        ground = density(computational_ket("00")).astype(complex)
+        assert kernel.branch(ground, 300, [0, 100, 300]) is not branch
+        assert kernel.branch(bell_rho.astype(complex), 300, [0, 300]) is not branch
+        assert np.array_equal(branch.state, bell_rho)  # the replaced entry is unchanged
+
+    def test_threads_fill_the_memos_concurrently(self, bell_rho):
+        # 4 threads on disjoint seeds against one cold kernel and a cold grid
+        # memo, two of them from another rho0, so that the one branch entry is
+        # built and replaced while others read it: every record is the serial one
+        model = LindbladModel(2, 1.0, 0.0, eta=1.0)
+        jumps = canonical_jumps(model)
+        rhos = [bell_rho, density(computational_ket("11"))]
+        times = np.array([0.0, 0.05, 0.1, 0.15, 0.2])
+
+        def record(t, seed):
+            r = run_jump_trajectory(model, jumps, rhos[t % 2], 1e-3, 0.2, seed, times)
+            return r.final_state.tobytes(), [s.tobytes() for s in r.samples], repr(r.events)
+
+        work = [[1000 * t + i for i in range(40)] for t in range(4)]
+        serial = [[record(t, seed) for seed in seeds] for t, seeds in enumerate(work)]
+        threaded, errors = [None] * len(work), []
+
+        def run(t):
+            try:
+                threaded[t] = [record(t, seed) for seed in work[t]]
+            except BaseException as exc:  # re-raised in the main thread
+                errors.append(exc)
+
+        _kernel_of.cache_clear()
+        _checked_grid.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(len(work))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        assert threaded == serial
+        assert any(serial[t][i][2] == "[]" for t in range(4) for i in range(40))  # some never click
+
+    def test_a_failing_branch_is_never_stored(self):
+        # sum(p) = 0.2 on the excited state: every call raises, none reads a memo
+        model = LindbladModel(1, 100.0, 0.0)
+        kernel = _JumpKernel(canonical_jumps(model), model.dim, model.eta, 2e-3)
+        excited = density(computational_ket("1")).astype(complex)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reduce dt"):
+                _scan(kernel, excited, np.full(10, 0.5), [0, 10])
+            assert kernel._branch is None
 
 
 class TestClickDecidedOnce:

@@ -416,6 +416,41 @@ class TestStepGrid:
         assert step_grid(1e-3, 1.0, times) == (1000, [0, 1000])
         assert step_grid(1e-3, 1.0, [0.0, 0.5]) == (1000, [0, 500])
 
+    def test_memo_keeps_types_apart(self):
+        # True == 1 and hash(True) == hash(1): only the type tells the bad step from the good
+        assert step_grid(1, 2) == (2, [])
+        with pytest.raises(FieldErrors, match=r"^dt: must be a real number, got True$"):
+            step_grid(True, 2)
+        with pytest.raises(FieldErrors, match=r"^t_max: must be a real number, got True$"):
+            step_grid(1, True)
+        assert step_grid(np.float64(1e-3), 1.0, np.array([0.5])) == (1000, [500])
+        assert step_grid(1e-3, 1.0, np.array([0.5], dtype=np.float32))[1] == [500]
+
+    def test_array_changed_in_place_is_checked_again(self):
+        times = np.array([0.0, 0.25, 0.5])
+        assert step_grid(1e-3, 1.0, times) == (1000, [0, 250, 500])
+        for bad, words in ((0.00037, "grid"), (0.25, "increasing"), (np.nan, "grid")):
+            times[2] = bad
+            with pytest.raises(ValueError, match=f"^sample_times: .*{words}"):
+                step_grid(1e-3, 1.0, times)
+        times[2] = 1.0
+        assert step_grid(1e-3, 1.0, times) == (1000, [0, 250, 1000])
+
+    @pytest.mark.parametrize(
+        "dt, t_max, times",
+        [(0.3, 1.0, None), (1e-3, 1.0, np.array([0.2, 0.1])), (1e-3, 1.0, np.array([0.00037])),
+         (1e-3, 1.0, np.array([])), (1e-3, 1.0, np.array([[0.0], [0.5]])), (np.nan, 1.0, None)],
+        ids=["t_max_off_grid", "descending", "off_grid", "empty", "two_dimensional", "nan_step"],
+    )
+    def test_bad_grid_raises_on_every_call(self, dt, t_max, times):
+        # errors are never memoized, on the memo's path and off it
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                step_grid(dt, t_max, times)
+            if times is not None:
+                with pytest.raises(ValueError):
+                    step_grid(dt, t_max, times.tolist())
+
 
 class TestPauliCoordinates:
     @pytest.mark.parametrize("n", [1, 2, 3])
