@@ -465,8 +465,8 @@ def run_protecting_unitary_trajectory(
     # at the end are formed, and states at those steps alone
     frames = _prefix_frames(a, b, sample_steps + [n_steps])
     sample_frames, frame = frames[:-1], frames[-1]
-    samples = list(apply_frame(rho0, sample_frames))
-    state = apply_frame(rho0, frame)
+    states = apply_frame(rho0, frames)
+    samples, state = list(states[:-1]), states[-1]
     validate_density_matrix(state, context="protecting-unitary final state")
     return TrajectoryRecord(
         final_state=state, samples=samples, frame=frame, sample_frames=sample_frames

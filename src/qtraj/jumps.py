@@ -32,10 +32,9 @@ step clicks, the kernel which click, in the computational basis. A kernel
 reads only (jumps, dim, eta, dt) and is memoized by their value, so the
 trajectories of an ensemble share one and pay only for their draws and clicks.
 Until its first click every trajectory from rho0 follows the same no-click
-run, so each kernel keeps that run (its click curve over the whole grid and
-its states at the sample steps and at the horizon) for the last rho0 and
-grid it saw: a trajectory reads its first click off the shared curve and
-copies the states before it, and only later runs are computed per trajectory.
+run, memoized by value too: its click curve over the whole grid and its states
+at the sample steps and the horizon. A trajectory reads its first click off
+that curve, copies the states before it, and computes only its later runs.
 """
 
 import threading
@@ -227,7 +226,6 @@ class _JumpKernel:
             self.e_sum, self.basis = e_total.diagonal().real, None
         self.m_diag = 1.0 - 0.5 * dt * self.e_sum  # M's diagonal in that basis
         self._powers = np.empty((0, self.dim))
-        self._branch = None
 
     def powers(self, n_steps: int) -> np.ndarray:
         """Rows 0..n_steps of m_diag**(2o), the o-fold running product; read-only.
@@ -243,20 +241,6 @@ class _JumpKernel:
             table.flags.writeable = False
             self._powers = table
         return self._powers[: n_steps + 1]
-
-    def branch(self, state: np.ndarray, n_steps: int, steps: list[int]) -> "_Branch":
-        """The no-click run from ``state`` over a grid of ``n_steps`` sampled at ``steps``.
-
-        Every trajectory from one initial state follows it until its first
-        click, so one entry, keyed by the state's bytes and the grid, serves
-        them all. A new key replaces the entry, which is never changed in
-        place; a run that fails its step check is never stored.
-        """
-        key = (state.tobytes(), n_steps, tuple(steps))
-        branch = self._branch
-        if branch is None or branch.key != key:
-            branch = self._branch = _Branch(self, state, n_steps, steps, key)
-        return branch
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = (self.e_flat @ rho.ravel()).real * self.dt
@@ -434,7 +418,7 @@ def run_jump_trajectory(
     check_rate_step(model, dt)
     kernel = _kernel(jumps, model, dt)
     us = _trajectory_rng(seed).random(n_steps)
-    state, events, samples = _scan(kernel, rho0.astype(complex).copy(), us, steps)
+    state, events, samples = _scan(kernel, rho0.astype(complex), us, steps)
     validate_density_matrix(state, context="trajectory final state")
     return TrajectoryRecord(final_state=state, samples=samples, events=events)
 
@@ -450,6 +434,8 @@ class _NoClickRun:
     identity the state does not move, and ``curve`` is the sum of ``p``, its
     click probabilities.
     """
+
+    kept = None  # a first run's states at its sample steps and its horizon (``_first_run``)
 
     def __init__(self, kernel: _JumpKernel, state: np.ndarray, horizon: int):
         self.kernel = kernel
@@ -481,27 +467,19 @@ class _NoClickRun:
         return states
 
 
-class _Branch(_NoClickRun):
-    """The read-only run from one state over a whole grid, shared by its trajectories.
+@lru_cache(maxsize=16)
+def _first_run(kernel: _JumpKernel, state_bytes: bytes, n_steps: int, steps: tuple) -> _NoClickRun:
+    """The read-only no-click run from a state over a whole grid, memoized by value.
 
-    It holds the run's states at every sample step and at the horizon, and
-    hands out copies of them; a click's state is formed by the run's own
-    one-row broadcast.
+    ``kept`` holds its states at the sample ``steps`` and at ``n_steps``. A run
+    that fails its step check raises and is never stored.
     """
-
-    def __init__(self, kernel: _JumpKernel, state: np.ndarray, n_steps: int, steps: list[int], key):
-        super().__init__(kernel, state.copy(), n_steps)
-        self.key = key
-        self.n_steps = n_steps
-        self.at_steps = super().states(np.array(steps + [n_steps]))
-        for arr in (self.state, self.p, self.rot, self.curve, self.at_steps):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-
-    def states(self, offs: np.ndarray) -> np.ndarray:
-        # offs: the sample steps up to the run's end, then its end
-        end = self.at_steps[-1:] if offs[-1] == self.n_steps else super().states(offs[-1:])
-        return np.concatenate([self.at_steps[: len(offs) - 1], end])
+    run = _NoClickRun(kernel, np.frombuffer(state_bytes, complex).reshape(kernel.dim, -1), n_steps)
+    run.kept = run.states(np.array(steps + (n_steps,)))
+    for arr in (run.p, run.rot, run.curve, run.kept):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return run
 
 
 def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[int]):
@@ -510,7 +488,8 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     Each no-click run is searched for its click in one vectorized scan of its
     curve; its samples and its hit state come from one broadcast, and clicks
     are taken in the computational basis. The first run, from the initial
-    state, is the kernel's shared branch.
+    state, is ``_first_run``'s, shared by every trajectory. A click that
+    leaves no state raises InvariantViolation naming the click's step.
     """
     n_steps = len(us)
     events: list[JumpEvent] = []
@@ -519,14 +498,21 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
     pos = 0
     while pos < n_steps:
         horizon = n_steps - pos
-        run = kernel.branch(state, n_steps, steps) if pos == 0 else _NoClickRun(kernel, state, horizon)
+        if pos == 0:
+            run = _first_run(kernel, state.tobytes(), n_steps, tuple(steps))
+        else:
+            run = _NoClickRun(kernel, state, horizon)
         hits = np.flatnonzero(us[pos:] < run.curve)
         off = int(hits[0]) if hits.size else horizon
 
         # the states at the run's sample steps and at its end (the click step,
         # or the horizon)
         sj = bisect_right(steps, pos + off, si)
-        states = run.states(np.array(steps[si:sj] + [pos + off]) - pos)
+        if run.kept is None:
+            states = run.states(np.array(steps[si:sj] + [pos + off]) - pos)
+        else:
+            end = run.kept[-1:] if off == horizon else run.states(np.array([off]))
+            states = np.concatenate([run.kept[:sj], end])
         samples.extend(states[:-1])
         si = sj
         if not hits.size:
@@ -535,8 +521,11 @@ def _scan(kernel: _JumpKernel, state: np.ndarray, us: np.ndarray, steps: list[in
         at_hit = states[-1]
         p = run.p if kernel.m_scalar else kernel.probabilities(at_hit)
         k, detected = kernel.channel(p, us[pos + off])
-        state = kernel.apply_jump(at_hit, k)
-        events.append(kernel.event_for(k, detected, (pos + off + 1) * kernel.dt))
-        pos += off + 1
+        pos += off + 1  # the click's step
+        try:
+            state = kernel.apply_jump(at_hit, k)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"step {pos}: {exc}") from exc
+        events.append(kernel.event_for(k, detected, pos * kernel.dt))
     samples.extend(state.copy() for _ in steps[si:])
     return state, events, samples

@@ -20,6 +20,7 @@ from qtraj.jumps import (
     UnravelingTransform,
     TrajectoryRecord,
     _JumpKernel,
+    _first_run,
     _kernel,
     _kernel_of,
     _scan,
@@ -51,6 +52,7 @@ from qtraj.qcore import (
     random_unitary,
     step_grid,
     tensor_product,
+    validate_density_matrix,
 )
 from qtraj.recovery import apply_frame, frame_from_events
 
@@ -312,6 +314,17 @@ class TestStepJump:
         kernel = _JumpKernel(canonical_jumps(model), model.dim, model.eta, 1e-3)
         with pytest.raises(InvariantViolation, match="normalization"):
             kernel.apply_jump(density(computational_ket("0")), 0)
+
+    def test_walk_names_the_step_of_a_click_that_leaves_no_state(self):
+        # a click on an excited population of 1e-16 at the uniform of step 4
+        model = LindbladModel(1, 1.0, 0.0)
+        kernel = _JumpKernel(canonical_jumps(model), model.dim, model.eta, 1e-3)
+        us = np.full(10, 0.5)
+        us[3] = 0.0
+        rho0 = np.diag([1.0 - 1e-16, 1e-16]).astype(complex)
+        message = r"^step 4: normalization failure after jump 0: trace 9\.97e-17$"
+        with pytest.raises(InvariantViolation, match=message):
+            _scan(kernel, rho0, us, [0, 10])
 
     def test_rate_step_rule(self, bell_rho):
         # the engine and ExperimentConfig.validate share one bound, with the
@@ -674,23 +687,27 @@ class TestBranchMemo:
          (LindbladModel(2, 1.0, 0.0), lambda model: _collective_jumps())],
         ids=["diagonal", "scalar", "rotated"],
     )
-    def test_memo_is_read_only_and_replaced_per_state(self, bell_rho, model, make_jumps):
+    def test_memo_is_read_only_and_keyed_by_value(self, bell_rho, model, make_jumps):
         kernel = _JumpKernel(make_jumps(model), model.dim, model.eta, 1e-3)
-        branch = kernel.branch(bell_rho.astype(complex), 300, [0, 100, 300])
-        assert kernel.branch(bell_rho.astype(complex), 300, [0, 100, 300]) is branch
-        arrays = [branch.state, branch.at_steps, branch.p, branch.rot, branch.curve]
+        bell = bell_rho.astype(complex).tobytes()
+        run = _first_run(kernel, bell, 300, (0, 100, 300))
+        assert _first_run(kernel, bell_rho.astype(complex).tobytes(), 300, (0, 100, 300)) is run
+        arrays = [run.state, run.kept, run.p, run.rot, run.curve]
         for arr in [a for a in arrays if isinstance(a, np.ndarray)]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
-        ground = density(computational_ket("00")).astype(complex)
-        assert kernel.branch(ground, 300, [0, 100, 300]) is not branch
-        assert kernel.branch(bell_rho.astype(complex), 300, [0, 300]) is not branch
-        assert np.array_equal(branch.state, bell_rho)  # the replaced entry is unchanged
+        kept = run.kept.copy()
+        ground = density(computational_ket("00")).astype(complex).tobytes()
+        assert _first_run(kernel, ground, 300, (0, 100, 300)) is not run
+        assert _first_run(kernel, bell, 300, (0, 300)) is not run
+        # the earlier entry is unchanged, and still the one returned
+        assert np.array_equal(run.state, bell_rho) and np.array_equal(run.kept, kept)
+        assert _first_run(kernel, bell, 300, (0, 100, 300)) is run
 
     def test_threads_fill_the_memos_concurrently(self, bell_rho):
-        # 4 threads on disjoint seeds against one cold kernel and a cold grid
-        # memo, two of them from another rho0, so that the one branch entry is
-        # built and replaced while others read it: every record is the serial one
+        # 4 threads on disjoint seeds against one cold kernel, a cold grid memo
+        # and a cold first-run memo, two of them from another rho0, so that
+        # first runs are built while others read them: every record is the serial one
         model = LindbladModel(2, 1.0, 0.0, eta=1.0)
         jumps = canonical_jumps(model)
         rhos = [bell_rho, density(computational_ket("11"))]
@@ -712,6 +729,7 @@ class TestBranchMemo:
 
         _kernel_of.cache_clear()
         _checked_grid.cache_clear()
+        _first_run.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -733,10 +751,52 @@ class TestBranchMemo:
         model = LindbladModel(1, 100.0, 0.0)
         kernel = _JumpKernel(canonical_jumps(model), model.dim, model.eta, 2e-3)
         excited = density(computational_ket("1")).astype(complex)
+        _first_run.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match="reduce dt"):
                 _scan(kernel, excited, np.full(10, 0.5), [0, 10])
-            assert kernel._branch is None
+            assert _first_run.cache_info().currsize == 0
+        assert _first_run.cache_info().hits == 0
+
+
+def _transformed_jumps(model, u):
+    """Every qubit's (minus, plus) pair mixed by the one left-unitary ``u``."""
+    base = canonical_jumps(model)
+    return [j for q in range(model.n_qubits) for j in transform_jumps(base[2 * q : 2 * q + 2], u)]
+
+
+_VALID_STEPS = 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["zero_T", "balanced", "protecting", "transformed", "collective"]),
+    n=st.integers(1, 2),
+    eta=st.sampled_from([1.0, 0.6]),
+    draw=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**128 - 1),
+    inner=st.sets(st.integers(1, _VALID_STEPS - 1), max_size=8),
+)
+def test_every_sample_and_final_state_is_a_density_matrix(kind, n, eta, draw, seed, inner):
+    # random mixed rho0 and, for "transformed", a random left-unitary mix of
+    # each finite-T pair; sample steps include 0 and t_max
+    rng = np.random.default_rng(draw)
+    n = 2 if kind == "collective" else n
+    gamma_plus = {"zero_T": 0.0, "collective": 0.0, "transformed": 2.0}.get(kind, 5.0)
+    model = LindbladModel(n, 5.0, gamma_plus, eta=eta)
+    jumps = {
+        "zero_T": canonical_jumps,
+        "balanced": canonical_jumps,
+        "protecting": protecting_jumps,
+        "transformed": lambda m: _transformed_jumps(m, UnravelingTransform(random_unitary(2, rng))),
+        "collective": lambda m: _collective_jumps(5.0),
+    }[kind](model)
+    rho0 = random_density_matrix(model.dim, rng)
+    times = _SCAN_DT * np.array(sorted({0, _VALID_STEPS} | inner))
+    rec = run_jump_trajectory(model, jumps, rho0, _SCAN_DT, _SCAN_DT * _VALID_STEPS, seed, times)
+    assert len(rec.samples) == len(times)
+    for state in rec.samples + [rec.final_state]:
+        validate_density_matrix(state)
 
 
 class TestClickDecidedOnce:

@@ -643,6 +643,31 @@ class TestRunEnsemble:
         captured = capsys.readouterr()
         assert f"trajectory 3 (seed {bad}): injected" in captured.err and not captured.out
 
+    def test_jump_walk_violation_names_trajectory_seed_and_step(self, monkeypatch):
+        # trajectory 1 draws 0 at step 4's uniform: its click on an excited
+        # population of 1e-16 leaves no state
+        import qtraj.jumps as jumps
+        from qtraj.jumps import trajectory_seed
+        from qtraj.qcore import InvariantViolation
+
+        bad, rng = trajectory_seed(5, 1), jumps._trajectory_rng
+
+        class Forced:
+            def random(self, n):
+                us = np.full(n, 0.5)
+                us[3] = 0.0
+                return us
+
+        monkeypatch.setattr(jumps, "_trajectory_rng", lambda key: Forced() if key == bad else rng(key))
+        cfg = _config(
+            model=LindbladModel(2, 1.0, 0.0), unraveling="jump_canonical", n_trajectories=3,
+            master_seed=5, t_max=0.1, sample_times=None,
+            initial_state=np.diag([1.0 - 1e-16, 0.0, 0.0, 1e-16]),
+        )
+        message = rf"^trajectory 1 \(seed {bad}\): step 4: normalization failure after jump 0: trace"
+        with pytest.raises(InvariantViolation, match=message):
+            run_ensemble(cfg)
+
 
 class TestPureConcurrence:
     """Per-trajectory concurrence in the pure-state form where a run stays pure."""
